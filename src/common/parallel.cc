@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <utility>
 
 namespace localut {
 
@@ -115,10 +116,15 @@ TileBatch::fullyClaimed() const
 }
 
 void
-TileBatch::rethrowIfError() const
+TileBatch::rethrowIfError()
 {
+    // Take the exception out of the batch first: a worker may still hold
+    // the batch after settlement, and if it dropped the last reference
+    // it would free the exception while the caller's handler reads it.
+    // The hand-off is ordered by the runtime's reference count, which
+    // sits in uninstrumented code that ThreadSanitizer cannot see.
     if (error) {
-        std::rethrow_exception(error);
+        std::rethrow_exception(std::exchange(error, nullptr));
     }
 }
 

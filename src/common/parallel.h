@@ -94,8 +94,9 @@ struct TileBatch {
      * tiles may still be running on their claimants). */
     bool fullyClaimed() const;
 
-    /** Rethrows the recorded error, if any.  Call only after settled(). */
-    void rethrowIfError() const;
+    /** Rethrows the recorded error, if any, handing it over to the
+     * calling thread.  Call only after settled(). */
+    void rethrowIfError();
 };
 
 /** Claim granularity for @p tiles split across @p participants: the

@@ -142,19 +142,42 @@ weightsFingerprint(const QuantizedMatrix& w)
     h = splitmix64(h ^ w.cols);
     h = splitmix64(h ^ static_cast<std::uint64_t>(w.codec.kind()));
     h = splitmix64(h ^ w.codec.bits());
+    // One splitmix64 chain is bound by the latency of each step, so the
+    // 64-bit words (four codes each) are dealt to four independent
+    // chains — word j feeds lane j % 4, lane l starts from the header
+    // hash plus l — that the core runs side by side.  The lanes fold
+    // into h in lane order, so a word's lane and its position within
+    // the lane both reach the result.
+    constexpr std::size_t kLanes = 4;
+    constexpr std::size_t kCodesPerWord = 4;
+    std::uint64_t lanes[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+        lanes[l] = splitmix64(h + l);
+    }
     const std::uint16_t* codes = w.codes.data();
     const std::size_t count = w.codes.size();
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
+    const std::size_t words = count / kCodesPerWord;
+    std::size_t word = 0;
+    for (; word + kLanes <= words; word += kLanes) {
+        std::uint64_t chunk[kLanes];
+        std::memcpy(chunk, codes + word * kCodesPerWord, sizeof chunk);
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            lanes[l] = splitmix64(lanes[l] ^ chunk[l]);
+        }
+    }
+    for (std::size_t l = 0; word < words; ++word, ++l) {
         std::uint64_t chunk;
-        std::memcpy(&chunk, codes + i, sizeof chunk);
-        h = splitmix64(h ^ chunk);
+        std::memcpy(&chunk, codes + word * kCodesPerWord, sizeof chunk);
+        lanes[l] = splitmix64(lanes[l] ^ chunk);
+    }
+    for (const std::uint64_t lane : lanes) {
+        h = splitmix64(h ^ lane);
     }
     std::uint64_t tail = 0;
-    for (; i < count; ++i) {
+    for (std::size_t i = words * kCodesPerWord; i < count; ++i) {
         tail = (tail << 16) | codes[i];
     }
-    return splitmix64(h ^ tail ^ count);
+    return splitmix64(splitmix64(h ^ tail) ^ count);
 }
 
 // ---------------------------------------------------------- preparation

@@ -158,21 +158,42 @@ PlanCache::preparedFor(const Backend& backend, const GemmProblem& problem,
     std::shared_ptr<PreparedGemm> built = prepareGemm(problem, plan);
     built->weights = weights;
     std::shared_ptr<const PreparedGemm> prepared = std::move(built);
+    const std::uint64_t bytes = prepared->bytes();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++preparedMisses_;
-        prepared_[key] = PreparedEntry{prepared, ++preparedClock_};
-        evictLeastRecentlyUsed(prepared_, maxPrepared_);
+        // An operand larger than the whole budget would only flush
+        // everything else and then be evicted itself: serve, don't keep.
+        if (bytes <= maxPreparedBytes_) {
+            auto [it, inserted] = prepared_.try_emplace(key);
+            if (!inserted) {
+                preparedBytes_ -= it->second.prepared->bytes();
+            }
+            it->second = PreparedEntry{prepared, ++preparedClock_};
+            preparedBytes_ += bytes;
+            evictPreparedLocked();
+        }
     }
     return prepared;
 }
 
 void
-PlanCache::setMaxPreparedEntries(std::size_t maxEntries)
+PlanCache::evictPreparedLocked()
+{
+    // The newest entry fits the budget on its own and carries the
+    // highest stamp, so it is never the victim.
+    while (!prepared_.empty() && preparedBytes_ > maxPreparedBytes_) {
+        const PreparedEntry victim = takeLeastRecentlyUsed(prepared_);
+        preparedBytes_ -= victim.prepared->bytes();
+    }
+}
+
+void
+PlanCache::setMaxPreparedBytes(std::uint64_t maxBytes)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    maxPrepared_ = maxEntries == 0 ? 1 : maxEntries;
-    evictLeastRecentlyUsed(prepared_, maxPrepared_);
+    maxPreparedBytes_ = maxBytes;
+    evictPreparedLocked();
 }
 
 PlanCache::Stats
@@ -188,9 +209,7 @@ PlanCache::stats() const
     s.preparedMisses = preparedMisses_;
     s.entries = plans_.size() + shardPlans_.size();
     s.preparedEntries = prepared_.size();
-    for (const auto& [key, entry] : prepared_) {
-        s.preparedBytes += entry.prepared->bytes();
-    }
+    s.preparedBytes = preparedBytes_;
     return s;
 }
 
@@ -208,6 +227,7 @@ PlanCache::clear()
     plans_.clear();
     shardPlans_.clear();
     prepared_.clear();
+    preparedBytes_ = 0;
 }
 
 void

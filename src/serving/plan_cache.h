@@ -22,8 +22,10 @@
  * weight-content fingerprint, so a serving loop executing the same
  * layer weights request after request packs and tables them exactly
  * once — while two same-shaped problems with different weights can
- * never alias.  A bounded LRU keeps fuzz-style workloads (thousands of
- * distinct problems) from retaining packed weights forever.
+ * never alias.  An LRU bounded by resident bytes keeps fuzz-style
+ * workloads (thousands of distinct problems) from retaining packed
+ * weights forever, while a whole sharded decode step (one operand per
+ * GEMM per shard slice) stays resident from step to step.
  */
 
 #include <cstdint>
@@ -144,11 +146,17 @@ class PlanCache
                              const GemmProblem& problem, DesignPoint design,
                              const PlanOverrides& overrides = {});
 
+    /** Default prepared-operand budget: 256 MiB, the LutTableCache's. */
+    static constexpr std::uint64_t kDefaultMaxPreparedBytes =
+        std::uint64_t{256} << 20;
+
     /**
      * Returns the cached PreparedGemm for (@p backend, @p problem,
      * @p plan, @p overrides) — keyed by the plan key plus
-     * weightsFingerprint(problem.w) — building (and inserting, LRU
-     * bounded) on a miss.  @p plan must be the plan the operand will
+     * weightsFingerprint(problem.w) — building and inserting on a miss,
+     * then evicting least recently used operands until the resident
+     * bytes fit the budget.  An operand larger than the whole budget is
+     * returned but not kept.  @p plan must be the plan the operand will
      * execute under (normally the one planFor() returned for the same
      * arguments); the returned operand satisfies
      * prepared->matches(problem, plan).
@@ -157,8 +165,12 @@ class PlanCache
     preparedFor(const Backend& backend, const GemmProblem& problem,
                 const GemmPlan& plan, const PlanOverrides& overrides = {});
 
-    /** Caps the prepared-operand LRU (entries; default 128). */
-    void setMaxPreparedEntries(std::size_t maxEntries);
+    /**
+     * Caps the prepared-operand LRU at @p maxBytes of
+     * PreparedGemm::bytes() (default kDefaultMaxPreparedBytes), evicting
+     * least recently used operands now if the cache holds more.
+     */
+    void setMaxPreparedBytes(std::uint64_t maxBytes);
 
     /** A consistent copy of the hit/miss counters and entry counts. */
     Stats stats() const;
@@ -194,12 +206,16 @@ class PlanCache
         std::uint64_t lastUse = 0;
     };
 
+    /** Evicts LRU operands until preparedBytes_ fits the budget. */
+    void evictPreparedLocked();
+
     mutable std::mutex mutex_;
     std::unordered_map<PlanKey, GemmPlan, PlanKeyHash> plans_;
     std::unordered_map<PlanKey, ShardPlan, PlanKeyHash> shardPlans_;
     std::unordered_map<PreparedKey, PreparedEntry, PreparedKeyHash>
         prepared_;
-    std::size_t maxPrepared_ = 128;
+    std::uint64_t preparedBytes_ = 0; ///< sum of prepared_ bytes()
+    std::uint64_t maxPreparedBytes_ = kDefaultMaxPreparedBytes;
     std::uint64_t preparedClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

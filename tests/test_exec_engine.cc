@@ -13,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
+#include <vector>
 
 #include "common/parallel.h"
 #include "kernels/exec_engine.h"
@@ -293,6 +295,63 @@ TEST(ExecEngine, WeightFingerprintSeparatesContent)
     GemmProblem c = a;
     c.w.codes[5] = static_cast<std::uint16_t>(c.w.codes[5] ^ 1u);
     EXPECT_NE(weightsFingerprint(a.w), weightsFingerprint(c.w));
+
+    // The codes are hashed as 64-bit words (four codes) dealt across
+    // four lanes, plus a tail of fewer than four codes.  Counts 1..40
+    // cover empty, partial and full lane rounds with every tail length;
+    // every code of each must reach the hash.
+    std::vector<std::uint64_t> byCount;
+    for (std::size_t count = 1; count <= 40; ++count) {
+        const QuantizedMatrix w =
+            makeRandomProblem(1, count, 1, cfg, 100 + count).w;
+        const std::uint64_t base = weightsFingerprint(w);
+        byCount.push_back(base);
+        for (std::size_t i = 0; i < count; ++i) {
+            QuantizedMatrix flipped = w;
+            flipped.codes[i] = static_cast<std::uint16_t>(
+                flipped.codes[i] ^ 1u);
+            EXPECT_NE(weightsFingerprint(flipped), base)
+                << "count " << count << ", code " << i;
+        }
+    }
+    std::sort(byCount.begin(), byCount.end());
+    EXPECT_EQ(std::adjacent_find(byCount.begin(), byCount.end()),
+              byCount.end());
+
+    // A 16x5 matrix (80 codes, five full lane rounds): every position.
+    const QuantizedMatrix w = makeRandomProblem(16, 5, 1, cfg, 3).w;
+    const std::uint64_t base = weightsFingerprint(w);
+    for (std::size_t i = 0; i < w.codes.size(); ++i) {
+        QuantizedMatrix flipped = w;
+        flipped.codes[i] = static_cast<std::uint16_t>(flipped.codes[i] ^ 1u);
+        EXPECT_NE(weightsFingerprint(flipped), base) << "code " << i;
+    }
+
+    // Swapping two distinct words in different lanes (word 1 feeds lane
+    // 1, word 6 lane 2) moves content, not the multiset of words.
+    QuantizedMatrix swapped = w;
+    std::swap_ranges(swapped.codes.begin() + 4, swapped.codes.begin() + 8,
+                     swapped.codes.begin() + 24);
+    ASSERT_NE(swapped.codes, w.codes);
+    EXPECT_NE(weightsFingerprint(swapped), base);
+
+    // The header is hashed too: same codes, transposed shape or another
+    // codec, hash differently.
+    QuantizedMatrix transposed = w;
+    std::swap(transposed.rows, transposed.cols);
+    EXPECT_NE(weightsFingerprint(transposed), base);
+    QuantizedMatrix recoded = w;
+    recoded.codec = ValueCodec::unsignedInt(w.codec.bits());
+    ASSERT_NE(recoded.codec, w.codec);
+    EXPECT_NE(weightsFingerprint(recoded), base);
+
+    // Equal content in a separate object hashes equal.
+    QuantizedMatrix copy;
+    copy.rows = w.rows;
+    copy.cols = w.cols;
+    copy.codec = w.codec;
+    copy.codes.assign(w.codes.begin(), w.codes.end());
+    EXPECT_EQ(weightsFingerprint(copy), base);
 }
 
 TEST(ExecEngine, TableCacheSharesTablesAcrossPreparations)

@@ -3,13 +3,16 @@
  * PlanCache tests: a second plan() with an identical key returns the
  * cached plan (hit counter increments), while any key-field change — the
  * shape, the quantization config, the design point, the overrides, the
- * shard configuration, or the backend — misses.  The concurrency stress
+ * shard configuration, or the backend — misses.  Prepared operands stay
+ * under a byte budget, least recently used first, with a running byte
+ * total that matches the kept operands.  The concurrency stress
  * tests hammer a shared cache (and a shared session) from many threads;
  * run them under -fsanitize=thread locally to verify lock discipline.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -215,6 +218,186 @@ TEST(PlanCache, ShardConfigIsPartOfTheKey)
     EXPECT_EQ(cache.stats().hits, cold.hits + 2);
 }
 
+/** Small W1A4 problems of one shape, distinct weights per seed. */
+std::vector<GemmProblem>
+distinctWeightProblems(std::size_t count)
+{
+    std::vector<GemmProblem> problems;
+    problems.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        problems.push_back(makeRandomProblem(
+            16, 32, 2, QuantConfig::preset("W1A4"), 500 + i));
+    }
+    return problems;
+}
+
+TEST(PlanCache, CyclicWorkingSetUnderBudgetHitsEveryLookup)
+{
+    // A sharded decode step revisits its operands (288 for a 4-rank
+    // OPT-125M step) in the same order every step, and an LRU holding
+    // fewer than the cycle misses every lookup.  160 small operands sit
+    // far under the byte budget, so the second sweep must hit every
+    // time.
+    const BackendPtr backend = makeBackend("upmem");
+    PlanCache cache;
+    const std::vector<GemmProblem> problems = distinctWeightProblems(160);
+    const GemmPlan plan =
+        cache.planFor(*backend, problems[0], DesignPoint::LoCaLut);
+
+    for (const GemmProblem& problem : problems) {
+        cache.preparedFor(*backend, problem, plan);
+    }
+    const PlanCache::Stats cold = cache.stats();
+    EXPECT_EQ(cold.preparedMisses, problems.size());
+    EXPECT_EQ(cold.preparedEntries, problems.size());
+    EXPECT_LE(cold.preparedBytes, PlanCache::kDefaultMaxPreparedBytes);
+
+    for (const GemmProblem& problem : problems) {
+        const std::uint64_t hitsBefore = cache.stats().preparedHits;
+        cache.preparedFor(*backend, problem, plan);
+        EXPECT_EQ(cache.stats().preparedHits, hitsBefore + 1);
+    }
+    EXPECT_EQ(cache.stats().preparedMisses, cold.preparedMisses);
+}
+
+TEST(PlanCache, PreparedBudgetEvictsLeastRecentlyUsedBytesFirst)
+{
+    const BackendPtr backend = makeBackend("upmem");
+    PlanCache cache;
+    const std::vector<GemmProblem> problems = distinctWeightProblems(4);
+    const GemmPlan plan =
+        cache.planFor(*backend, problems[0], DesignPoint::LoCaLut);
+    const std::uint64_t each = prepareGemm(problems[0], plan)->bytes();
+    ASSERT_GT(each, 0u);
+    // Room for three same-shaped operands, not four.
+    const std::uint64_t budget = 3 * each + each / 2;
+    cache.setMaxPreparedBytes(budget);
+
+    auto lookupHits = [&](std::size_t which) {
+        const std::uint64_t hits = cache.stats().preparedHits;
+        cache.preparedFor(*backend, problems[which], plan);
+        EXPECT_LE(cache.stats().preparedBytes, budget);
+        return cache.stats().preparedHits == hits + 1;
+    };
+
+    EXPECT_FALSE(lookupHits(0));
+    EXPECT_FALSE(lookupHits(1));
+    EXPECT_FALSE(lookupHits(2));
+    EXPECT_TRUE(lookupHits(0)); // 1 is now the least recently used
+    EXPECT_FALSE(lookupHits(3)); // evicts 1
+    EXPECT_EQ(cache.stats().preparedEntries, 3u);
+    EXPECT_EQ(cache.stats().preparedBytes, 3 * each);
+    EXPECT_TRUE(lookupHits(0));
+    EXPECT_TRUE(lookupHits(2));
+    EXPECT_TRUE(lookupHits(3));
+    EXPECT_FALSE(lookupHits(1));
+
+    // Shrinking the budget evicts at once, oldest first: 1 is the most
+    // recently used and stays.
+    cache.setMaxPreparedBytes(each);
+    EXPECT_EQ(cache.stats().preparedEntries, 1u);
+    EXPECT_EQ(cache.stats().preparedBytes, each);
+    EXPECT_TRUE(lookupHits(1));
+}
+
+TEST(PlanCache, OversizedOperandIsServedButNotKept)
+{
+    const BackendPtr backend = makeBackend("upmem");
+    PlanCache cache;
+    const QuantConfig cfg = QuantConfig::preset("W1A4");
+    const GemmProblem small = makeRandomProblem(16, 32, 2, cfg, 7);
+    const GemmProblem big = makeRandomProblem(256, 256, 4, cfg, 8);
+    const GemmPlan smallPlan =
+        cache.planFor(*backend, small, DesignPoint::LoCaLut);
+    const GemmPlan bigPlan =
+        cache.planFor(*backend, big, DesignPoint::LoCaLut);
+    const std::uint64_t smallBytes = prepareGemm(small, smallPlan)->bytes();
+    const std::uint64_t bigBytes = prepareGemm(big, bigPlan)->bytes();
+    ASSERT_LT(2 * smallBytes, bigBytes);
+    cache.setMaxPreparedBytes(2 * smallBytes);
+
+    cache.preparedFor(*backend, small, smallPlan);
+    const auto prepared = cache.preparedFor(*backend, big, bigPlan);
+    ASSERT_NE(prepared, nullptr);
+    EXPECT_TRUE(prepared->matches(big, bigPlan));
+    ExecOptions options;
+    options.prepared = prepared.get();
+    EXPECT_EQ(backend->execute(big, bigPlan, options).outInt,
+              referenceGemmInt(big.w, big.a));
+
+    // Not kept, and it did not flush the operand that fits.
+    PlanCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.preparedEntries, 1u);
+    EXPECT_EQ(stats.preparedBytes, smallBytes);
+    cache.preparedFor(*backend, big, bigPlan);
+    cache.preparedFor(*backend, small, smallPlan);
+    stats = cache.stats();
+    EXPECT_EQ(stats.preparedMisses, 3u);
+    EXPECT_EQ(stats.preparedHits, 1u);
+}
+
+TEST(PlanCache, PreparedBytesTrackKeptOperandsThroughEvictionAndClear)
+{
+    // Mixed operand sizes against a byte-LRU model: after every insert
+    // the running total is the sum of bytes() over exactly the
+    // operands the model keeps.
+    const BackendPtr backend = makeBackend("upmem");
+    PlanCache cache;
+    const QuantConfig cfg = QuantConfig::preset("W1A4");
+    struct Operand {
+        GemmProblem problem;
+        GemmPlan plan;
+        std::uint64_t bytes = 0;
+    };
+    std::vector<Operand> operands;
+    for (unsigned i = 0; i < 12; ++i) {
+        GemmProblem problem = makeRandomProblem(
+            16 + 24 * (i % 4), 32 + 32 * (i % 3), 2, cfg, 900 + i);
+        const GemmPlan plan =
+            cache.planFor(*backend, problem, DesignPoint::LoCaLut);
+        const std::uint64_t bytes = prepareGemm(problem, plan)->bytes();
+        operands.push_back({std::move(problem), plan, bytes});
+    }
+    std::uint64_t largest = 0;
+    for (const Operand& op : operands) {
+        largest = std::max(largest, op.bytes);
+    }
+    const std::uint64_t budget = 3 * largest;
+    cache.setMaxPreparedBytes(budget);
+
+    std::vector<std::size_t> model; // least recently used first
+    auto modelBytes = [&] {
+        std::uint64_t total = 0;
+        for (const std::size_t i : model) {
+            total += operands[i].bytes;
+        }
+        return total;
+    };
+    for (unsigned round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < operands.size(); ++i) {
+            const std::size_t which = (i * 5 + round) % operands.size();
+            cache.preparedFor(*backend, operands[which].problem,
+                              operands[which].plan);
+            std::erase(model, which);
+            model.push_back(which);
+            while (modelBytes() > budget) {
+                model.erase(model.begin());
+            }
+            const PlanCache::Stats stats = cache.stats();
+            EXPECT_EQ(stats.preparedBytes, modelBytes());
+            EXPECT_EQ(stats.preparedEntries, model.size());
+            EXPECT_LE(stats.preparedBytes, budget);
+        }
+    }
+
+    cache.clear();
+    EXPECT_EQ(cache.stats().preparedBytes, 0u);
+    EXPECT_EQ(cache.stats().preparedEntries, 0u);
+    const auto rebuilt = cache.preparedFor(*backend, operands[0].problem,
+                                           operands[0].plan);
+    EXPECT_EQ(cache.stats().preparedBytes, rebuilt->bytes());
+}
+
 TEST(PlanCacheStress, ManyThreadsHammeringSharedShapes)
 {
     const BackendPtr backend = makeBackend("upmem");
@@ -285,12 +468,12 @@ TEST(PlanCacheStress, ConcurrentPreparedOperands)
 {
     const BackendPtr backend = makeBackend("upmem");
     PlanCache cache;
-    cache.setMaxPreparedEntries(3); // force eviction churn under load
     const QuantConfig cfg = QuantConfig::preset("W1A4");
     constexpr unsigned kProblems = 4;
     std::vector<GemmProblem> problems;
     std::vector<GemmPlan> plans;
     std::vector<std::vector<std::int32_t>> references;
+    std::uint64_t allBytes = 0;
     for (unsigned i = 0; i < kProblems; ++i) {
         problems.push_back(
             makeRandomProblem(24 + 8 * i, 48, 3 + i, cfg, 100 + i));
@@ -298,7 +481,12 @@ TEST(PlanCacheStress, ConcurrentPreparedOperands)
                                       DesignPoint::LoCaLut));
         references.push_back(
             referenceGemmInt(problems[i].w, problems[i].a));
+        allBytes += prepareGemm(problems[i], plans[i])->bytes();
     }
+    // Any three operands fit, all four never do: eviction churn under
+    // load.
+    const std::uint64_t budget = allBytes - 1;
+    cache.setMaxPreparedBytes(budget);
 
     constexpr unsigned kThreads = 8;
     constexpr unsigned kIters = 40;
@@ -336,10 +524,12 @@ TEST(PlanCacheStress, ConcurrentPreparedOperands)
     EXPECT_GT(stats.preparedHits, 0u);
     EXPECT_LE(stats.preparedEntries, 3u);
     EXPECT_GT(stats.preparedBytes, 0u);
+    EXPECT_LE(stats.preparedBytes, budget);
 
     // clear() drops the operands; the next lookup rebuilds.
     cache.clear();
     EXPECT_EQ(cache.stats().preparedEntries, 0u);
+    EXPECT_EQ(cache.stats().preparedBytes, 0u);
     const auto rebuilt =
         cache.preparedFor(*backend, problems[0], plans[0]);
     EXPECT_TRUE(rebuilt->matches(problems[0], plans[0]));
