@@ -1,8 +1,10 @@
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -91,6 +93,21 @@ double
 geomeanOf(const std::vector<double>& values)
 {
     return geomean(values);
+}
+
+unsigned
+nproc()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+void
+writeProvenance(std::FILE* f)
+{
+    std::fprintf(f, "  \"nproc\": %u,\n", nproc());
+    std::fprintf(f, "  \"compiler\": \"%s\",\n", LOCALUT_BENCH_COMPILER);
+    std::fprintf(f, "  \"build_type\": \"%s\",\n",
+                 LOCALUT_BENCH_BUILD_TYPE);
 }
 
 } // namespace bench

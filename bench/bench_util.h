@@ -9,6 +9,7 @@
  * values for comparison (EXPERIMENTS.md records both).
  */
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,16 @@ std::string fmtBytes(double bytes);
 
 /** Geomean convenience over a vector. */
 double geomeanOf(const std::vector<double>& values);
+
+/** Hardware threads of this host (at least 1). */
+unsigned nproc();
+
+/**
+ * Writes the host provenance every BENCH_*.json records — "nproc",
+ * "compiler" and "build_type" — as indented, comma-terminated members
+ * of the object open in @p f.
+ */
+void writeProvenance(std::FILE* f);
 
 } // namespace bench
 } // namespace localut

@@ -1,22 +1,15 @@
 /**
  * @file
  * Functional execution throughput: prepared-operand engine vs ad-hoc
- * (unprepared) execution vs the frozen pre-engine kernels, on the
- * fig09-class GEMM and an OPT-125M decode step, across 1/2/4/8 tile
- * threads.  Emits BENCH_exec.json (the perf trajectory artifact the CI
- * perf-smoke job archives).  Every mode is checked bit-exact against the
- * reference GEMM.  The full-shape run, which CI's perf-smoke job runs
- * serially, also exits non-zero when prepared execution falls behind
- * unprepared execution, when the simd loops fall behind scalar, or when
- * thread scaling misses its hardware-conditional floor.  --smoke checks
+ * (unprepared) execution, on the fig09-class GEMM and an OPT-125M
+ * decode step, across 1/2/4/8 tile threads.  Emits BENCH_exec.json (the
+ * perf trajectory artifact the CI perf-smoke job archives).  Every mode
+ * is checked bit-exact against the reference GEMM.  The full-shape run,
+ * which CI's perf-smoke job runs serially, also exits non-zero when
+ * prepared execution falls behind unprepared execution or when thread
+ * scaling misses its hardware-conditional floor.  --smoke checks
  * bit-exactness only: its reduced shape measures tile-pool overhead
  * rather than scaling, and ctest runs it beside other tests.
- *
- * The "legacy" baseline is a frozen copy of the PR-3 canonical
- * executor (per-call table construction, per-element LUT-object
- * lookups, per-group allocating canonicalization).  It is kept here —
- * not in the library — precisely so the engine's speedup stays
- * measurable after the library kernels were rewritten.
  */
 
 #include <algorithm>
@@ -24,139 +17,14 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 
-#include "common/bitops.h"
 #include "common/logging.h"
 #include "common/table.h"
 
 using namespace localut;
-
-namespace legacy {
-
-/** Frozen PR-3 packWeights: row-major packed weight vectors. */
-std::vector<std::uint64_t>
-packWeights(const QuantizedMatrix& w, unsigned p, unsigned groups)
-{
-    const unsigned bw = w.codec.bits();
-    std::vector<std::uint64_t> packed(w.rows * groups);
-    std::vector<std::uint16_t> codes(p);
-    for (std::size_t m = 0; m < w.rows; ++m) {
-        for (unsigned g = 0; g < groups; ++g) {
-            for (unsigned i = 0; i < p; ++i) {
-                const std::size_t kk = static_cast<std::size_t>(g) * p + i;
-                codes[i] = kk < w.cols ? w.at(m, kk) : std::uint16_t{0};
-            }
-            packed[m * groups + g] = packCodes(codes, bw);
-        }
-    }
-    return packed;
-}
-
-struct CanonicalPrep {
-    std::vector<std::uint64_t> msRank;
-    std::vector<std::uint32_t> permRank;
-};
-
-/** Frozen PR-3 per-call canonicalization (allocating, per group). */
-CanonicalPrep
-prepare(const QuantizedMatrix& a, unsigned p, unsigned groups)
-{
-    const std::size_t n = a.cols;
-    const LutShape probe(ValueCodec::signedBinary(), a.codec, p);
-    const ActivationCanonicalizer canon(probe);
-    CanonicalPrep prep;
-    prep.msRank.resize(groups * n);
-    prep.permRank.resize(groups * n);
-    std::vector<std::uint16_t> codes(p);
-    for (unsigned g = 0; g < groups; ++g) {
-        for (std::size_t nn = 0; nn < n; ++nn) {
-            for (unsigned i = 0; i < p; ++i) {
-                const std::size_t kk = static_cast<std::size_t>(g) * p + i;
-                codes[i] = kk < a.rows ? a.at(kk, nn) : std::uint16_t{0};
-            }
-            const CanonicalGroup cg = canon.canonicalize(codes);
-            prep.msRank[g * n + nn] = cg.multisetRank;
-            prep.permRank[g * n + nn] = cg.permRank;
-        }
-    }
-    return prep;
-}
-
-/** Frozen PR-3 canonical executor (ReorderLut and SliceStream modes),
- * including per-call LUT construction. */
-std::vector<std::int32_t>
-canonicalInt(const GemmProblem& problem, unsigned p, bool sliceStream,
-             unsigned kSlices)
-{
-    const QuantizedMatrix& w = problem.w;
-    const QuantizedMatrix& a = problem.a;
-    const std::size_t m = w.rows, k = w.cols, n = a.cols;
-    const unsigned groups = static_cast<unsigned>(ceilDiv(k, std::size_t{p}));
-    const LutShape shape(problem.config(), p);
-    const CanonicalLut canon(shape);
-    const ReorderingLut reorderLut(shape);
-
-    const std::vector<std::uint64_t> wIdx = packWeights(w, p, groups);
-    const CanonicalPrep prep = prepare(a, p, groups);
-
-    std::vector<std::int32_t> out(m * n, 0);
-    if (!sliceStream) {
-        for (std::size_t mm = 0; mm < m; ++mm) {
-            for (std::size_t nn = 0; nn < n; ++nn) {
-                std::int32_t acc = 0;
-                for (unsigned g = 0; g < groups; ++g) {
-                    const std::size_t at = g * n + nn;
-                    const std::uint64_t wi = wIdx[mm * groups + g];
-                    const std::uint64_t reordered =
-                        reorderLut.lookup(prep.permRank[at], wi);
-                    acc += canon.lookupInt(prep.msRank[at], reordered);
-                }
-                out[mm * n + nn] = acc;
-            }
-        }
-        return out;
-    }
-
-    const std::uint64_t rows = shape.weightRows();
-    std::vector<std::int32_t> canonSlices;
-    std::vector<std::uint32_t> reorderSlices;
-    for (std::size_t nn = 0; nn < n; ++nn) {
-        for (unsigned g0 = 0; g0 < groups; g0 += kSlices) {
-            const unsigned batch = std::min(kSlices, groups - g0);
-            canonSlices.assign(static_cast<std::size_t>(batch) * rows, 0);
-            reorderSlices.assign(static_cast<std::size_t>(batch) * rows, 0);
-            for (unsigned b = 0; b < batch; ++b) {
-                const std::size_t at =
-                    static_cast<std::size_t>(g0 + b) * n + nn;
-                const auto col = canon.columnInt(prep.msRank[at]);
-                std::copy(col.begin(), col.end(),
-                          canonSlices.begin() +
-                              static_cast<std::ptrdiff_t>(b * rows));
-                for (std::uint64_t r = 0; r < rows; ++r) {
-                    reorderSlices[b * rows + r] =
-                        reorderLut.lookup(prep.permRank[at], r);
-                }
-            }
-            for (std::size_t mm = 0; mm < m; ++mm) {
-                std::int32_t acc = 0;
-                for (unsigned b = 0; b < batch; ++b) {
-                    const std::uint64_t wi = wIdx[mm * groups + (g0 + b)];
-                    const std::uint32_t reordered =
-                        reorderSlices[b * rows + wi];
-                    acc += canonSlices[b * rows + reordered];
-                }
-                out[mm * n + nn] += acc;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace legacy
 
 namespace {
 
@@ -202,18 +70,12 @@ struct CaseResult {
 
 std::vector<CaseResult> gResults;
 
-unsigned
-hardwareConcurrency()
-{
-    return std::max(1u, std::thread::hardware_concurrency());
-}
-
 void
 record(const std::string& label, const std::string& mode, unsigned threads,
        double seconds)
 {
     gResults.push_back({label, mode, threads,
-                        std::min(threads, hardwareConcurrency()), seconds});
+                        std::min(threads, bench::nproc()), seconds});
 }
 
 const CaseResult*
@@ -228,9 +90,8 @@ find(const std::string& label, const std::string& mode, unsigned threads)
 }
 
 void
-writeJson(bool smoke, double vsLegacy, double vsUnprepared,
-          double simdVsScalar, double scale8t, double decodePrepared,
-          double decodeUnprepared)
+writeJson(bool smoke, double vsUnprepared, double scale8t,
+          double decodePrepared, double decodeUnprepared)
 {
     std::FILE* f = std::fopen("BENCH_exec.json", "w");
     if (f == nullptr) {
@@ -239,12 +100,9 @@ writeJson(bool smoke, double vsLegacy, double vsUnprepared,
     }
     std::fprintf(f, "{\n  \"bench\": \"exec_throughput\",\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-                 hardwareConcurrency());
-    std::fprintf(f, "  \"prepared_vs_legacy_1t\": %.3f,\n", vsLegacy);
+    bench::writeProvenance(f);
     std::fprintf(f, "  \"prepared_vs_unprepared_1t\": %.3f,\n",
                  vsUnprepared);
-    std::fprintf(f, "  \"simd_vs_scalar_1t\": %.3f,\n", simdVsScalar);
     std::fprintf(f, "  \"prepared_8t_vs_1t\": %.3f,\n", scale8t);
     std::fprintf(f, "  \"decode_step_prepared_ms\": %.3f,\n",
                  decodePrepared * 1e3);
@@ -274,7 +132,7 @@ main(int argc, char** argv)
 {
     bench::init(argc, argv);
     bench::header("Exec", "prepared-operand engine throughput "
-                          "(GEMM/s, prepared vs unprepared vs legacy)");
+                          "(GEMM/s, prepared vs unprepared)");
 
     const bool smoke = bench::smoke();
     const double minSeconds = smoke ? 0.03 : 0.3;
@@ -289,8 +147,7 @@ main(int argc, char** argv)
     const GemmEngine engine(PimSystemConfig::upmemServer());
     ExecArena arena;
     // Headline numbers (last preset iterated = W4A4).
-    double vsLegacy = 0, vsUnprepared = 0;
-    double simdVsScalar = 0, scale8t = 0;
+    double vsUnprepared = 0, scale8t = 0;
 
     for (const char* preset : {"W1A4", "W4A4"}) {
         const QuantConfig cfg = QuantConfig::preset(preset);
@@ -323,20 +180,6 @@ main(int argc, char** argv)
             }
         };
 
-        // Legacy (frozen PR-3 kernels, per-call tables), single-thread.
-        {
-            std::vector<std::int32_t> out;
-            const double s = secondsPerCall(
-                [&] {
-                    out = legacy::canonicalInt(problem, plan.p,
-                                               plan.streaming,
-                                               plan.kSlices);
-                },
-                minSeconds, maxReps);
-            check(out, "legacy");
-            record(label, "legacy", 1, s);
-        }
-
         // Unprepared engine (ad-hoc preparation each call), 1 thread.
         {
             std::vector<std::int32_t> out;
@@ -347,11 +190,11 @@ main(int argc, char** argv)
             record(label, "unprepared", 1, s);
         }
 
-        // Prepared engine across tile-thread counts, simd and scalar.
-        // Each sweep point constructs its own TilePool(threads) — the
-        // executor the kernels see really has `threads` workers; the
-        // session's default worker cap never touches this sweep (the
-        // pool is standalone), and what the machine can actually run
+        // Prepared engine across tile-thread counts.  Each sweep point
+        // constructs its own TilePool(threads) — the executor the
+        // kernels see really has `threads` workers; the session's
+        // default worker cap never touches this sweep (the pool is
+        // standalone), and what the machine can actually run
         // concurrently is recorded per row as effective_concurrency.
         const std::shared_ptr<const PreparedGemm> prepared =
             prepareGemm(problem, plan);
@@ -362,25 +205,22 @@ main(int argc, char** argv)
                 LOCALUT_REQUIRE(pool->concurrency() == threads,
                                 "thread sweep lost its pool width");
             }
-            for (const bool simd : {false, true}) {
-                ExecOptions options;
-                options.prepared = prepared.get();
-                options.arena = &arena;
-                options.tiles = pool.get();
-                options.simd = simd;
-                std::vector<std::int32_t> out;
-                const double s = secondsPerCall(
-                    [&] { executeGemmInt(problem, plan, options, out); },
-                    minSeconds, maxReps);
-                check(out, simd ? "prepared" : "prepared_scalar");
-                record(label, simd ? "prepared" : "prepared_scalar",
-                       threads, s);
-            }
+            ExecOptions options;
+            options.prepared = prepared.get();
+            options.arena = &arena;
+            options.tiles = pool.get();
+            std::vector<std::int32_t> out;
+            const double s = secondsPerCall(
+                [&] { executeGemmInt(problem, plan, options, out); },
+                minSeconds, maxReps);
+            check(out, "prepared");
+            record(label, "prepared", threads, s);
         }
 
         Table table({"mode", "threads", "eff. conc", "s/GEMM", "GEMM/s",
-                     "vs legacy 1t"});
-        const double legacySeconds = find(label, "legacy", 1)->seconds;
+                     "vs unprepared 1t"});
+        const double unpreparedSeconds =
+            find(label, "unprepared", 1)->seconds;
         for (const CaseResult& r : gResults) {
             if (r.label != label) {
                 continue;
@@ -389,27 +229,20 @@ main(int argc, char** argv)
                           std::to_string(r.effectiveConcurrency),
                           bench::fmtSeconds(r.seconds),
                           Table::fmt(r.gemmPerSec(), 1),
-                          Table::fmt(legacySeconds / r.seconds, 2) + "x"});
+                          Table::fmt(unpreparedSeconds / r.seconds, 2) +
+                              "x"});
         }
         table.print();
 
-        vsLegacy = legacySeconds / find(label, "prepared", 1)->seconds;
-        vsUnprepared = find(label, "unprepared", 1)->seconds /
-                       find(label, "prepared", 1)->seconds;
-        simdVsScalar = find(label, "prepared_scalar", 1)->seconds /
-                       find(label, "prepared", 1)->seconds;
+        vsUnprepared = unpreparedSeconds / find(label, "prepared", 1)->seconds;
         scale8t = find(label, "prepared", 1)->seconds /
                   find(label, "prepared", 8)->seconds;
-        bench::note("prepared 1t vs legacy:     " +
-                    Table::fmt(vsLegacy, 2) + "x   (target: >= 5x)");
         bench::note("prepared 1t vs unprepared: " +
                     Table::fmt(vsUnprepared, 2) + "x");
-        bench::note("simd 1t vs scalar 1t:      " +
-                    Table::fmt(simdVsScalar, 2) + "x");
         bench::note("prepared 8t vs 1t:         " +
                     Table::fmt(scale8t, 2) + "x   (target: >= 3x on >= 8 "
                     "hw threads; this machine has " +
-                    std::to_string(hardwareConcurrency()) + ")");
+                    std::to_string(bench::nproc()) + ")");
     }
 
     // OPT-125M decode step: every decode GEMM shape weighted by its
@@ -449,8 +282,8 @@ main(int argc, char** argv)
     bench::note("decode step, prepared:   " +
                 bench::fmtSeconds(decodePrepared));
 
-    writeJson(smoke, vsLegacy, vsUnprepared, simdVsScalar, scale8t,
-              decodePrepared, decodeUnprepared);
+    writeJson(smoke, vsUnprepared, scale8t, decodePrepared,
+              decodeUnprepared);
 
     // Wall-clock gates, full shape only (CI perf-smoke job runs it
     // serially).  Noise factors absorb scheduler jitter without letting
@@ -465,17 +298,11 @@ main(int argc, char** argv)
                     Table::fmt(vsUnprepared, 2) + "x < 0.85x)");
         ++failures;
     }
-    // 2. The simd inner loops must never lose to the scalar ones.
-    if (simdVsScalar < 0.9) {
-        bench::note("FAIL: simd inner loops slower than scalar (" +
-                    Table::fmt(simdVsScalar, 2) + "x < 0.9x)");
-        ++failures;
-    }
-    // 3. Tile-parallel scaling, gated on what the machine can actually
+    // 2. Tile-parallel scaling, gated on what the machine can actually
     // run: a TilePool(8) on a 2-core runner cannot (and should not
     // pretend to) triple throughput.  Thresholds are well under linear
     // to absorb memory-bandwidth ceilings on shared runners.
-    const unsigned hw = hardwareConcurrency();
+    const unsigned hw = bench::nproc();
     const double scale4t = find("fig09_gemm_W4A4", "prepared", 1)->seconds /
                            find("fig09_gemm_W4A4", "prepared", 4)->seconds;
     if (hw >= 8 && scale8t < 3.0) {

@@ -171,6 +171,7 @@ writeJson(bool smoke, bool gatePassed)
     }
     std::fprintf(f, "{\n  \"bench\": \"fault_sweep\",\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+    bench::writeProvenance(f);
     std::fprintf(f, "  \"failover_gate_passed\": %s,\n",
                  gatePassed ? "true" : "false");
     std::fprintf(f, "  \"deadline_x\": %.1f,\n", kDeadlineX);

@@ -284,6 +284,7 @@ writeJson(bool smoke, bool gatePassed)
     }
     std::fprintf(f, "{\n  \"bench\": \"serving_load\",\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+    bench::writeProvenance(f);
     std::fprintf(f, "  \"slo_gate_passed\": %s,\n",
                  gatePassed ? "true" : "false");
     std::fprintf(f, "  \"interactive_deadline_x\": %.1f,\n",

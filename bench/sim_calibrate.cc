@@ -245,6 +245,7 @@ main(int argc, char** argv)
         std::fprintf(f, "{\n  \"bench\": \"sim_calibrate\",\n");
         std::fprintf(f, "  \"smoke\": %s,\n",
                      bench::smoke() ? "true" : "false");
+        bench::writeProvenance(f);
         std::fprintf(f, "  \"gate_passed\": %s,\n",
                      pass ? "true" : "false");
         std::fprintf(f, "  \"points\": %u,\n", stats.points);

@@ -13,9 +13,8 @@
 // Portable vectorization hints for the fused lookup-accumulate loops.
 // LOCALUT_SIMD_PRAGMA is defined by the build when the compiler accepts
 // -fopenmp-simd (the pragma alone, no OpenMP runtime); without it the
-// "simd" path compiles to the same scalar loop and the ExecOptions::simd
-// flag is a no-op.  Correctness never depends on the pragma: the
-// vectorized dimension is independent output elements.
+// same loops compile unhinted.  Correctness never depends on the
+// pragma: the vectorized dimension is independent output elements.
 #if defined(LOCALUT_SIMD_PRAGMA)
 #define LOCALUT_OMP_SIMD _Pragma("omp simd")
 #else
@@ -267,8 +266,7 @@ PreparedGemm::bytes() const
 }
 
 std::shared_ptr<PreparedGemm>
-prepareGemm(const GemmProblem& problem, const GemmPlan& plan,
-            bool useTableCache)
+prepareGemm(const GemmProblem& problem, const GemmPlan& plan)
 {
     LOCALUT_REQUIRE(problem.m() == plan.m && problem.k() == plan.k,
                     "prepareGemm: plan was resolved for a different shape");
@@ -379,22 +377,14 @@ prepareGemm(const GemmProblem& problem, const GemmPlan& plan,
     LutTableCache& cache = LutTableCache::global();
     switch (mode) {
       case Mode::Op:
-        prep->opLut = useTableCache
-                          ? cache.opLut(shape)
-                          : std::make_shared<const OperationPackedLut>(shape);
+        prep->opLut = cache.opLut(shape);
         break;
       case Mode::CanonReorder:
       case Mode::CanonStream:
-        prep->reorderLut =
-            useTableCache
-                ? cache.reorderingLut(shape)
-                : std::make_shared<const ReorderingLut>(shape);
+        prep->reorderLut = cache.reorderingLut(shape);
         [[fallthrough]];
       case Mode::CanonExplicit:
-        prep->canonicalLut =
-            useTableCache
-                ? cache.canonicalLut(shape)
-                : std::make_shared<const CanonicalLut>(shape);
+        prep->canonicalLut = cache.canonicalLut(shape);
         break;
       default:
         LOCALUT_PANIC("unreachable");
@@ -679,71 +669,44 @@ writeColumn(const T* acc, T* out, std::size_t n, std::size_t nn,
 //
 // The fused lookup-accumulate sweeps vectorize along the OUTPUT-ROW
 // dimension: acc[i] += slice[idx[i]] advances independent output
-// elements in lockstep, so no per-element accumulation order changes —
-// the simd and scalar paths are bit-exact on integer AND float data
-// (reordering would only occur if the reduction dimension, the groups,
-// were vectorized; it never is).  The scalar variants are kept as
-// separate loops (not just a disabled pragma) so the bench's
-// simd-vs-scalar comparison measures real codegen, with restrict
-// qualifiers confined to the simd path.
+// elements in lockstep, so no per-element accumulation order changes
+// and results are bit-exact on integer AND float data (reordering
+// would only occur if the reduction dimension, the groups, were
+// vectorized; it never is).
 
 /** acc[i] += slice[idx[i]] over [0, span). */
 template <typename T, typename I>
 inline void
-gatherAccumulate(bool simd, T* acc, const T* slice, const I* idx,
-                 std::size_t span)
+gatherAccumulate(T* LOCALUT_RESTRICT acc, const T* LOCALUT_RESTRICT slice,
+                 const I* LOCALUT_RESTRICT idx, std::size_t span)
 {
-    if (simd) {
-        T* LOCALUT_RESTRICT a = acc;
-        const T* LOCALUT_RESTRICT s = slice;
-        const I* LOCALUT_RESTRICT ix = idx;
-        LOCALUT_OMP_SIMD
-        for (std::size_t i = 0; i < span; ++i) {
-            a[i] += s[ix[i]];
-        }
-    } else {
-        for (std::size_t i = 0; i < span; ++i) {
-            acc[i] += slice[idx[i]];
-        }
+    LOCALUT_OMP_SIMD
+    for (std::size_t i = 0; i < span; ++i) {
+        acc[i] += slice[idx[i]];
     }
 }
 
 /** dst[i] = src[idx[i]] over [0, span) (fused-slice construction). */
 template <typename T, typename I>
 inline void
-gatherInto(bool simd, T* dst, const T* src, const I* idx, std::size_t span)
+gatherInto(T* LOCALUT_RESTRICT dst, const T* LOCALUT_RESTRICT src,
+           const I* LOCALUT_RESTRICT idx, std::size_t span)
 {
-    if (simd) {
-        T* LOCALUT_RESTRICT d = dst;
-        const T* LOCALUT_RESTRICT s = src;
-        const I* LOCALUT_RESTRICT ix = idx;
-        LOCALUT_OMP_SIMD
-        for (std::size_t i = 0; i < span; ++i) {
-            d[i] = s[ix[i]];
-        }
-    } else {
-        for (std::size_t i = 0; i < span; ++i) {
-            dst[i] = src[idx[i]];
-        }
+    LOCALUT_OMP_SIMD
+    for (std::size_t i = 0; i < span; ++i) {
+        dst[i] = src[idx[i]];
     }
 }
 
 /** acc[i] += addend[i] over [0, span) (slice-window fold). */
 template <typename T>
 inline void
-vectorAdd(bool simd, T* acc, const T* addend, std::size_t span)
+vectorAdd(T* LOCALUT_RESTRICT acc, const T* LOCALUT_RESTRICT addend,
+          std::size_t span)
 {
-    if (simd) {
-        T* LOCALUT_RESTRICT a = acc;
-        const T* LOCALUT_RESTRICT b = addend;
-        LOCALUT_OMP_SIMD
-        for (std::size_t i = 0; i < span; ++i) {
-            a[i] += b[i];
-        }
-    } else {
-        for (std::size_t i = 0; i < span; ++i) {
-            acc[i] += addend[i];
-        }
+    LOCALUT_OMP_SIMD
+    for (std::size_t i = 0; i < span; ++i) {
+        acc[i] += addend[i];
     }
 }
 
@@ -767,8 +730,7 @@ template <typename T, typename I>
 void
 opKernel(const PreparedGemm& prep, const I* wIdxT,
          const std::uint64_t* aIdx, const T* table, std::uint64_t rows,
-         bool simd, std::size_t n, const TileRange& range, ExecArena& arena,
-         T* out)
+         std::size_t n, const TileRange& range, ExecArena& arena, T* out)
 {
     const std::size_t m = prep.m;
     const unsigned groups = prep.groups;
@@ -785,7 +747,7 @@ opKernel(const PreparedGemm& prep, const I* wIdxT,
         for (unsigned g = 0; g < groups; ++g) {
             const T* slice = table + aCol[g] * rows;
             const I* wg = wIdxT + static_cast<std::size_t>(g) * m;
-            gatherAccumulate(simd, acc, slice, wg + range.m0, span);
+            gatherAccumulate(acc, slice, wg + range.m0, span);
         }
         writeColumn(acc, out, n, nn, range.m0, range.m1);
     }
@@ -803,8 +765,8 @@ template <typename T, bool kInt, typename I>
 void
 canonicalFusedKernel(const PreparedGemm& prep, const I* wIdxT,
                      const CanonicalActs& acts, Mode mode, unsigned batch,
-                     bool simd, std::size_t n, const TileRange& range,
-                     ExecArena& arena, T* out)
+                     std::size_t n, const TileRange& range, ExecArena& arena,
+                     T* out)
 {
     const std::size_t m = prep.m;
     const unsigned groups = prep.groups;
@@ -882,8 +844,7 @@ canonicalFusedKernel(const PreparedGemm& prep, const I* wIdxT,
         } else {
             const std::uint32_t* rCol =
                 reorderData + acts.permRank[at] * rows;
-            gatherInto(simd, dst, col, rCol,
-                       static_cast<std::size_t>(rows));
+            gatherInto(dst, col, rCol, static_cast<std::size_t>(rows));
         }
     };
 
@@ -917,7 +878,7 @@ canonicalFusedKernel(const PreparedGemm& prep, const I* wIdxT,
             for (unsigned g = 0; g < groups; ++g) {
                 const T* f = static_cast<const T*>(slice[g]);
                 const I* wg = wIdxT + static_cast<std::size_t>(g) * m;
-                gatherAccumulate(simd, acc, f, wg + range.m0, span);
+                gatherAccumulate(acc, f, wg + range.m0, span);
             }
         } else {
             for (unsigned g0 = 0; g0 < groups; g0 += batch) {
@@ -926,10 +887,9 @@ canonicalFusedKernel(const PreparedGemm& prep, const I* wIdxT,
                 for (unsigned g = g0; g < gEnd; ++g) {
                     const T* f = static_cast<const T*>(slice[g]);
                     const I* wg = wIdxT + static_cast<std::size_t>(g) * m;
-                    gatherAccumulate(simd, accBatch, f, wg + range.m0,
-                                     span);
+                    gatherAccumulate(accBatch, f, wg + range.m0, span);
                 }
-                vectorAdd(simd, acc, accBatch, span);
+                vectorAdd(acc, accBatch, span);
             }
         }
         writeColumn(acc, out, n, nn, range.m0, range.m1);
@@ -1197,8 +1157,8 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
                         "element type");
         runTiles(tiling, tiles, [&](std::size_t tile) {
             withWeightIndices(*prep, [&](const auto* wIdxT) {
-                opKernel<T>(*prep, wIdxT, aIdx, table, lut.rows(),
-                            options.simd, n, tiling.rangeOf(tile),
+                opKernel<T>(*prep, wIdxT, aIdx, table, lut.rows(), n,
+                            tiling.rangeOf(tile),
                             tileArena(tiling, tiles, arena), outData);
             });
         });
@@ -1223,7 +1183,7 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
             runTiles(fusedTiling, tiles, [&](std::size_t tile) {
                 withWeightIndices(*prep, [&](const auto* wIdxT) {
                     canonicalFusedKernel<T, kInt>(
-                        *prep, wIdxT, acts, mode, batch, options.simd, n,
+                        *prep, wIdxT, acts, mode, batch, n,
                         fusedTiling.rangeOf(tile),
                         tileArena(fusedTiling, tiles, arena), outData);
                 });

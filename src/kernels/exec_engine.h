@@ -182,16 +182,12 @@ std::uint64_t weightsFingerprint(const QuantizedMatrix& w);
 
 /**
  * Builds the prepared operand for (@p problem, @p plan).  LUT tables
- * come from the shared LutTableCache when @p useTableCache (the
- * default — every execution path, including the ad-hoc "unprepared"
- * one, amortizes table construction across the process).  Pass false
- * to force a private table build, e.g. to measure cold-construction
- * cost; bench/exec_throughput.cc's "legacy" lane freezes the old
- * per-call-everything kernels instead.
+ * come from the shared LutTableCache, so every execution path,
+ * including the ad-hoc "unprepared" one, amortizes table construction
+ * across the process.
  */
 std::shared_ptr<PreparedGemm> prepareGemm(const GemmProblem& problem,
-                                          const GemmPlan& plan,
-                                          bool useTableCache = true);
+                                          const GemmPlan& plan);
 
 /** Per-execution knobs threaded through Backend::execute(). */
 struct ExecOptions {
@@ -209,26 +205,6 @@ struct ExecOptions {
     ExecArena* arena = nullptr;
     /** Tile executor; null runs tiles serially on the calling thread. */
     const TileExecutor* tiles = nullptr;
-    /**
-     * Vectorize the fused lookup-accumulate inner loops (portable
-     * `omp simd`-style autovectorization hints; no ISA assumptions).
-     * Bit-exact against the scalar path on every backend: the
-     * vectorized dimension is the OUTPUT rows, so each element's
-     * accumulation order (activation groups ascending, slice windows
-     * ascending under streaming) is untouched — only independent
-     * output elements advance in lockstep.  False turns the hints off
-     * (the scalar baseline the bench and parity fuzz compare against).
-     */
-    bool simd = true;
-    /**
-     * Flat (node-major) rank this execution is placed on — purely
-     * informational provenance for multi-node serving: the sharded
-     * executors and the session's rank queues stamp each shard's home
-     * rank here so arena reuse, tracing hooks, and tests can attribute
-     * work to a Topology position.  Never read by the kernels
-     * themselves (values and costs are rank-independent).
-     */
-    unsigned flatRank = 0;
 };
 
 /**

@@ -177,6 +177,18 @@ PlanCache::preparedFor(const Backend& backend, const GemmProblem& problem,
     return prepared;
 }
 
+std::shared_ptr<const PreparedGemm>
+PlanCache::operandFor(const Backend& backend, const GemmProblem& problem,
+                      const GemmPlan& plan, bool computeValues,
+                      const PlanOverrides& overrides)
+{
+    if (!computeValues || backend.capabilities().referenceFunctionalOnly ||
+        problem.w.codes.empty()) {
+        return nullptr;
+    }
+    return preparedFor(backend, problem, plan, overrides);
+}
+
 void
 PlanCache::evictPreparedLocked()
 {

@@ -166,6 +166,21 @@ class PlanCache
                 const GemmPlan& plan, const PlanOverrides& overrides = {});
 
     /**
+     * The prepared operand an execution of (@p problem, @p plan) on
+     * @p backend runs against: preparedFor(), or null when no operand
+     * applies — the pass computes no values (@p computeValues false),
+     * the backend is BackendCapabilities::referenceFunctionalOnly (its
+     * reference MAC reads only the tiny ad-hoc decode codebooks, so
+     * caching full LUT operands for it would only evict the operands
+     * the LUT backends need), or the weights are not materialized (a
+     * shape-only problem).  Null lookups leave the counters untouched.
+     */
+    std::shared_ptr<const PreparedGemm>
+    operandFor(const Backend& backend, const GemmProblem& problem,
+               const GemmPlan& plan, bool computeValues,
+               const PlanOverrides& overrides = {});
+
+    /**
      * Caps the prepared-operand LRU at @p maxBytes of
      * PreparedGemm::bytes() (default kDefaultMaxPreparedBytes), evicting
      * least recently used operands now if the cache holds more.

@@ -612,8 +612,7 @@ InferenceSession::execOptions(bool computeValues) const
 {
     ExecOptions options;
     options.computeValues = computeValues;
-    options.simd = options_.simdKernels;
-    if (options_.tileParallel && workerCount() > 1) {
+    if (workerCount() > 1) {
         options.tiles = &poolTiles_;
     }
     return options;
@@ -644,21 +643,13 @@ InferenceSession::runWhole(Request& request)
     const GemmPlan plan = cache_.planFor(*backend_, request.problem,
                                          request.design, request.overrides);
     ExecOptions options = execOptions(request.computeValues);
-    options.flatRank = request.homeRank;
     // Prepared operands are memoized alongside the plan (keyed by the
     // plan key + weight fingerprint), so repeated requests against the
     // same weights skip packing and table construction entirely.
-    // Reference-only backends read nothing but the (tiny, ad-hoc)
-    // decode codebooks, so caching full LUT operands for them would
-    // only evict operands the LUT backends need.
-    std::shared_ptr<const PreparedGemm> prepared;
-    if (options_.prepareOperands && request.computeValues &&
-        !backend_->capabilities().referenceFunctionalOnly &&
-        !request.problem.w.codes.empty()) {
-        prepared = cache_.preparedFor(*backend_, request.problem, plan,
-                                      request.overrides);
-        options.prepared = prepared.get();
-    }
+    const std::shared_ptr<const PreparedGemm> prepared =
+        cache_.operandFor(*backend_, request.problem, plan,
+                          request.computeValues, request.overrides);
+    options.prepared = prepared.get();
     request.result = backend_->execute(request.problem, plan, options);
     if (residency_ != nullptr) {
         residency_->acquire(plan, "", 1.0, request.homeRank)
@@ -766,16 +757,10 @@ InferenceSession::runShard(Request& request, unsigned shardIndex)
         shardProblem(request.problem, request.shardPlan, shardIndex);
     const GemmPlan& plan = request.shardPlan.shards[shardIndex].plan;
     ExecOptions options = execOptions(request.computeValues);
-    options.flatRank = request.shardPlan.shards[shardIndex].rank %
-                       static_cast<unsigned>(rankQueues_.size());
-    std::shared_ptr<const PreparedGemm> prepared;
-    if (options_.prepareOperands && request.computeValues &&
-        !backend_->capabilities().referenceFunctionalOnly &&
-        !slice.w.codes.empty()) {
-        prepared = cache_.preparedFor(*backend_, slice, plan,
-                                      request.overrides);
-        options.prepared = prepared.get();
-    }
+    const std::shared_ptr<const PreparedGemm> prepared =
+        cache_.operandFor(*backend_, slice, plan, request.computeValues,
+                          request.overrides);
+    options.prepared = prepared.get();
     request.shardResults[shardIndex] =
         backend_->execute(slice, plan, options);
     if (inj != nullptr) {

@@ -18,7 +18,10 @@
  * Plans are memoized in the session's PlanCache keyed by (shape,
  * QuantConfig, DesignPoint, overrides, shard config, backend), so
  * repeated decode steps — and repeated requests in a serving loop — stop
- * paying planner cost.  Every GemmProblem/workload submitted is executed
+ * paying planner cost.  Value-computing GEMMs also fetch their prepared
+ * operands (packed weights and LUT tables, kernels/exec_engine.h) from
+ * the same cache, so repeated requests against the same weights stop
+ * re-packing them.  Every GemmProblem/workload submitted is executed
  * exactly as the synchronous API would execute it; requests are
  * independent, so results are deterministic regardless of completion
  * order.
@@ -71,7 +74,13 @@ const char* nodePlacementName(NodePlacement placement);
 
 /** Session-wide knobs. */
 struct SessionOptions {
-    /** Worker threads; 0 picks min(hardware_concurrency, 8). */
+    /**
+     * Worker threads; 0 picks min(hardware_concurrency, 8).  With more
+     * than one worker, the functional pass of each GEMM is also cut
+     * into output tiles that idle workers help finish; tiles write
+     * disjoint output ranges with a fixed per-element accumulation
+     * order, so results are bit-identical to serial execution.
+     */
     unsigned workers = 0;
     /** Default functional pass for submitted GEMM requests. */
     bool computeValues = false;
@@ -119,30 +128,6 @@ struct SessionOptions {
      * Ignored while residencyPolicy is Disabled.
      */
     std::uint64_t mramBudgetBytes = 0;
-    /**
-     * Memoize prepared operands (PreparedGemm, kernels/exec_engine.h)
-     * in the session's PlanCache for value-computing GEMM requests, so
-     * repeated requests against the same weights stop re-packing them
-     * and rebuilding LUT tables.  Results are bit-identical either way.
-     */
-    bool prepareOperands = true;
-    /**
-     * Fan the functional pass of each GEMM into output tiles executed
-     * on this session's worker pool (idle workers help finish the
-     * request currently executing).  Tiles write disjoint output ranges
-     * with a fixed per-element accumulation order, so results are
-     * bit-identical to serial execution.
-     */
-    bool tileParallel = true;
-    /**
-     * Vectorize the fused lookup-accumulate inner loops
-     * (ExecOptions::simd) on every GEMM this session executes.
-     * Bit-exact either way — the vectorized dimension is independent
-     * output elements, never the reduction — so this is purely a
-     * throughput knob; false pins the scalar loops (the bench
-     * baseline).
-     */
-    bool simdKernels = true;
     /**
      * Deterministic fault injector (serving/fault.h) this session
      * consults on every execute; shared with the scheduler and token
@@ -441,8 +426,8 @@ class InferenceSession
     void runWhole(Request& request);
     void runTileBatch(std::size_t tiles,
                       const std::function<void(std::size_t)>& fn);
-    /** Execution options for one request (tiles + arena; the prepared
-     * operand is looked up per call site). */
+    /** Execution options for one request (tiles; the prepared operand
+     * is looked up per call site). */
     ExecOptions execOptions(bool computeValues) const;
     void finishRequest(Request& request);
     std::unique_ptr<Request> take(RequestId id, bool wantWorkload);

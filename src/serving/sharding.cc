@@ -385,18 +385,13 @@ executeSharded(const Backend& backend, const GemmProblem& problem,
     parts.reserve(plan.shards.size());
     for (unsigned i = 0; i < plan.shards.size(); ++i) {
         const GemmProblem slice = shardProblem(problem, plan, i);
+        const std::shared_ptr<const PreparedGemm> prepared =
+            cache != nullptr
+                ? cache->operandFor(backend, slice, plan.shards[i].plan,
+                                    options.computeValues, overrides)
+                : nullptr;
         ExecOptions shardOptions = options;
-        shardOptions.prepared = nullptr;
-        shardOptions.flatRank =
-            plan.shards[i].rank % plan.spec.totalRanks();
-        std::shared_ptr<const PreparedGemm> prepared;
-        if (cache != nullptr && shardOptions.computeValues &&
-            !backend.capabilities().referenceFunctionalOnly &&
-            !slice.w.codes.empty()) {
-            prepared = cache->preparedFor(backend, slice,
-                                          plan.shards[i].plan, overrides);
-            shardOptions.prepared = prepared.get();
-        }
+        shardOptions.prepared = prepared.get();
         parts.push_back(backend.execute(slice, plan.shards[i].plan,
                                         shardOptions));
     }

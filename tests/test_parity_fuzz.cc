@@ -147,7 +147,7 @@ TEST(ParityFuzz, ShardedMatchesUnshardedAcrossBackends)
  * Prepared-operand parity: prepared (cached PreparedGemm + arena +
  * tile-parallel) execution is bit-exact against unprepared execution
  * across upmem/bankpim/host-cpu x ranks {1, 2, 4} x tile threads
- * {1, 4} x simd {off, on}, unsharded and sharded alike.
+ * {1, 4}, unsharded and sharded alike.
  */
 TEST(ParityFuzz, PreparedMatchesUnpreparedAcrossBackendsRanksThreads)
 {
@@ -176,35 +176,27 @@ TEST(ParityFuzz, PreparedMatchesUnpreparedAcrossBackendsRanksThreads)
                   referenceGemmInt(problem.w, problem.a));
 
         for (unsigned threads : {1u, 4u}) {
-            for (bool simd : {false, true}) {
-                ExecOptions options;
-                const std::shared_ptr<const PreparedGemm> prepared =
-                    cache.preparedFor(*backend, problem, plan);
-                options.prepared = prepared.get();
-                options.simd = simd;
-                if (threads > 1) {
-                    options.tiles = &pool;
-                }
-                const GemmResult prep =
-                    backend->execute(problem, plan, options);
-                EXPECT_EQ(prep.outInt, baseline.outInt)
-                    << "threads=" << threads << " simd=" << simd;
+            ExecOptions options;
+            const std::shared_ptr<const PreparedGemm> prepared =
+                cache.preparedFor(*backend, problem, plan);
+            options.prepared = prepared.get();
+            if (threads > 1) {
+                options.tiles = &pool;
+            }
+            const GemmResult prep = backend->execute(problem, plan, options);
+            EXPECT_EQ(prep.outInt, baseline.outInt) << "threads=" << threads;
 
-                for (unsigned ranks : {2u, 4u}) {
-                    ShardSpec spec;
-                    spec.numRanks = ranks;
-                    const ShardPlan shardPlan = cache.shardPlanFor(
-                        *backend, problem, DesignPoint::LoCaLut, spec);
-                    ExecOptions shardOptions;
-                    shardOptions.tiles = options.tiles;
-                    shardOptions.simd = simd;
-                    const GemmResult sharded = executeSharded(
-                        *backend, problem, shardPlan, shardOptions,
-                        &cache);
-                    EXPECT_EQ(sharded.outInt, baseline.outInt)
-                        << "ranks=" << ranks << " threads=" << threads
-                        << " simd=" << simd;
-                }
+            for (unsigned ranks : {2u, 4u}) {
+                ShardSpec spec;
+                spec.numRanks = ranks;
+                const ShardPlan shardPlan = cache.shardPlanFor(
+                    *backend, problem, DesignPoint::LoCaLut, spec);
+                ExecOptions shardOptions;
+                shardOptions.tiles = options.tiles;
+                const GemmResult sharded = executeSharded(
+                    *backend, problem, shardPlan, shardOptions, &cache);
+                EXPECT_EQ(sharded.outInt, baseline.outInt)
+                    << "ranks=" << ranks << " threads=" << threads;
             }
         }
     }
@@ -216,13 +208,13 @@ TEST(ParityFuzz, PreparedMatchesUnpreparedAcrossBackendsRanksThreads)
 }
 
 /**
- * ExecOptions::simd is a pure speed knob: vectorized fused
- * lookup-accumulate runs bit-exact against the scalar loops on ALL
- * four backends (including host-gpu), serial and tile-parallel, int
- * and float (streaming on and off — the float accumulation order is
- * part of the contract).
+ * Prepared execution through the vectorized fused lookup-accumulate
+ * loops matches the reference GEMM on ALL five backends (including
+ * host-gpu), serial and tile-parallel; float execution is bit-identical
+ * serial vs tile-parallel, streaming on and off (the float
+ * accumulation order is part of the contract).
  */
-TEST(ParityFuzz, SimdMatchesScalarAcrossAllBackends)
+TEST(ParityFuzz, PreparedMatchesReferenceAcrossAllBackends)
 {
     Rng rng(0x51d0);
     const std::vector<QuantConfig> configs = QuantConfig::paperConfigs();
@@ -249,26 +241,22 @@ TEST(ParityFuzz, SimdMatchesScalarAcrossAllBackends)
             const std::shared_ptr<const PreparedGemm> prepared =
                 cache.preparedFor(*backend, problem, plan);
             for (unsigned threads : {1u, 4u}) {
-                ExecOptions scalar;
-                scalar.prepared = prepared.get();
-                scalar.simd = false;
+                ExecOptions options;
+                options.prepared = prepared.get();
                 if (threads > 1) {
-                    scalar.tiles = &pool;
+                    options.tiles = &pool;
                 }
-                ExecOptions simd = scalar;
-                simd.simd = true;
-                const GemmResult a = backend->execute(problem, plan, scalar);
-                const GemmResult b = backend->execute(problem, plan, simd);
-                EXPECT_EQ(a.outInt, b.outInt) << "threads=" << threads;
-                EXPECT_EQ(a.outInt, referenceGemmInt(problem.w, problem.a))
+                const GemmResult r = backend->execute(problem, plan, options);
+                EXPECT_EQ(r.outInt, referenceGemmInt(problem.w, problem.a))
                     << "threads=" << threads;
             }
         }
     }
 
     // Float path: the vectorized dimension is independent output rows,
-    // never the group reduction, so even float accumulation is
-    // bit-identical — with and without slice streaming.
+    // never the group reduction, and tiles cut only the output, so
+    // float accumulation is bit-identical serial vs tile-parallel —
+    // with and without slice streaming.
     const QuantConfig fpCfg = QuantConfig::fpPreset(1, 8);
     const GemmProblem fpProblem = makeRandomProblem(33, 48, 6, fpCfg, 17);
     for (bool streaming : {false, true}) {
@@ -282,16 +270,14 @@ TEST(ParityFuzz, SimdMatchesScalarAcrossAllBackends)
         plan.groups =
             static_cast<unsigned>((plan.k + plan.p - 1) / std::size_t{plan.p});
         const auto prepared = prepareGemm(fpProblem, plan);
-        ExecOptions scalar;
-        scalar.prepared = prepared.get();
-        scalar.simd = false;
-        scalar.tiles = &pool;
-        ExecOptions simd = scalar;
-        simd.simd = true;
-        std::vector<float> scalarOut, simdOut;
-        executeGemmFloat(fpProblem, plan, scalar, scalarOut);
-        executeGemmFloat(fpProblem, plan, simd, simdOut);
-        EXPECT_EQ(scalarOut, simdOut) << "streaming=" << streaming;
+        ExecOptions serial;
+        serial.prepared = prepared.get();
+        ExecOptions tiled = serial;
+        tiled.tiles = &pool;
+        std::vector<float> serialOut, tiledOut;
+        executeGemmFloat(fpProblem, plan, serial, serialOut);
+        executeGemmFloat(fpProblem, plan, tiled, tiledOut);
+        EXPECT_EQ(serialOut, tiledOut) << "streaming=" << streaming;
     }
 }
 

@@ -5,9 +5,11 @@
  * shape, the quantization config, the design point, the overrides, the
  * shard configuration, or the backend — misses.  Prepared operands stay
  * under a byte budget, least recently used first, with a running byte
- * total that matches the kept operands.  The concurrency stress
- * tests hammer a shared cache (and a shared session) from many threads;
- * run them under -fsanitize=thread locally to verify lock discipline.
+ * total that matches the kept operands, and operandFor() serves them
+ * only to value-computing executions on LUT backends.  The concurrency
+ * stress tests hammer a shared cache (and a shared session) from many
+ * threads; run them under -fsanitize=thread locally to verify lock
+ * discipline.
  */
 
 #include <gtest/gtest.h>
@@ -396,6 +398,41 @@ TEST(PlanCache, PreparedBytesTrackKeptOperandsThroughEvictionAndClear)
     const auto rebuilt = cache.preparedFor(*backend, operands[0].problem,
                                            operands[0].plan);
     EXPECT_EQ(cache.stats().preparedBytes, rebuilt->bytes());
+}
+
+TEST(PlanCache, OperandForServesOnlyValueExecutionsOnLutBackends)
+{
+    // The one "does this execution get a prepared operand" decision:
+    // none for the reference-only host backend, for a pass that
+    // computes no values, or for shape-only weights — and those
+    // lookups touch no counter.  Otherwise it is preparedFor().
+    PlanCache cache;
+    const QuantConfig cfg = QuantConfig::preset("W1A4");
+    const GemmProblem problem = makeRandomProblem(16, 32, 2, cfg, 11);
+    const GemmProblem shapeOnly = makeShapeOnlyProblem(16, 32, 2, cfg);
+    const BackendPtr host = makeBackend("host-cpu");
+    const BackendPtr upmem = makeBackend("upmem");
+    const GemmPlan hostPlan =
+        cache.planFor(*host, problem, DesignPoint::LoCaLut);
+    const GemmPlan plan =
+        cache.planFor(*upmem, problem, DesignPoint::LoCaLut);
+    auto lookups = [&] {
+        const PlanCache::Stats stats = cache.stats();
+        return stats.preparedHits + stats.preparedMisses;
+    };
+
+    EXPECT_EQ(cache.operandFor(*host, problem, hostPlan, true), nullptr);
+    EXPECT_EQ(cache.operandFor(*upmem, problem, plan, false), nullptr);
+    EXPECT_EQ(cache.operandFor(*upmem, shapeOnly, plan, true), nullptr);
+    EXPECT_EQ(lookups(), 0u);
+
+    const auto first = cache.operandFor(*upmem, problem, plan, true);
+    ASSERT_NE(first, nullptr);
+    EXPECT_TRUE(first->matches(problem, plan));
+    EXPECT_EQ(cache.stats().preparedMisses, 1u);
+    EXPECT_EQ(cache.operandFor(*upmem, problem, plan, true), first);
+    EXPECT_EQ(cache.stats().preparedHits, 1u);
+    EXPECT_EQ(lookups(), 2u);
 }
 
 TEST(PlanCacheStress, ManyThreadsHammeringSharedShapes)

@@ -70,18 +70,6 @@ TEST(InferenceSession, TileParallelPreparedServingIsBitExact)
         // Re-submitting the same weights hit the prepared-operand memo.
         EXPECT_GT(session.planCacheStats().preparedHits, 0u);
     }
-
-    // Disabling the knobs falls back to the plain path, same values.
-    SessionOptions plain;
-    plain.workers = 2;
-    plain.computeValues = true;
-    plain.prepareOperands = false;
-    plain.tileParallel = false;
-    InferenceSession session(backend, plain);
-    EXPECT_EQ(session.wait(session.submit(problem, DesignPoint::LoCaLut))
-                  .outInt,
-              sync.outInt);
-    EXPECT_EQ(session.planCacheStats().preparedMisses, 0u);
 }
 
 TEST(InferenceSession, BatchedSubmissionsAllComplete)
