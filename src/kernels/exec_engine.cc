@@ -103,13 +103,6 @@ ExecArena::u8(unsigned slot, std::size_t n)
     return typed<std::uint8_t>(u8_, slot, n);
 }
 
-const void**
-ExecArena::ptrs(unsigned slot, std::size_t n)
-{
-    LOCALUT_ASSERT(slot < kSlots, "arena slot out of range");
-    return typed<const void*>(ptrs_, slot, n);
-}
-
 ExecArena&
 ExecArena::threadLocal()
 {
@@ -412,16 +405,19 @@ namespace {
 
 // Arena slot conventions.  Caller-thread (shared preparation) buffers
 // and tile-thread scratch use distinct slots per element type, so the
-// serial path can run both out of one arena.
+// serial path can run both out of one arena.  The i32/f32 tile slots
+// are all live at once in the float streaming canonical sweep over a
+// virtual canonical LUT: accumulator, fused slices, decoded column,
+// window partials and the interleaved table (ExecArena::kSlots = 5).
 constexpr unsigned kSlotActA = 0;    ///< u64: aIdx / msRank (column-major)
 constexpr unsigned kSlotPermRank = 0; ///< u32
 constexpr unsigned kSlotPerm = 0;     ///< u8
-constexpr unsigned kSlotAcc = 0;      ///< i32/f32: per-tile accumulator
+constexpr unsigned kSlotAcc = 0;      ///< i32/f32: [span x 8] accumulator
 constexpr unsigned kSlotFused = 1;    ///< i32/f32: fused slices / tables
 constexpr unsigned kSlotCol = 2;      ///< i32/f32: decoded column scratch
-constexpr unsigned kSlotBatch = 3;    ///< f32: per-batch accumulator
+constexpr unsigned kSlotBatch = 3;    ///< f32: per-window partial sums
+constexpr unsigned kSlotTable = 4;    ///< i32/f32: [rows x 8] interleave
 constexpr unsigned kSlotBuilt = 1;    ///< u8: fused-combo built flags
-constexpr unsigned kSlotSlicePtr = 1; ///< u64: per-group slice pointers
 
 /** One output tile: rows [m0, m1) x columns [n0, n1). */
 struct TileRange {
@@ -439,12 +435,26 @@ struct TileRange {
 constexpr std::size_t kMinColChunk = 16;
 
 /**
- * Cuts the output into a disjoint [rowTiles x colTiles] grid.  Columns
- * are cut first (per-column setup — fused slices, LTC tables, decoded
- * columns — is paid once per column regardless of how the columns are
- * divided, but is DUPLICATED by every row cut), no finer than
- * kMinColChunk; rows are cut only when the columns alone cannot feed
- * the target tile count, and keep >= 16 rows per tile.  rangeOf()
+ * Work per tile below which a GEMM is not cut further, in MACs (tile
+ * rows x tile columns x k): a GEMM gets at most m * n * k / kMinTileMacs
+ * tiles.  On a 4-core Xeon, waking a parked TilePool(4), claiming a
+ * batch and settling it costs 20-40 us beyond the tiles' own work, and
+ * the blocked sweep runs W4A4 decode shapes (192..768 x 768 x 8) at
+ * 5-7 MACs/ns on one thread, so a 2^20-MAC tile is 150-200 us of work
+ * and the fan-out stays a small fraction of it.  A 192-row decode
+ * shard slice (192 x 768 x 8, just over 2^20 MACs) runs as one tile on
+ * the thread that issued it.
+ */
+constexpr std::size_t kMinTileMacs = std::size_t{1} << 20;
+
+/**
+ * Cuts the output into a disjoint [rowTiles x colTiles] grid of at
+ * most m * n * k / kMinTileMacs tiles.  Columns are cut first
+ * (per-column setup — fused slices and their interleaving, LTC tables,
+ * decoded columns — is paid once per column regardless of how the
+ * columns are divided, but is DUPLICATED by every row cut), no finer
+ * than kMinColChunk; rows are cut only when the columns alone cannot
+ * feed the target tile count, and keep >= 16 rows per tile.  rangeOf()
  * recovers the bounds from a tile index.
  */
 struct Tiling {
@@ -469,7 +479,8 @@ struct Tiling {
 };
 
 Tiling
-chooseTiling(std::size_t m, std::size_t n, const TileExecutor* tiles)
+chooseTiling(std::size_t m, std::size_t n, std::size_t k,
+             const TileExecutor* tiles)
 {
     Tiling t;
     t.m = m;
@@ -477,11 +488,15 @@ chooseTiling(std::size_t m, std::size_t n, const TileExecutor* tiles)
     t.rowChunk = m;
     t.colChunk = n;
     const unsigned conc = tiles != nullptr ? tiles->concurrency() : 1;
-    if (conc <= 1 || m * n == 0) {
+    if (conc <= 1) {
         return t;
     }
-    // A few tiles per worker for load balance.
-    const std::size_t target = static_cast<std::size_t>(conc) * 4;
+    // A few tiles per worker for load balance, none below the floor.
+    const std::size_t target = std::min(static_cast<std::size_t>(conc) * 4,
+                                        m * n * k / kMinTileMacs);
+    if (target <= 1) {
+        return t;
+    }
     t.colTiles = std::max<std::size_t>(
         1, std::min(ceilDiv(n, kMinColChunk), target));
     t.colChunk = ceilDiv(n, t.colTiles);
@@ -649,40 +664,63 @@ prepPackedActs(const QuantizedMatrix& a, unsigned p, unsigned groups,
 }
 
 // ------------------------------------------------------------- kernels
+//
+// The OP and canonical fused kernels share one column-blocked sweep
+// (blockedSweep): for each block of kColBlock output columns and each
+// group, the block's slices (one per column, `rows` entries each) are
+// interleaved into a rows x kColBlock table t[w * kColBlock + c], and
+// the tile's rows are walked once, loading each packed weight index
+// once and adding the kColBlock-wide table row t[w * kColBlock ..) into
+// a [span x kColBlock] accumulator.  The vectorized dimension is the
+// block's columns: independent output elements advanced in lockstep,
+// each still accumulating its groups in ascending order (and, under
+// float slice streaming, its per-window partial sums folded in stream
+// order), so results are bit-exact on integer AND float data.  A
+// partial last block is padded with zero columns that are never
+// written out.
 
-/**
- * Shared accumulate-into-column helper: zeroes @p acc, then the caller
- * streams group slices into it; writeColumn() scatters to the strided
- * output column.
- */
+/** Output columns one sweep serves: one 32-byte accumulator row. */
+constexpr std::size_t kColBlock = 8;
+
+/** Tile scratch of the kernel's element type (int32 or float). */
 template <typename T>
-void
-writeColumn(const T* acc, T* out, std::size_t n, std::size_t nn,
-            std::size_t m0, std::size_t m1)
+T*
+scratch(ExecArena& arena, unsigned slot, std::size_t n)
 {
-    for (std::size_t mm = m0; mm < m1; ++mm) {
-        out[mm * n + nn] = acc[mm - m0];
+    if constexpr (std::is_same_v<T, std::int32_t>) {
+        return arena.i32(slot, n);
+    } else {
+        return arena.f32(slot, n);
     }
 }
 
-// ------------------------------------------- fused inner-loop helpers
-//
-// The fused lookup-accumulate sweeps vectorize along the OUTPUT-ROW
-// dimension: acc[i] += slice[idx[i]] advances independent output
-// elements in lockstep, so no per-element accumulation order changes
-// and results are bit-exact on integer AND float data (reordering
-// would only occur if the reduction dimension, the groups, were
-// vectorized; it never is).
+/** t[w * kColBlock + c] = slice[w] over [0, rows): column @p c of the
+ * interleaved table. */
+template <typename T>
+inline void
+interleaveColumn(T* LOCALUT_RESTRICT table, const T* LOCALUT_RESTRICT slice,
+                 std::size_t c, std::uint64_t rows)
+{
+    for (std::uint64_t w = 0; w < rows; ++w) {
+        table[w * kColBlock + c] = slice[w];
+    }
+}
 
-/** acc[i] += slice[idx[i]] over [0, span). */
+/** acc[i * kColBlock + c] += table[idx[i] * kColBlock + c] over rows
+ * [0, span) and every column c of the block. */
 template <typename T, typename I>
 inline void
-gatherAccumulate(T* LOCALUT_RESTRICT acc, const T* LOCALUT_RESTRICT slice,
-                 const I* LOCALUT_RESTRICT idx, std::size_t span)
+accumulateRows(T* LOCALUT_RESTRICT acc, const T* LOCALUT_RESTRICT table,
+               const I* LOCALUT_RESTRICT idx, std::size_t span)
 {
-    LOCALUT_OMP_SIMD
     for (std::size_t i = 0; i < span; ++i) {
-        acc[i] += slice[idx[i]];
+        const T* LOCALUT_RESTRICT row =
+            table + static_cast<std::size_t>(idx[i]) * kColBlock;
+        T* LOCALUT_RESTRICT a = acc + i * kColBlock;
+        LOCALUT_OMP_SIMD
+        for (std::size_t c = 0; c < kColBlock; ++c) {
+            a[c] += row[c];
+        }
     }
 }
 
@@ -725,6 +763,70 @@ withWeightIndices(const PreparedGemm& prep, const Fn& fn)
     }
 }
 
+/**
+ * The column-blocked sweep over one tile: out(mm, nn) = sum over groups
+ * g of slice(nn, g)[wIdxT(g, mm)], where @p fill(table, nn, g, c)
+ * writes slice(nn, g) into column c of the interleaved table.
+ * @p window > 0 reproduces the float slice-streaming order: each window
+ * of groups is summed into a zeroed partial, and the partials are
+ * folded into the accumulator in window order; 0 adds every group
+ * straight into it.
+ */
+template <typename T, typename I, typename Fill>
+void
+blockedSweep(const I* wIdxT, std::size_t m, unsigned groups,
+             std::uint64_t rows, unsigned window, std::size_t n,
+             const TileRange& range, ExecArena& arena, T* out,
+             const Fill& fill)
+{
+    const std::size_t span = range.m1 - range.m0;
+    const std::size_t accLen = span * kColBlock;
+    const std::size_t tableLen = static_cast<std::size_t>(rows) * kColBlock;
+    T* acc = scratch<T>(arena, kSlotAcc, accLen);
+    T* table = scratch<T>(arena, kSlotTable, tableLen);
+    T* accWindow =
+        window > 0 ? scratch<T>(arena, kSlotBatch, accLen) : nullptr;
+
+    for (std::size_t b0 = range.n0; b0 < range.n1; b0 += kColBlock) {
+        const std::size_t cols = std::min(kColBlock, range.n1 - b0);
+        if (cols < kColBlock) {
+            // Padding columns: the fills below never touch them.
+            std::fill(table, table + tableLen, T{});
+        }
+        auto sweepGroup = [&](unsigned g, T* dst) {
+            for (std::size_t c = 0; c < cols; ++c) {
+                fill(table, b0 + c, g, c);
+            }
+            accumulateRows(dst, table,
+                           wIdxT + static_cast<std::size_t>(g) * m +
+                               range.m0,
+                           span);
+        };
+        std::fill(acc, acc + accLen, T{});
+        if (window == 0) {
+            for (unsigned g = 0; g < groups; ++g) {
+                sweepGroup(g, acc);
+            }
+        } else {
+            for (unsigned g0 = 0; g0 < groups; g0 += window) {
+                const unsigned gEnd = std::min(groups, g0 + window);
+                std::fill(accWindow, accWindow + accLen, T{});
+                for (unsigned g = g0; g < gEnd; ++g) {
+                    sweepGroup(g, accWindow);
+                }
+                vectorAdd(acc, accWindow, accLen);
+            }
+        }
+        for (std::size_t i = 0; i < span; ++i) {
+            T* dst = out + (range.m0 + i) * n + b0;
+            const T* src = acc + i * kColBlock;
+            for (std::size_t c = 0; c < cols; ++c) {
+                dst[c] = src[c];
+            }
+        }
+    }
+}
+
 /** OP sweep: out(mm, nn) = sum_g opLut[aIdx(nn, g)][wIdxT(g, mm)]. */
 template <typename T, typename I>
 void
@@ -732,34 +834,21 @@ opKernel(const PreparedGemm& prep, const I* wIdxT,
          const std::uint64_t* aIdx, const T* table, std::uint64_t rows,
          std::size_t n, const TileRange& range, ExecArena& arena, T* out)
 {
-    const std::size_t m = prep.m;
     const unsigned groups = prep.groups;
-    const std::size_t span = range.m1 - range.m0;
-    T* acc;
-    if constexpr (std::is_same_v<T, std::int32_t>) {
-        acc = arena.i32(kSlotAcc, span);
-    } else {
-        acc = arena.f32(kSlotAcc, span);
-    }
-    for (std::size_t nn = range.n0; nn < range.n1; ++nn) {
-        std::fill(acc, acc + span, T{});
-        const std::uint64_t* aCol = aIdx + nn * groups;
-        for (unsigned g = 0; g < groups; ++g) {
-            const T* slice = table + aCol[g] * rows;
-            const I* wg = wIdxT + static_cast<std::size_t>(g) * m;
-            gatherAccumulate(acc, slice, wg + range.m0, span);
-        }
-        writeColumn(acc, out, n, nn, range.m0, range.m1);
-    }
+    blockedSweep(wIdxT, prep.m, groups, rows, 0, n, range, arena, out,
+                 [&](T* t, std::size_t nn, unsigned g, std::size_t c) {
+                     interleaveColumn(t, table + aIdx[nn * groups + g] * rows,
+                                      c, rows);
+                 });
 }
 
 /**
- * Canonical fused sweep: per column, collapse (reordering o canonical)
- * into one direct slice per group — fused[wIdx] =
- * canonical[msRank][reorder(wIdx)] — then stream rows against the fused
- * slices exactly like the OP kernel.  Float accumulation is batched by
- * @p batch groups (the slice window under streaming) to reproduce the
- * legacy slice-streaming summation order bit-exactly.
+ * Canonical fused sweep: per (column, group), collapse (reordering o
+ * canonical) into one direct slice — fused[wIdx] =
+ * canonical[msRank][reorder(wIdx)] — and run the column-blocked sweep
+ * over the fused slices exactly like the OP kernel.  Float accumulation
+ * under streaming is windowed by @p batch groups (the slice window) to
+ * reproduce the legacy slice-streaming summation order bit-exactly.
  */
 template <typename T, bool kInt, typename I>
 void
@@ -768,7 +857,6 @@ canonicalFusedKernel(const PreparedGemm& prep, const I* wIdxT,
                      std::size_t n, const TileRange& range, ExecArena& arena,
                      T* out)
 {
-    const std::size_t m = prep.m;
     const unsigned groups = prep.groups;
     const unsigned p = prep.p;
     const unsigned bw = prep.config.weightCodec.bits();
@@ -798,31 +886,19 @@ canonicalFusedKernel(const PreparedGemm& prep, const I* wIdxT,
     const bool memoize = canonData != nullptr && smallCombo &&
                          combos <= 4096 &&
                          combos * rows <= (std::uint64_t{1} << 22);
+    // Memoized: one slice per combo for the whole tile.  Otherwise one
+    // scratch slice, rebuilt per (column, group) and interleaved at once.
     const std::size_t fusedSlices =
-        memoize ? static_cast<std::size_t>(combos)
-                : static_cast<std::size_t>(groups);
+        memoize ? static_cast<std::size_t>(combos) : 1;
 
-    const std::size_t span = range.m1 - range.m0;
-    T *acc, *accBatch, *fused, *colScratch;
-    if constexpr (kInt) {
-        acc = arena.i32(kSlotAcc, span);
-        accBatch = nullptr;
-        fused = arena.i32(kSlotFused, fusedSlices * rows);
-        colScratch = canonData == nullptr ? arena.i32(kSlotCol, rows)
-                                          : nullptr;
-    } else {
-        acc = arena.f32(kSlotAcc, span);
-        accBatch = arena.f32(kSlotBatch, span);
-        fused = arena.f32(kSlotFused, fusedSlices * rows);
-        colScratch = canonData == nullptr ? arena.f32(kSlotCol, rows)
-                                          : nullptr;
-    }
+    T* fused = scratch<T>(arena, kSlotFused, fusedSlices * rows);
+    T* colScratch =
+        canonData == nullptr ? scratch<T>(arena, kSlotCol, rows) : nullptr;
     std::uint8_t* built = nullptr;
     if (memoize) {
         built = arena.u8(kSlotBuilt, static_cast<std::size_t>(combos));
         std::fill(built, built + combos, std::uint8_t{0});
     }
-    const void** slice = arena.ptrs(kSlotSlicePtr, groups);
 
     auto buildSlice = [&](std::size_t at, T* dst) {
         const T* col;
@@ -848,52 +924,31 @@ canonicalFusedKernel(const PreparedGemm& prep, const I* wIdxT,
         }
     };
 
-    for (std::size_t nn = range.n0; nn < range.n1; ++nn) {
-        // Resolve this column's fused slices (lookups hoisted out of
-        // the row sweep), building each distinct combo at most once
-        // per tile when memoizing.
-        for (unsigned g = 0; g < groups; ++g) {
+    // Integer accumulation is order-independent; float accumulation
+    // must reproduce the legacy order exactly: direct group-ascending
+    // sums normally, per-slice-window partial sums folded in under
+    // streaming.
+    const unsigned window = !kInt && mode == Mode::CanonStream ? batch : 0;
+    blockedSweep(
+        wIdxT, prep.m, groups, rows, window, n, range, arena, out,
+        [&](T* t, std::size_t nn, unsigned g, std::size_t c) {
+            // Lookups hoisted out of the row sweep; each distinct combo
+            // is built at most once per tile when memoizing.
             const std::size_t at = nn * groups + g;
+            T* slice = fused;
             if (memoize) {
                 const std::size_t combo = static_cast<std::size_t>(
                     acts.msRank[at] * permCols + acts.permRank[at]);
-                T* dst = fused + combo * rows;
+                slice = fused + combo * rows;
                 if (!built[combo]) {
-                    buildSlice(at, dst);
+                    buildSlice(at, slice);
                     built[combo] = 1;
                 }
-                slice[g] = dst;
             } else {
-                T* dst = fused + static_cast<std::size_t>(g) * rows;
-                buildSlice(at, dst);
-                slice[g] = dst;
+                buildSlice(at, slice);
             }
-        }
-        // Row sweep against the fused slices.  Integer accumulation is
-        // order-independent; float accumulation must reproduce the
-        // legacy order exactly: direct group-ascending sums normally,
-        // per-slice-window partial sums folded in under streaming.
-        std::fill(acc, acc + span, T{});
-        if (kInt || mode != Mode::CanonStream) {
-            for (unsigned g = 0; g < groups; ++g) {
-                const T* f = static_cast<const T*>(slice[g]);
-                const I* wg = wIdxT + static_cast<std::size_t>(g) * m;
-                gatherAccumulate(acc, f, wg + range.m0, span);
-            }
-        } else {
-            for (unsigned g0 = 0; g0 < groups; g0 += batch) {
-                const unsigned gEnd = std::min(groups, g0 + batch);
-                std::fill(accBatch, accBatch + span, T{});
-                for (unsigned g = g0; g < gEnd; ++g) {
-                    const T* f = static_cast<const T*>(slice[g]);
-                    const I* wg = wIdxT + static_cast<std::size_t>(g) * m;
-                    gatherAccumulate(accBatch, f, wg + range.m0, span);
-                }
-                vectorAdd(acc, accBatch, span);
-            }
-        }
-        writeColumn(acc, out, n, nn, range.m0, range.m1);
-    }
+            interleaveColumn(t, slice, c, rows);
+        });
 }
 
 /**
@@ -1106,7 +1161,7 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
     out.resize(m * n);
     T* outData = out.data();
     const Mode mode = modeFor(plan.design, plan.streaming);
-    const Tiling tiling = chooseTiling(m, n, options.tiles);
+    const Tiling tiling = chooseTiling(m, n, problem.k(), options.tiles);
     const TileExecutor* tiles = options.tiles;
 
     switch (mode) {
@@ -1173,13 +1228,13 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
                                    ? std::max(1u, prep->kSlices)
                                    : prep->groups;
         if (useFusedSlices(prep->canonicalLut->rows(), m)) {
-            // Row tiles rebuild every column's fused slices (rows
-            // entries per group); keep that duplication under ~25% of
-            // the per-tile sweep (chunk rows x groups lookups).
+            // Every row tile repeats each (block, group)'s rows x 8
+            // interleave; keep that under ~1/8 of the per-tile sweep
+            // (chunk rows x 8 adds), i.e. chunks of >= 8 x rows rows.
             Tiling fusedTiling = tiling;
             capRowTiles(fusedTiling,
                         std::max<std::size_t>(
-                            1, m / (4 * prep->canonicalLut->rows())));
+                            1, m / (8 * prep->canonicalLut->rows())));
             runTiles(fusedTiling, tiles, [&](std::size_t tile) {
                 withWeightIndices(*prep, [&](const auto* wIdxT) {
                     canonicalFusedKernel<T, kInt>(
@@ -1252,7 +1307,7 @@ executeReferenceTyped(const GemmProblem& problem,
     const std::size_t m = problem.m(), n = problem.n();
     out.resize(m * n);
     T* outData = out.data();
-    const Tiling tiling = chooseTiling(m, n, options.tiles);
+    const Tiling tiling = chooseTiling(m, n, problem.k(), options.tiles);
     const TileExecutor* tiles = options.tiles;
     runTiles(tiling, tiles, [&](std::size_t tile) {
         ExecArena& ta = tileArena(tiling, tiles, arena);

@@ -18,11 +18,12 @@
  *  - ExecArena: reusable 64-byte-aligned scratch buffers, so
  *    steady-state execution performs zero heap allocations;
  *  - cache-blocked tile kernels: the output is cut into disjoint
- *    [row-range x column-range] tiles executed through a TileExecutor
- *    (common/parallel.h) — serially by default, or fanned onto the
- *    InferenceSession worker pool / a TilePool.  Each output element's
- *    accumulation order is fixed (activation groups ascending, slice
- *    batches ascending under streaming), so results are bit-exact
+ *    [row-range x column-range] tiles, no more than one per 2^20 MACs
+ *    of work, executed through a TileExecutor (common/parallel.h) —
+ *    serially by default, or fanned onto the InferenceSession worker
+ *    pool / a TilePool.  Each output element's accumulation order is
+ *    fixed (activation groups ascending, slice batches ascending under
+ *    streaming), so results are bit-exact
  *    against the legacy executors on every backend regardless of tile
  *    scheduling, for integer and floating-point configurations alike.
  *
@@ -56,7 +57,7 @@ class ExecArena
 {
   public:
     /** Distinct concurrently-live scratch buffers per element type. */
-    static constexpr unsigned kSlots = 4;
+    static constexpr unsigned kSlots = 5;
 
     ExecArena() = default;
     ExecArena(const ExecArena&) = delete;
@@ -68,8 +69,6 @@ class ExecArena
     std::uint32_t* u32(unsigned slot, std::size_t n);
     std::uint16_t* u16(unsigned slot, std::size_t n);
     std::uint8_t* u8(unsigned slot, std::size_t n);
-    /** Pointer scratch (elements are `const void*`; cast per read). */
-    const void** ptrs(unsigned slot, std::size_t n);
 
     /** Times any buffer grew (== heap allocations performed). */
     std::uint64_t allocations() const { return allocations_; }
@@ -103,7 +102,6 @@ class ExecArena
     Buffer u32_[kSlots];
     Buffer u16_[kSlots];
     Buffer u8_[kSlots];
-    Buffer ptrs_[kSlots];
     std::uint64_t allocations_ = 0;
     std::uint64_t bytesReserved_ = 0;
 };

@@ -4,6 +4,8 @@
  *
  *  - prepared vs unprepared bit-exactness on every design point, int
  *    and float, serial and tile-parallel;
+ *  - GEMMs above the per-tile work floor really cut into several tiles
+ *    on a pool, and bit-equal to serial and reference output;
  *  - the zero-allocation steady state: with a prepared operand, a warm
  *    arena, and a warm output vector, executing a GEMM performs ZERO
  *    heap allocations — asserted with a counting global allocator;
@@ -16,8 +18,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
 #include <new>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -231,35 +237,246 @@ TEST(ExecEngine, FloatPathsMatchLegacySemantics)
     }
 }
 
-TEST(ExecEngine, SteadyStateExecutionPerformsZeroAllocations)
+// ------------------------------------------------------------- tiling
+//
+// The engine cuts a GEMM into at most m * n * k / 2^20 tiles, so the
+// small shapes above run as one tile even on a pool.  These cases are
+// sized above that floor so a TilePool(4) really cuts them, and check
+// the cut output against serial execution and the reference GEMM.
+
+constexpr std::size_t kMinTileMacs = std::size_t{1} << 20;
+
+/** A TilePool(4) that records the tile count of every run(). */
+class CountingTiles final : public TileExecutor
 {
+  public:
+    unsigned concurrency() const override { return pool_.concurrency(); }
+
+    void
+    run(std::size_t tiles,
+        const std::function<void(std::size_t)>& fn) const override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            runs_.push_back(tiles);
+        }
+        pool_.run(tiles, fn);
+    }
+
+    /** Tile counts of the run() calls since the last take(). */
+    std::vector<std::size_t>
+    take()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return std::exchange(runs_, {});
+    }
+
+  private:
+    TilePool pool_{4};
+    mutable std::mutex mutex_;
+    mutable std::vector<std::size_t> runs_;
+};
+
+struct TiledCase {
+    QuantConfig config;
+    DesignPoint design;
+    unsigned p;
+    bool streaming;
+    unsigned kSlices;
+    std::size_t m, k, n;
+};
+
+/**
+ * Runs @p c serially and on @p tiles, and asserts that the tiled run
+ * was cut into more than one tile (none under the floor) and is
+ * bit-equal to the serial run and to the reference GEMM.
+ */
+void
+expectTiledMatchesSerialAndReference(const TiledCase& c,
+                                     CountingTiles& tiles)
+{
+    SCOPED_TRACE(std::string(designPointName(c.design)) + " " +
+                 c.config.name() + " p=" + std::to_string(c.p) +
+                 (c.streaming ? " streaming" : "") + " " +
+                 std::to_string(c.m) + "x" + std::to_string(c.k) + "x" +
+                 std::to_string(c.n));
+    const GemmProblem problem =
+        makeRandomProblem(c.m, c.k, c.n, c.config, 0x711e + c.n);
+    const GemmPlan plan = syntheticPlan(problem, c.design, c.p,
+                                        c.streaming, c.kSlices);
+    const auto prepared = prepareGemm(problem, plan);
+    ExecOptions serial;
+    serial.prepared = prepared.get();
+    ExecOptions tiled = serial;
+    tiled.tiles = &tiles;
+
+    tiles.take();
+    if (c.config.weightCodec.isInteger() && c.config.actCodec.isInteger()) {
+        std::vector<std::int32_t> serialOut, tiledOut;
+        executeGemmInt(problem, plan, serial, serialOut);
+        executeGemmInt(problem, plan, tiled, tiledOut);
+        EXPECT_EQ(tiledOut, serialOut);
+        EXPECT_EQ(tiledOut, referenceGemmInt(problem.w, problem.a));
+    } else {
+        std::vector<float> serialOut, tiledOut;
+        executeGemmFloat(problem, plan, serial, serialOut);
+        executeGemmFloat(problem, plan, tiled, tiledOut);
+        EXPECT_EQ(tiledOut, serialOut);
+        EXPECT_EQ(tiledOut, referenceGemmFloat(problem.w, problem.a));
+    }
+    const std::vector<std::size_t> runs = tiles.take();
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_GT(runs[0], 1u);
+    EXPECT_LE(runs[0] * kMinTileMacs, c.m * c.k * c.n);
+}
+
+TEST(ExecTiling, IntTilesMatchSerialAndReferenceOnEveryDesignPoint)
+{
+    // n = 35 = 8 * 4 + 3: every column tile ends in a partial block.
     const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmProblem problem = makeRandomProblem(64, 96, 12, cfg, 3);
+    const TiledCase cases[] = {
+        {cfg, DesignPoint::NaivePim, 1, false, 1, 160, 600, 35},
+        {cfg, DesignPoint::Ltc, 1, false, 1, 160, 600, 35},
+        {cfg, DesignPoint::OpLut, 2, false, 1, 160, 600, 35},
+        {cfg, DesignPoint::OpLutDram, 2, false, 1, 160, 600, 35},
+        {cfg, DesignPoint::OpLc, 2, false, 1, 160, 600, 35},
+        {cfg, DesignPoint::OpLcRc, 2, false, 1, 160, 600, 35},
+        {cfg, DesignPoint::LoCaLut, 2, false, 1, 160, 600, 35},
+        {cfg, DesignPoint::LoCaLut, 2, true, 4, 160, 600, 35},
+        {cfg, DesignPoint::LoCaLut, 3, true, 2, 160, 600, 35},
+    };
+    CountingTiles tiles;
+    for (const TiledCase& c : cases) {
+        expectTiledMatchesSerialAndReference(c, tiles);
+    }
+}
+
+TEST(ExecTiling, UnmemoizedCombosTileBitExact)
+{
+    // W1A4 at p = 5: 32 weight rows but C(20, 5) = 15504 activation
+    // multisets, too many combos to memoize fused slices per tile.
+    const QuantConfig cfg = QuantConfig::preset("W1A4");
+    CountingTiles tiles;
+    for (bool streaming : {false, true}) {
+        expectTiledMatchesSerialAndReference(
+            {cfg, DesignPoint::LoCaLut, 5, streaming, 4, 160, 600, 35},
+            tiles);
+    }
+}
+
+TEST(ExecTiling, FloatStreamingTilesMatchSerialAndReference)
+{
+    // FP4 activations against binary weights: every partial sum is a
+    // multiple of 0.5 far below 2^24, so any summation order is exact
+    // and the LUT path must equal the reference MAC bit for bit.
+    const QuantConfig cfg = QuantConfig::fpPreset(1, 4);
+    CountingTiles tiles;
+    for (bool streaming : {false, true}) {
+        // Rows are cut when n < 8; columns when n = 8 * 2 + 3.
+        expectTiledMatchesSerialAndReference(
+            {cfg, DesignPoint::LoCaLut, 2, streaming, 4, 1024, 512, 5},
+            tiles);
+        expectTiledMatchesSerialAndReference(
+            {cfg, DesignPoint::LoCaLut, 2, streaming, 4, 512, 256, 19},
+            tiles);
+    }
+}
+
+TEST(ExecTiling, NarrowOutputsCutRows)
+{
+    // n < 8: a single partial column block, so only row cuts feed the
+    // pool (the fused kernel allows them once m >= 16 x weight rows).
+    const QuantConfig cfg = QuantConfig::preset("W4A4");
+    const TiledCase cases[] = {
+        {cfg, DesignPoint::OpLut, 2, false, 1, 640, 768, 5},
+        {cfg, DesignPoint::LoCaLut, 1, false, 1, 640, 768, 5},
+        {cfg, DesignPoint::LoCaLut, 2, true, 4, 4096, 192, 3},
+    };
+    CountingTiles tiles;
+    for (const TiledCase& c : cases) {
+        expectTiledMatchesSerialAndReference(c, tiles);
+    }
+}
+
+TEST(ExecTiling, GemmBelowTheFloorRunsAsOneTile)
+{
+    // 37 x 53 x 9 is ~17.6k MACs: the whole GEMM is one tile, run on
+    // the calling thread without fanning a batch onto the pool.
+    const QuantConfig cfg = QuantConfig::preset("W4A4");
+    const GemmProblem problem = makeRandomProblem(37, 53, 9, cfg, 7);
     const GemmPlan plan =
         syntheticPlan(problem, DesignPoint::LoCaLut, 2, true, 4);
     const auto prepared = prepareGemm(problem, plan);
-
-    ExecArena arena;
+    CountingTiles tiles;
     ExecOptions options;
     options.prepared = prepared.get();
-    options.arena = &arena;
-
-    // Warm-up: grows the arena buffers and the output vector.
+    options.tiles = &tiles;
     std::vector<std::int32_t> out;
     executeGemmInt(problem, plan, options, out);
-    const auto reference = out;
+    EXPECT_TRUE(tiles.take().empty());
+    EXPECT_EQ(out, referenceGemmInt(problem.w, problem.a));
+}
+
+/**
+ * Warms @p arena and @p out with one execution, then asserts that three
+ * more perform zero arena growth and zero operator-new calls on this
+ * thread, and leave the output unchanged.
+ */
+template <typename T, typename Execute>
+void
+expectZeroAllocationSteadyState(ExecArena& arena, std::vector<T>& out,
+                                const Execute& execute)
+{
+    // Warm-up: grows the arena buffers and the output vector.
+    execute();
+    const std::vector<T> reference = out;
     const std::uint64_t grownBuffers = arena.allocations();
     EXPECT_GT(grownBuffers, 0u);
 
-    // Steady state: repeated execution allocates NOTHING — no arena
-    // growth and zero operator-new calls on this thread.
     for (int i = 0; i < 3; ++i) {
         const std::uint64_t before = tlsAllocations;
-        executeGemmInt(problem, plan, options, out);
+        execute();
         EXPECT_EQ(tlsAllocations - before, 0u) << "iteration " << i;
     }
     EXPECT_EQ(arena.allocations(), grownBuffers);
     EXPECT_EQ(out, reference);
+}
+
+TEST(ExecEngine, SteadyStateExecutionPerformsZeroAllocations)
+{
+    {
+        const QuantConfig cfg = QuantConfig::preset("W4A4");
+        const GemmProblem problem = makeRandomProblem(64, 96, 12, cfg, 3);
+        const GemmPlan plan =
+            syntheticPlan(problem, DesignPoint::LoCaLut, 2, true, 4);
+        const auto prepared = prepareGemm(problem, plan);
+        ExecArena arena;
+        ExecOptions options;
+        options.prepared = prepared.get();
+        options.arena = &arena;
+        std::vector<std::int32_t> out;
+        expectZeroAllocationSteadyState(arena, out, [&] {
+            executeGemmInt(problem, plan, options, out);
+        });
+    }
+    // Float LoCaLUT streaming holds the most scratch at once: the
+    // accumulator, the window partials, the fused slices and the
+    // interleaved table.  n = 13 ends in a partial column block.
+    {
+        const QuantConfig cfg = QuantConfig::fpPreset(1, 8);
+        const GemmProblem problem = makeRandomProblem(64, 96, 13, cfg, 5);
+        const GemmPlan plan =
+            syntheticPlan(problem, DesignPoint::LoCaLut, 2, true, 4);
+        const auto prepared = prepareGemm(problem, plan);
+        ExecArena arena;
+        ExecOptions options;
+        options.prepared = prepared.get();
+        options.arena = &arena;
+        std::vector<float> out;
+        expectZeroAllocationSteadyState(arena, out, [&] {
+            executeGemmFloat(problem, plan, options, out);
+        });
+    }
 }
 
 TEST(ExecEngine, ArenaBuffersGrowButNeverShrink)

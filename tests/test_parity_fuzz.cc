@@ -253,10 +253,13 @@ TEST(ParityFuzz, PreparedMatchesReferenceAcrossAllBackends)
         }
     }
 
-    // Float path: the vectorized dimension is independent output rows,
-    // never the group reduction, and tiles cut only the output, so
-    // float accumulation is bit-identical serial vs tile-parallel —
-    // with and without slice streaming.
+    // Float path: the vectorized dimension is a block of 8 output
+    // columns (independent outputs), never the group reduction, and
+    // tiles cut only the output, so float accumulation is bit-identical
+    // serial vs tile-parallel — with and without slice streaming.  This
+    // shape is under the per-tile work floor and runs as one tile; the
+    // ExecTiling suite (test_exec_engine.cc) covers GEMMs cut into
+    // several.
     const QuantConfig fpCfg = QuantConfig::fpPreset(1, 8);
     const GemmProblem fpProblem = makeRandomProblem(33, 48, 6, fpCfg, 17);
     for (bool streaming : {false, true}) {
