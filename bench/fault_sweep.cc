@@ -152,7 +152,7 @@ runOne(double rate, bool recover, double deathAt, double deadline,
     stats.failovers = snap.faults.failovers;
     stats.quarantines = snap.faults.quarantines;
     stats.ranksDead = snap.faults.ranksDead;
-    stats.capacityRatio = snap.faults.capacityRatio;
+    stats.capacityRatio = snap.capacityRatio;
     stats.backoffSeconds = snap.faults.backoffSeconds;
     stats.goodputPerSec =
         stats.makespan > 0

@@ -154,8 +154,6 @@ BankPimBackend::execute(const GemmProblem& problem, const GemmPlan& plan,
     if (!options.computeValues) {
         return result;
     }
-    LOCALUT_REQUIRE(!problem.w.codes.empty() && !problem.a.codes.empty(),
-                    "functional pass needs materialized codes");
     // The bank model's LoCaLut plan carries streaming = true and the
     // model's packing degree, so the engine picks the slice-streaming
     // kernel exactly as the legacy functional executor did.

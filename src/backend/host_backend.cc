@@ -110,8 +110,6 @@ HostBackend::execute(const GemmProblem& problem, const GemmPlan& plan,
     if (!options.computeValues) {
         return result;
     }
-    LOCALUT_REQUIRE(!problem.w.codes.empty() && !problem.a.codes.empty(),
-                    "functional pass needs materialized codes");
     // Host devices always execute the reference MAC whatever the design
     // point; the engine path adds prepared decode codebooks, arena
     // scratch, and tiled execution, bit-exact vs referenceGemmInt().

@@ -1,28 +1,9 @@
 #include "common/logging.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 
 namespace localut {
 namespace detail {
-
-namespace {
-
-/**
- * Throwing (instead of aborting) lets the test suite exercise failure paths;
- * both exception types derive from std::runtime_error so callers outside the
- * tests never need to distinguish them.
- */
-struct FatalError : std::runtime_error {
-    using std::runtime_error::runtime_error;
-};
-
-struct PanicError : std::runtime_error {
-    using std::runtime_error::runtime_error;
-};
-
-} // namespace
 
 void
 fatalImpl(const char* file, int line, const std::string& msg)

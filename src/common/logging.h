@@ -4,15 +4,31 @@
 /**
  * @file
  * Status-message and error helpers following the gem5 discipline:
- * inform()/warn() report conditions without stopping, fatal() terminates on
- * user error (bad configuration), panic() terminates on internal invariant
- * violations (a bug in this library).
+ * inform()/warn() report conditions without stopping, fatal() rejects user
+ * error (bad configuration or input) with a FatalError, panic() reports an
+ * internal invariant violation (a bug in this library) with a PanicError.
  */
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace localut {
+
+/**
+ * Thrown by LOCALUT_FATAL / LOCALUT_REQUIRE: the caller passed invalid
+ * input or configuration.  Throwing (instead of aborting) lets callers
+ * and tests recover from, and tell apart, rejected input.
+ */
+struct FatalError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/** Thrown by LOCALUT_PANIC / LOCALUT_ASSERT: an internal invariant
+ * failed, i.e. a bug in this library whatever the input. */
+struct PanicError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
 
 namespace detail {
 

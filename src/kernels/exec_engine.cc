@@ -189,6 +189,31 @@ actCodeAt(const QuantizedMatrix& a, std::size_t kk, std::size_t nn)
     return kk < a.rows ? a.at(kk, nn) : std::uint16_t{0};
 }
 
+/** Fatals unless every code of @p x decodes under its codec (a code at
+ * or above cardinality() would index past the decode tables). */
+void
+requireCodesInRange(const QuantizedMatrix& x, const char* operand)
+{
+    std::uint16_t hi = 0;
+    for (const std::uint16_t code : x.codes) {
+        hi = std::max(hi, code);
+    }
+    LOCALUT_REQUIRE(hi < x.codec.cardinality(), operand, " code ", hi,
+                    " out of range for a ", x.codec.bits(), "-bit codec");
+}
+
+/** Entry check of every functional execution: materialized operands of
+ * the declared shapes and in-range activation codes (weight codes are
+ * checked once, by prepareGemm()). */
+void
+requireFunctionalOperands(const GemmProblem& problem)
+{
+    LOCALUT_REQUIRE(!problem.w.codes.empty() && !problem.a.codes.empty(),
+                    "functional execution needs materialized codes");
+    requireOperandShapes(problem);
+    requireCodesInRange(problem.a, "activation");
+}
+
 /** Functional reorder-mode resolution shared with the legacy API. */
 enum class Mode { Naive, Ltc, Op, CanonExplicit, CanonReorder, CanonStream };
 
@@ -265,6 +290,9 @@ prepareGemm(const GemmProblem& problem, const GemmPlan& plan)
                     "prepareGemm: plan was resolved for a different shape");
     LOCALUT_REQUIRE(!problem.w.codes.empty(),
                     "prepareGemm needs materialized weight codes");
+    requireOperandShapes(problem);
+    // Once per prepared operand: a cached operand is never re-checked.
+    requireCodesInRange(problem.w, "weight");
 
     auto prep = std::make_shared<PreparedGemm>();
     prep->design = plan.design;
@@ -274,9 +302,6 @@ prepareGemm(const GemmProblem& problem, const GemmPlan& plan)
     prep->streaming = plan.streaming;
     prep->m = problem.m();
     prep->k = problem.k();
-    // `weights` stays 0 here: hashing the codes is an O(M*K) pass, so
-    // the caching layer (PlanCache::preparedFor) stamps the fingerprint
-    // it already computed for the cache key.
 
     prep->wDecode = intCodebook(problem.w.codec);
     prep->wDecodeF = floatCodebook(problem.w.codec);
@@ -1143,8 +1168,7 @@ void
 executeTyped(const GemmProblem& problem, const GemmPlan& plan,
              const ExecOptions& options, std::vector<T>& out)
 {
-    LOCALUT_REQUIRE(!problem.w.codes.empty() && !problem.a.codes.empty(),
-                    "functional execution needs materialized codes");
+    requireFunctionalOperands(problem);
     std::shared_ptr<const PreparedGemm> owned;
     const PreparedGemm* prep = options.prepared;
     if (prep == nullptr) {
@@ -1284,8 +1308,7 @@ void
 executeReferenceTyped(const GemmProblem& problem,
                       const ExecOptions& options, std::vector<T>& out)
 {
-    LOCALUT_REQUIRE(!problem.w.codes.empty() && !problem.a.codes.empty(),
-                    "functional execution needs materialized codes");
+    requireFunctionalOperands(problem);
     // The reference MAC only needs the decode codebooks, so any
     // preparation of the same problem fits regardless of design point.
     std::shared_ptr<const PreparedGemm> owned;

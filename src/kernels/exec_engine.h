@@ -121,10 +121,6 @@ struct PreparedGemm {
     bool streaming = false;
     std::size_t m = 0, k = 0;
     unsigned groups = 0;
-    /** weightsFingerprint() of the weight matrix this was built from;
-     * 0 until the caching layer stamps it (prepareGemm() itself never
-     * hashes — that would put an O(M*K) pass on every ad-hoc call). */
-    std::uint64_t weights = 0;
 
     /** Group-major packed weight indices, wIdxT*[g * m + mm] (LUT
      * designs) — transposed so the per-(column, group) inner row sweep

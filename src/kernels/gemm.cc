@@ -250,14 +250,26 @@ GemmEngine::choosePartition(const GemmProblem& problem, GemmPlan& plan,
     plan = best;
 }
 
+void
+requireOperandShapes(const GemmProblem& problem)
+{
+    const QuantizedMatrix& w = problem.w;
+    const QuantizedMatrix& a = problem.a;
+    LOCALUT_REQUIRE(w.cols == a.rows, "GEMM shape mismatch: W ", w.rows,
+                    "x", w.cols, " A ", a.rows, "x", a.cols);
+    LOCALUT_REQUIRE(w.codes.empty() || w.codes.size() == w.rows * w.cols,
+                    "weight codes: ", w.codes.size(), " for a ", w.rows,
+                    "x", w.cols, " matrix");
+    LOCALUT_REQUIRE(a.codes.empty() || a.codes.size() == a.rows * a.cols,
+                    "activation codes: ", a.codes.size(), " for a ",
+                    a.rows, "x", a.cols, " matrix");
+}
+
 GemmPlan
 GemmEngine::plan(const GemmProblem& problem, DesignPoint design,
                  const PlanOverrides& overrides) const
 {
-    LOCALUT_REQUIRE(problem.w.cols == problem.a.rows,
-                    "GEMM shape mismatch: W ", problem.w.rows, "x",
-                    problem.w.cols, " A ", problem.a.rows, "x",
-                    problem.a.cols);
+    requireOperandShapes(problem);
     GemmPlan plan(design, problem.config());
     plan.m = problem.m();
     plan.k = problem.k();

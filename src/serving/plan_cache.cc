@@ -136,10 +136,9 @@ PlanCache::preparedFor(const Backend& backend, const GemmProblem& problem,
                        const GemmPlan& plan,
                        const PlanOverrides& overrides)
 {
-    const std::uint64_t weights = weightsFingerprint(problem.w);
     PreparedKey key;
     key.plan = PlanKey::of(backend, problem, plan.design, overrides);
-    key.weights = weights;
+    key.weights = weightsFingerprint(problem.w);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = prepared_.find(key);
@@ -155,9 +154,8 @@ PlanCache::preparedFor(const Backend& backend, const GemmProblem& problem,
     }
     // Build outside the lock (packing + tables are the expensive part);
     // racing threads build identical operands, last-insert-wins.
-    std::shared_ptr<PreparedGemm> built = prepareGemm(problem, plan);
-    built->weights = weights;
-    std::shared_ptr<const PreparedGemm> prepared = std::move(built);
+    std::shared_ptr<const PreparedGemm> prepared =
+        prepareGemm(problem, plan);
     const std::uint64_t bytes = prepared->bytes();
     {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -15,17 +15,6 @@
 
 namespace localut {
 
-const char*
-residencyPolicyName(ResidencyPolicy policy)
-{
-    switch (policy) {
-      case ResidencyPolicy::Disabled:  return "disabled";
-      case ResidencyPolicy::CostAware: return "cost-aware";
-      case ResidencyPolicy::Lru:       return "lru";
-    }
-    LOCALUT_PANIC("invalid residency policy");
-}
-
 namespace {
 
 /** Sentinel "no stream is protected" id for makeRoomOnRankLocked (stream
@@ -139,41 +128,18 @@ ResidencyCharge::apply(TimingReport& timing, EnergyReport& energy,
     }
 }
 
-void
-KvCharge::apply(TimingReport& timing, EnergyReport& energy) const
-{
-    if (hit() || shed) {
-        return;
-    }
-    if (appendBytes > 0 || appendSeconds > 0) {
-        timing.linkSeconds += appendSeconds;
-        timing.total += appendSeconds;
-        timing.seconds.add(phaseName(Phase::LinkActIn), appendSeconds);
-    }
-    if (spillBytes > 0 || spillSeconds > 0) {
-        timing.linkSeconds += spillSeconds;
-        timing.total += spillSeconds;
-        timing.seconds.add(phaseName(Phase::LinkOut), spillSeconds);
-    }
-    energy.total += joules;
-    energy.joules.add(phaseName(Phase::LinkActIn), joules);
-}
-
 ResidencyManager::ResidencyManager(BackendPtr backend, unsigned numRanks,
                                    std::uint64_t budgetBytesPerUnit,
                                    ResidencyPolicy policy)
     : ResidencyManager(std::move(backend), Topology{1, numRanks},
-                       budgetBytesPerUnit, policy,
-                       /*interNodeCodec=*/false)
+                       budgetBytesPerUnit, policy)
 {}
 
 ResidencyManager::ResidencyManager(BackendPtr backend,
                                    const Topology& topology,
                                    std::uint64_t budgetBytesPerUnit,
-                                   ResidencyPolicy policy,
-                                   bool interNodeCodec)
-    : backend_(std::move(backend)), policy_(policy), topo_(topology),
-      codec_(interNodeCodec)
+                                   ResidencyPolicy policy)
+    : backend_(std::move(backend)), policy_(policy), topo_(topology)
 {
     LOCALUT_REQUIRE(backend_ != nullptr,
                     "ResidencyManager needs a backend");
@@ -213,7 +179,7 @@ ResidencyManager::acquire(const GemmPlan& plan, const std::string& scope,
     }
     // The measured codec ratio materializes tables under its own lock;
     // compute it before taking ours (it is memoized per shape).
-    const double ratio = (codec_ && topo_.nodeOf(homeRank) != 0)
+    const double ratio = topo_.nodeOf(homeRank) != 0
                              ? codecRatioFor(plan.design, plan.config,
                                              std::max(1u, plan.p))
                              : 1.0;
@@ -225,7 +191,7 @@ ResidencyManager::acquire(const GemmPlan& plan, const std::string& scope,
 
 ResidencyCharge
 ResidencyManager::acquire(const ShardPlan& plan, const std::string& scope,
-                          double instances, unsigned rankOffset)
+                          double instances)
 {
     if (policy_ == ResidencyPolicy::Disabled || plan.shards.empty()) {
         return {};
@@ -241,10 +207,6 @@ ResidencyManager::acquire(const ShardPlan& plan, const std::string& scope,
     key.shard = plan.spec;
     const std::uint64_t inst = roundInstances(instances);
     key.instances = inst;
-    // The offset relocates a node-local cut onto a pipeline stage's
-    // ranks; it is part of the set identity (stage 0's tables and stage
-    // 1's tables never alias even when the cut is identical).
-    key.homeRank = rankOffset % numRanks();
     // Coalesce per rank: when the plan carries more shards than this
     // manager has ranks, the wrapped entries must be budget-checked as
     // one aggregate — per-entry checks would admit a rank over budget.
@@ -256,7 +218,7 @@ ResidencyManager::acquire(const ShardPlan& plan, const std::string& scope,
         if (lutBytesSaturated(bytes)) {
             return {}; // unrepresentably large: untracked (see above)
         }
-        const unsigned rank = (shard.rank + rankOffset) % numRanks();
+        const unsigned rank = shard.rank % numRanks();
         perRank[rank] = satAddU64(perRank[rank], bytes);
         total += static_cast<double>(bytes);
     }
@@ -272,7 +234,7 @@ ResidencyManager::acquire(const ShardPlan& plan, const std::string& scope,
     }
     // Ratio before the lock (see the GemmPlan overload).
     const double ratio =
-        (codec_ && crossesNodes(rankBytes))
+        crossesNodes(rankBytes)
             ? codecRatioFor(plan.design, plan.config, key.p)
             : 1.0;
     std::lock_guard<std::mutex> lock(mutex_);
@@ -294,9 +256,9 @@ ResidencyManager::acquireLocked(
         set.rankBytes = std::move(rankBytes);
         // Split the broadcast by tier: node-0 shares ride the intra-host
         // rank-parallel broadcast link, remote nodes' shares cross the
-        // inter-node (CXL) tier — compressed when the codec is on, plus
-        // its encode time.  With one node this degenerates to the flat
-        // formula bit-for-bit (interRaw == 0).
+        // inter-node (CXL) tier, compressed by the codec, plus its encode
+        // time.  With one node this degenerates to the flat formula
+        // bit-for-bit (interRaw == 0).
         double intraBytes = 0;
         double interRaw = 0;
         for (const auto& [rank, bytes] : set.rankBytes) {
@@ -310,16 +272,13 @@ ResidencyManager::acquireLocked(
             interRaw > 0 ? interRaw / std::max(1.0, codecRatio) : 0.0;
         double seconds = 0;
         double joules = 0;
-        double codecSeconds = 0;
+        const double codecSeconds = interRaw / (profile_.codecGBs * 1e9);
         if (intraBytes > 0) {
             seconds += profile_.broadcastLatencyUs * 1e-6 +
                        intraBytes / (profile_.broadcastGBs * 1e9);
             joules += profile_.pjPerBroadcastByte * intraBytes * 1e-12;
         }
         if (interRaw > 0) {
-            if (codec_) {
-                codecSeconds = interRaw / (profile_.codecGBs * 1e9);
-            }
             seconds += profile_.interNodeLatencyUs * 1e-6 +
                        interBytes / (profile_.interNodeGBs * 1e9) +
                        codecSeconds;
@@ -379,7 +338,7 @@ ResidencyManager::acquireLocked(
             }
         }
         faultSeconds += (degrade - 1.0) * interLinkSeconds;
-        if (injector_ != nullptr && codec_) {
+        if (injector_ != nullptr) {
             const std::uint64_t payload =
                 static_cast<std::uint64_t>(
                     TableSetKeyHash{}(it->first)) ^
@@ -420,11 +379,8 @@ ResidencyManager::acquireLocked(
 double
 ResidencyManager::scoreLocked(const TableSet& set) const
 {
-    if (policy_ == ResidencyPolicy::Lru) {
-        return static_cast<double>(set.lastUse);
-    }
-    // Cost-aware: what re-fetching this set would cost, weighted by how
-    // often it has actually been used — the expected rebroadcast debt.
+    // What re-fetching this set would cost, weighted by how often it has
+    // actually been used — the expected rebroadcast debt.
     return set.broadcastSeconds * static_cast<double>(set.uses);
 }
 
@@ -560,12 +516,9 @@ ResidencyManager::spillLocked(KvEntry& victim, SpillCost& spill)
 double
 ResidencyManager::scoreKvLocked(const KvEntry& entry) const
 {
-    if (policy_ == ResidencyPolicy::Lru) {
-        return static_cast<double>(entry.lastUse);
-    }
-    // Cost-aware: spilling costs the PIM -> host writeback now plus the
-    // host -> PIM refill the stream's next decode step must pay — a
-    // round trip of the whole context.
+    // Spilling costs the PIM -> host writeback now plus the host -> PIM
+    // refill the stream's next decode step must pay — a round trip of
+    // the whole context.
     return 2.0 * kvTransferSeconds(static_cast<double>(entry.rawBytes()));
 }
 
@@ -829,8 +782,8 @@ ResidencyManager::projectedBroadcastSeconds(const GemmPlan& plan,
     if (topo_.nodeOf(homeRank % numRanks()) == 0) {
         return broadcastSeconds(bytes);
     }
-    // No lock needed: the topology, codec flag, and memory profile are
-    // immutable after construction, and the measured ratio locks itself.
+    // No lock needed: the topology and memory profile are immutable
+    // after construction, and the measured ratio locks itself.
     const double raw = static_cast<double>(bytes);
     const double ratio = codecRatioFor(plan.design, plan.config,
                                        std::max(1u, plan.p));
@@ -842,10 +795,7 @@ ResidencyManager::projectedBroadcastSeconds(const GemmPlan& plan,
         seconds *=
             injector_->linkFactor(topo_.nodeOf(homeRank % numRanks()));
     }
-    if (codec_) {
-        seconds += raw / (profile_.codecGBs * 1e9);
-    }
-    return seconds;
+    return seconds + raw / (profile_.codecGBs * 1e9);
 }
 
 std::vector<ResidencyManager::NodeResidency>
@@ -866,9 +816,6 @@ ResidencyManager::codecRatioFor(DesignPoint design,
                                 const QuantConfig& config,
                                 unsigned p) const
 {
-    if (!codec_) {
-        return 1.0;
-    }
     return std::max(1.0, measuredTableSetRatio(design, config, p));
 }
 

@@ -28,8 +28,7 @@
  *    pays table transfer once per layer instead of 32x.
  *  - When a rank's budget is full, eviction is cost-model-driven: the
  *    resident set with the lowest (rebroadcast cost x observed reuse)
- *    score goes first (ResidencyPolicy::CostAware); an LRU policy exists
- *    as a comparison baseline.
+ *    score goes first (ResidencyPolicy::CostAware).
  *  - Sharded executions compose naturally: each shard's table set
  *    consumes its own rank's budget, and the ShardSpec is part of the
  *    table-set key so re-cut tables never alias.
@@ -78,12 +77,7 @@ enum class ResidencyPolicy {
     /** Evict the resident set with the lowest
      * (rebroadcast cost x observed reuse) score. */
     CostAware,
-    /** Evict the least-recently-used set (comparison baseline). */
-    Lru,
 };
-
-/** Policy name for reports ("disabled" / "cost-aware" / "lru"). */
-const char* residencyPolicyName(ResidencyPolicy policy);
 
 /**
  * Identity of one table set: the owning GEMM (shape + role scope), its
@@ -154,11 +148,10 @@ struct ResidencyCharge {
     /** Pre-codec table bytes bound for ranks on remote nodes (the
      * inter-node share of the broadcast before compression). */
     double interNodeRawBytes = 0;
-    /** Post-codec bytes that crossed the inter-node tier (== the raw
-     * share when the codec is disabled). */
+    /** Post-codec bytes that crossed the inter-node tier. */
     double interNodeBytes = 0;
     /** Host-side encode time of the inter-node share, already included
-     * in seconds (0 when the codec is off or nothing crossed nodes). */
+     * in seconds (0 when nothing crossed nodes). */
     double codecSeconds = 0;
     /** Raw KV-cache bytes the admission spilled PIM -> host to make
      * room (cross-class arbitration; 0 when no stream was spilled). */
@@ -217,11 +210,6 @@ struct KvCharge {
     {
         return !shed && appendBytes <= 0 && spillBytes <= 0;
     }
-
-    /** Folds the KV traffic into a result's reports: appends/refills as
-     * host -> PIM activation-state transfer (Phase::LinkActIn), spills
-     * as PIM -> host writeback (Phase::LinkOut). */
-    void apply(TimingReport& timing, EnergyReport& energy) const;
 };
 
 /** Counters for serving code and tests. */
@@ -236,9 +224,8 @@ struct ResidencyStats {
     double broadcastIntraBytes = 0;  ///< share charged at the intra tier
     /** Pre-codec table bytes bound for remote nodes (raw inter share). */
     double broadcastInterRawBytes = 0;
-    /** Post-codec bytes charged at the inter-node tier (== the raw
-     * share when the codec is disabled; the CI gate pins raw/charged
-     * >= 2 on OPT-class table sets with the codec on). */
+    /** Post-codec bytes charged at the inter-node tier (the CI gate
+     * pins raw/charged >= 2 on OPT-class table sets). */
     double broadcastInterBytes = 0;
     std::uint64_t kvStreams = 0;     ///< KV streams currently resident
     std::uint64_t kvSpills = 0;      ///< streams spilled out under pressure
@@ -291,25 +278,21 @@ class ResidencyManager
      * Hierarchical-topology constructor: one ledger per flat rank of
      * @p topology (node-major).  Table bytes bound for a rank on node
      * > 0 are charged at the inter-node tier of the backend's memory
-     * profile instead of the local broadcast link — compressed through
-     * the delta/RLE broadcast codec when @p interNodeCodec is set
-     * (compressed bytes at the link rate plus a measured-ratio codec
-     * time term).
+     * profile instead of the local broadcast link, compressed through
+     * the delta/RLE broadcast codec (lut/broadcast_codec.h): the
+     * measured compressed bytes at the link rate plus an encode-time
+     * term.
      */
     ResidencyManager(BackendPtr backend, const Topology& topology,
                      std::uint64_t budgetBytesPerUnit,
-                     ResidencyPolicy policy, bool interNodeCodec);
+                     ResidencyPolicy policy);
 
-    /** The eviction / tracking policy in force. */
-    ResidencyPolicy policy() const { return policy_; }
     /** Per-unit MRAM byte budget each rank's ledger enforces. */
     std::uint64_t budgetBytesPerUnit() const { return budget_; }
     /** Flat logical ranks tracked (one ledger each). */
     unsigned numRanks() const;
     /** The node x rank grid the ledgers are keyed by. */
     Topology topology() const { return topo_; }
-    /** True when inter-node broadcasts are codec-compressed. */
-    bool interNodeCodec() const { return codec_; }
 
     /**
      * Ensures the table set of @p plan (scoped by @p scope; @p instances
@@ -326,16 +309,13 @@ class ResidencyManager
                             double instances = 1.0,
                             unsigned homeRank = 0);
 
-    /** Sharded counterpart: shard i's table set consumes flat rank
-     * (i + @p rankOffset)'s budget; the broadcast moves every rank's
-     * tables (scatter over each node's rank-parallel broadcast link,
-     * one launch; remote nodes' shares cross the inter-node tier).
-     * @p rankOffset places a node-local cut onto a pipeline stage's
-     * ranks (node * ranksPerNode) and is part of the set identity. */
+    /** Sharded counterpart: each shard's table set consumes its own
+     * flat rank's budget; the broadcast moves every rank's tables
+     * (scatter over each node's rank-parallel broadcast link, one
+     * launch; remote nodes' shares cross the inter-node tier). */
     ResidencyCharge acquire(const ShardPlan& plan,
                             const std::string& scope = "",
-                            double instances = 1.0,
-                            unsigned rankOffset = 0);
+                            double instances = 1.0);
 
     /**
      * Ensures @p stream's KV-cache — @p layers layers of
@@ -387,10 +367,9 @@ class ResidencyManager
      * Tier-aware projection of what a miss on @p plan's table set
      * (@p bytes total) homed on flat rank @p homeRank would charge:
      * the intra-host broadcast for node-0 ranks, the inter-node hop —
-     * with the codec's measured ratio and encode time when enabled —
-     * for ranks on remote nodes.  Const and side-effect free: the
-     * scheduler's node-locality-aware placement runs this per
-     * candidate rank.
+     * with the codec's measured ratio and encode time — for ranks on
+     * remote nodes.  Const and side-effect free: the scheduler's
+     * node-locality-aware placement runs this per candidate rank.
      */
     double projectedBroadcastSeconds(const GemmPlan& plan,
                                      std::uint64_t bytes,
@@ -465,7 +444,7 @@ class ResidencyManager
         double interBytes = 0;       ///< remote-node share as charged
         double codecSeconds = 0;     ///< encode time inside broadcastSeconds
         std::uint64_t uses = 0;      ///< touches while resident (reuse)
-        std::uint64_t lastUse = 0;   ///< logical clock (LRU)
+        std::uint64_t lastUse = 0;   ///< logical clock (tie-break)
         std::uint64_t admitOrder = 0;///< deterministic tie-break
         /** Broadcast events for this set so far — the deterministic
          * per-payload salt for the injector's corruption decisions. */
@@ -484,7 +463,7 @@ class ResidencyManager
         /** Home rank died: the next acquireKv() may re-home the stream
          * to a different rank at full-refill cost. */
         bool displaced = false;
-        std::uint64_t lastUse = 0;    ///< logical clock (LRU)
+        std::uint64_t lastUse = 0;    ///< logical clock (tie-break)
         std::uint64_t admitOrder = 0; ///< deterministic tie-break
 
         /** Raw bytes of the whole context across all layers. */
@@ -520,14 +499,14 @@ class ResidencyManager
     void evictLocked(TableSet& victim);
     void spillLocked(KvEntry& victim, SpillCost& spill);
     double scoreLocked(const TableSet& set) const;
-    /** Cost-aware: the spill + refill round trip a victim stream's
-     * next decode step would pay; LRU: last use. */
+    /** The spill + refill round trip a victim stream's next decode
+     * step would pay. */
     double scoreKvLocked(const KvEntry& entry) const;
     /** Per-unit footprint of @p rawBytes interleaved across a rank. */
     std::uint64_t kvFootprint(std::uint64_t rawBytes) const;
     /** Modeled seconds of moving @p rawBytes of KV over the host link. */
     double kvTransferSeconds(double rawBytes) const;
-    /** The codec's measured ratio for @p plan's tables (1 when off). */
+    /** The codec's measured ratio for @p plan's tables (at least 1). */
     double codecRatioFor(DesignPoint design, const QuantConfig& config,
                          unsigned p) const;
     /** True when any entry of @p rankBytes lives on a node > 0. */
@@ -540,7 +519,6 @@ class ResidencyManager
     std::uint64_t budget_ = 0; ///< per-unit bytes each rank may hold
     ResidencyPolicy policy_;
     Topology topo_{1, 1};      ///< the node x rank grid of the ledgers
-    bool codec_ = false;       ///< compress inter-node broadcasts
     FaultInjector* injector_ = nullptr; ///< optional fault source
 
     mutable std::mutex mutex_;

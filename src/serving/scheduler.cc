@@ -117,21 +117,8 @@ RequestScheduler::publishFaults()
     if (injector_ == nullptr) {
         return;
     }
-    const FaultStats stats = injector_->stats();
-    FaultCounters counters;
-    counters.transientFaults = stats.transientFaults;
-    counters.retries = stats.retries;
-    counters.corruptedBroadcasts = stats.corruptedBroadcasts;
-    counters.resends = stats.resends;
-    counters.quarantines = stats.quarantines;
-    counters.failovers = stats.failovers;
-    counters.shedFault = stats.shedFault;
-    counters.linkDegrades = stats.linkDegrades;
-    counters.ranksDead = stats.ranksDead;
-    counters.ranksQuarantined = stats.ranksQuarantined;
-    counters.backoffSeconds = stats.backoffSeconds;
-    counters.capacityRatio = injector_->capacityRatio();
-    telemetry_->recordFaults(counters);
+    telemetry_->recordFaults(injector_->stats(),
+                             injector_->capacityRatio());
 }
 
 std::size_t
@@ -284,10 +271,10 @@ RequestScheduler::projectColdStartLocked(
             residency->isResident(key)) {
             continue; // warm (or untracked) on this rank
         }
-        // Tier-aware: a rank on a remote node pays the inter-node hop
-        // (codec-compressed when enabled) instead of the local
-        // broadcast — node-locality-aware placement falls out of the
-        // earliest-completion search pricing remote cold starts higher.
+        // Tier-aware: a rank on a remote node pays the codec-compressed
+        // inter-node hop instead of the local broadcast — node-locality-
+        // aware placement falls out of the earliest-completion search
+        // pricing remote cold starts higher.
         projection.rankBroadcastSeconds[rank] +=
             residency->projectedBroadcastSeconds(plan, bytes, rank);
         projection.rankKeys[rank].push_back(std::move(key));
@@ -298,8 +285,7 @@ RequestScheduler::ServiceProjection
 RequestScheduler::projectServiceLocked(const ServingRequest& request)
 {
     ServiceProjection projection;
-    const bool trackCold =
-        session_.residency() != nullptr && options_.coldStartAware;
+    const bool trackCold = session_.residency() != nullptr;
 
     if (request.isWorkload) {
         const auto& workload = request.workload;

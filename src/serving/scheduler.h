@@ -86,13 +86,6 @@ struct SchedulerOptions {
      */
     std::size_t maxQueuedPerRank = 64;
     /**
-     * Prefer ranks that already hold (or have planned admissions for)
-     * the request's LUT table sets, and charge the projected broadcast
-     * on cold ranks.  Only meaningful when the session's residency
-     * policy is enabled.
-     */
-    bool coldStartAware = true;
-    /**
      * Fold the fault injector's health mask into admission and
      * placement: dead/quarantined ranks are never candidates, and a
      * request no live rank can serve is shed with

@@ -144,16 +144,6 @@ struct SessionDrainScope {
 
 } // namespace
 
-const char*
-nodePlacementName(NodePlacement placement)
-{
-    switch (placement) {
-      case NodePlacement::TensorParallel:   return "tensor-parallel";
-      case NodePlacement::PipelineParallel: return "pipeline-parallel";
-    }
-    LOCALUT_PANIC("invalid node placement");
-}
-
 double
 InferenceSession::CompiledWorkload::predictedGemmSeconds() const
 {
@@ -211,7 +201,7 @@ InferenceSession::InferenceSession(BackendPtr backend,
     if (options_.residencyPolicy != ResidencyPolicy::Disabled) {
         residency_ = std::make_unique<ResidencyManager>(
             backend_, topology(), options_.mramBudgetBytes,
-            options_.residencyPolicy, options_.interNodeCodec);
+            options_.residencyPolicy);
     }
     if (options_.faultInjector != nullptr) {
         LOCALUT_REQUIRE(
@@ -334,8 +324,11 @@ InferenceSession::enqueue(std::unique_ptr<Request> request,
     Request* raw = request.get();
     const bool pinned = submitOptions.rank >= 0;
     if (pinned) {
-        raw->homeRank = static_cast<unsigned>(submitOptions.rank) %
-                        static_cast<unsigned>(rankQueues_.size());
+        LOCALUT_REQUIRE(static_cast<unsigned>(submitOptions.rank) <
+                            totalRanks(),
+                        "request pinned to rank ", submitOptions.rank,
+                        " of a session with ", totalRanks(), " ranks");
+        raw->homeRank = static_cast<unsigned>(submitOptions.rank);
     }
     RequestId id;
     {
@@ -358,25 +351,13 @@ InferenceSession::enqueue(std::unique_ptr<Request> request,
 
 InferenceSession::RequestId
 InferenceSession::submit(GemmProblem problem, DesignPoint design,
-                         const PlanOverrides& overrides)
-{
-    return submit(std::move(problem), design, options_.computeValues,
-                  overrides);
-}
-
-InferenceSession::RequestId
-InferenceSession::submit(GemmProblem problem, DesignPoint design,
-                         bool computeValues, const PlanOverrides& overrides)
-{
-    return submit(std::move(problem), design, computeValues, overrides,
-                  SubmitOptions{});
-}
-
-InferenceSession::RequestId
-InferenceSession::submit(GemmProblem problem, DesignPoint design,
                          bool computeValues, const PlanOverrides& overrides,
                          const SubmitOptions& submitOptions)
 {
+    // Reject malformed operands here, on the caller's thread: a short
+    // code vector would otherwise surface as an out-of-bounds read when
+    // a shard slices it or a kernel packs it.
+    requireOperandShapes(problem);
     auto request = std::make_unique<Request>();
     request->isWorkload = false;
     request->problem = std::move(problem);
@@ -384,12 +365,6 @@ InferenceSession::submit(GemmProblem problem, DesignPoint design,
     request->overrides = overrides;
     request->computeValues = computeValues;
     return enqueue(std::move(request), submitOptions);
-}
-
-InferenceSession::RequestId
-InferenceSession::submit(CompiledWorkload workload)
-{
-    return submit(std::move(workload), SubmitOptions{});
 }
 
 InferenceSession::RequestId
@@ -436,33 +411,12 @@ InferenceSession::compileWith(const WorkloadSpec& spec,
     workload.overrides = overrides;
     workload.numRanks = numRanks;
     workload.numNodes = numNodes;
-    workload.nodePlacement = options_.nodePlacement;
     workload.backendName = backend_->name();
     workload.backendFingerprint = backend_->configFingerprint();
-    const bool pipeline =
-        numNodes > 1 &&
-        options_.nodePlacement == NodePlacement::PipelineParallel;
-    const std::vector<WorkloadGemm> gemms = workloadGemms(spec);
-    for (const WorkloadGemm& gemm : gemms) {
+    for (const WorkloadGemm& gemm : workloadGemms(spec)) {
         const GemmProblem problem =
             makeShapeOnlyProblem(gemm.m, gemm.k, gemm.n, quant);
-        if (pipeline) {
-            // Pipeline-parallel: whole layers are dealt across nodes, so
-            // each node executes a *node-local* rank cut of its share of
-            // the repeats.  Splitting the (double) repeat count keeps
-            // the aggregate work identical to the single-node graph —
-            // the functional path is untouched (shape-only nodes) and
-            // costs scale by exact count arithmetic.
-            const ShardSpec shard{numRanks, options_.shardStrategy,
-                                  gemm.rowAlign, 1};
-            const ShardPlan plan = cache_.shardPlanFor(
-                *backend_, problem, design, shard, overrides);
-            for (unsigned node = 0; node < numNodes; ++node) {
-                WorkloadGemm stage = gemm;
-                stage.count = gemm.count / numNodes;
-                workload.shardedNodes.push_back({stage, plan, node});
-            }
-        } else if (numRanks * numNodes > 1) {
+        if (numRanks * numNodes > 1) {
             // Tensor-parallel column cut across the whole grid, aligned
             // to the GEMM's row grouping — attention heads for QKV
             // (head-parallel), 1 elsewhere.
@@ -478,49 +432,19 @@ InferenceSession::compileWith(const WorkloadSpec& spec,
         }
     }
     workload.hostOps = workloadHostOps(spec);
-    if (pipeline && !gemms.empty()) {
-        // Inter-stage activation traffic: each pass hands the layer
-        // activations (the first GEMM's k x n input tensor, at the
-        // activation codec's width) across every stage boundary; a
-        // decode request crosses them once per step.  Priced as one
-        // inter-node hop per crossing so projections and reports agree.
-        const WorkloadGemm& first = gemms.front();
-        const double actBytes =
-            static_cast<double>(first.k) * static_cast<double>(first.n) *
-            (static_cast<double>(quant.actCodec.bits()) / 8.0);
-        const double steps = spec.phase == WorkloadPhase::Decode
-                                 ? static_cast<double>(
-                                       std::max(1u, spec.steps))
-                                 : 1.0;
-        const double crossings =
-            static_cast<double>(numNodes - 1) * steps;
-        const CollectiveLinkProfile prof = backend_->collectiveProfile();
-        const CollectiveCost hop = collectiveHopCost(
-            prof.dram, prof.dramEnergy, {0, 0, 0, actBytes, actBytes},
-            prof.interNode);
-        workload.pipelineHopBytes = actBytes * crossings;
-        workload.pipelineHopSeconds = hop.seconds * crossings;
-        workload.pipelineHopJoules = hop.joules * crossings;
-    }
     return workload;
 }
 
 WorkloadCostProjection
 InferenceSession::projectCost(const CompiledWorkload& workload) const
 {
-    WorkloadCostProjection projection =
-        workload.sharded()
-            ? projectShardedWorkloadCost(*backend_,
-                                         workload.shardedNodes,
-                                         workload.quant,
-                                         workload.hostOps)
-            : projectWorkloadCost(*backend_, workload.nodes,
-                                  workload.quant, workload.hostOps);
-    // Pipeline-stage activation hops are steady-state per-request cost
-    // too; fold them into the collective share so projection matches
-    // what runAt() reports.
-    projection.collectiveSeconds += workload.pipelineHopSeconds;
-    return projection;
+    return workload.sharded()
+               ? projectShardedWorkloadCost(*backend_,
+                                            workload.shardedNodes,
+                                            workload.quant,
+                                            workload.hostOps)
+               : projectWorkloadCost(*backend_, workload.nodes,
+                                     workload.quant, workload.hostOps);
 }
 
 InferenceReport
@@ -560,20 +484,6 @@ InferenceSession::runAt(const CompiledWorkload& workload,
                                      nodeOptions)
             : executeWorkload(*backend_, workload.nodes, workload.quant,
                               workload.hostOps, nodeOptions);
-    if (workload.pipelineHopSeconds > 0 ||
-        workload.pipelineHopJoules > 0) {
-        // Pipeline-stage activation handoffs over the inter-node tier
-        // (precomputed at compile; see compileWith).
-        report.timing.linkSeconds += workload.pipelineHopSeconds;
-        report.timing.total += workload.pipelineHopSeconds;
-        report.timing.seconds.add("link.internode",
-                                  workload.pipelineHopSeconds);
-        report.energy.total += workload.pipelineHopJoules;
-        report.energy.joules.add("link.internode",
-                                 workload.pipelineHopJoules);
-        report.collectiveSeconds += workload.pipelineHopSeconds;
-        report.interNodeSeconds += workload.pipelineHopSeconds;
-    }
     if (residency_ == nullptr) {
         return report;
     }
@@ -585,24 +495,20 @@ InferenceSession::runAt(const CompiledWorkload& workload,
     const double steps = workload.spec.phase == WorkloadPhase::Decode
                              ? std::max(1u, workload.spec.steps)
                              : 1.0;
-    auto chargeNode = [&](const WorkloadGemm& gemm, const auto& plan,
-                          unsigned rankOrOffset) {
-        // count aggregates layers (and decode steps); the per-layer
-        // table instances are count / steps.  Unsharded sets home on
-        // the request's placement rank; sharded sets span their cut's
-        // ranks, offset onto the owning pipeline stage's node (overload
-        // resolution picks the GemmPlan or ShardPlan acquire).
-        const ResidencyCharge charge = residency_->acquire(
-            plan, gemm.role, gemm.count / steps, rankOrOffset);
+    auto chargeNode = [&](const ResidencyCharge& charge) {
         charge.apply(report.timing, report.energy);
         report.lutBroadcastSeconds += charge.seconds;
     };
+    // count aggregates layers (and decode steps); the per-layer table
+    // instances are count / steps.  Unsharded sets home on the
+    // request's placement rank; sharded sets span their cut's ranks.
     for (const PlanNode& node : workload.nodes) {
-        chargeNode(node.gemm, node.plan, homeRank);
+        chargeNode(residency_->acquire(node.plan, node.gemm.role,
+                                       node.gemm.count / steps, homeRank));
     }
     for (const ShardedGemm& node : workload.shardedNodes) {
-        chargeNode(node.gemm, node.plan,
-                   node.node * options_.numRanks);
+        chargeNode(residency_->acquire(node.plan, node.gemm.role,
+                                       node.gemm.count / steps));
     }
     return report;
 }

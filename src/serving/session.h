@@ -56,22 +56,6 @@
 
 namespace localut {
 
-/** How a multi-node session lays workloads onto its nodes. */
-enum class NodePlacement {
-    /** Every GEMM is cut across all nodes' ranks (the node dimension
-     * widens the tensor-parallel cut; collectives gather intra-node
-     * then hop the inter-node tier). */
-    TensorParallel,
-    /** Whole layers are assigned to nodes (each node runs a node-local
-     * rank cut of its share) and activations hop the inter-node tier
-     * once per stage boundary — the deep-workload regime where a
-     * tensor-parallel cut would be collective-bound. */
-    PipelineParallel,
-};
-
-/** Placement name for reports ("tensor-parallel" / "pipeline-parallel"). */
-const char* nodePlacementName(NodePlacement placement);
-
 /** Session-wide knobs. */
 struct SessionOptions {
     /**
@@ -82,8 +66,6 @@ struct SessionOptions {
      * order, so results are bit-identical to serial execution.
      */
     unsigned workers = 0;
-    /** Default functional pass for submitted GEMM requests. */
-    bool computeValues = false;
     /**
      * Logical PIM ranks *per node* (num_ranks).  1 executes exactly as
      * before; > 1 shards every GEMM across the ranks and executes the
@@ -95,22 +77,13 @@ struct SessionOptions {
     /**
      * CXL-attached PIM nodes the session scales out across.  1 keeps
      * the single-host model (and its exact costs); > 1 models
-     * numNodes * numRanks flat ranks (node-major), with cross-node
-     * transfers charged at the backend's inter-node tier.  Results stay
-     * bit-exact with numNodes = 1 under either placement.
+     * numNodes * numRanks flat ranks (node-major): every GEMM is cut
+     * across all nodes' ranks, with cross-node transfers charged at the
+     * backend's inter-node tier and cross-node LUT broadcasts
+     * compressed by the delta/RLE codec (lut/broadcast_codec.h).
+     * Results stay bit-exact with numNodes = 1.
      */
     unsigned numNodes = 1;
-    /** How workloads are laid onto the nodes when numNodes > 1. */
-    NodePlacement nodePlacement = NodePlacement::TensorParallel;
-    /**
-     * Compress inter-node LUT table-set broadcasts through the
-     * deterministic delta/RLE codec (lut/broadcast_codec.h): the
-     * residency manager charges the *measured* compressed bytes at the
-     * inter-node tier plus an explicit encode-time term.  Purely a cost
-     * knob — functional values never cross the codec.  Irrelevant while
-     * numNodes is 1.
-     */
-    bool interNodeCodec = true;
     /**
      * LUT residency tracking (serving/residency.h).  Disabled (the
      * default) reproduces the pre-residency cost model: tables are never
@@ -162,7 +135,8 @@ struct SubmitOptions {
      * a numRanks > 1 session — shard the GEMM across the ranks.  A
      * pinned request executes *whole* (unsharded) on that rank: the
      * data-parallel serving regime, where each rank is a replica
-     * serving complete requests.
+     * serving complete requests.  A pinned rank must be a flat rank of
+     * the session (below InferenceSession::totalRanks()).
      */
     int rank = -1;
 };
@@ -196,17 +170,7 @@ class InferenceSession
         std::vector<ShardedGemm> shardedNodes;
         unsigned numRanks = 1;       ///< ranks per node the cut was for
         unsigned numNodes = 1;       ///< nodes the cut was laid across
-        /** Placement regime the sharded nodes realize (meaningless on a
-         * single node; pipeline stages set ShardedGemm::node). */
-        NodePlacement nodePlacement = NodePlacement::TensorParallel;
         double hostOps = 0;          ///< non-GEMM host work (scalar ops)
-        /** Per-request inter-node activation traffic of a pipeline-
-         * parallel layout: every stage boundary crossing of every pass
-         * (decode: every step), priced at the backend's inter-node
-         * tier.  All zero for tensor-parallel or single-node layouts. */
-        double pipelineHopBytes = 0;
-        double pipelineHopSeconds = 0; ///< modeled hop seconds per request
-        double pipelineHopJoules = 0;  ///< modeled hop Joules per request
         /** Identity of the backend that compiled the plans; a session
          * refuses to execute another backend's workload. */
         std::string backendName;
@@ -280,23 +244,19 @@ class InferenceSession
     }
 
     // ------------------------------------------------- GEMM requests
-    /** Enqueues one GEMM; returns immediately. */
-    RequestId submit(GemmProblem problem, DesignPoint design,
-                     const PlanOverrides& overrides = {});
-
-    /** Same, overriding the session's computeValues default. */
-    RequestId submit(GemmProblem problem, DesignPoint design,
-                     bool computeValues,
-                     const PlanOverrides& overrides = {});
-
     /**
-     * Same, under explicit SubmitOptions: a pinned rank executes the
-     * GEMM whole (unsharded) on that rank's queue and homes its LUT
-     * residency there.
+     * Enqueues one GEMM; returns immediately.  @p computeValues runs
+     * the functional pass (false = cost accounting only).  A pinned
+     * rank in @p submitOptions executes the GEMM whole (unsharded) on
+     * that rank's queue and homes its LUT residency there.  Malformed
+     * input fatals here, before any work is queued: materialized codes
+     * whose count is not rows x cols, or a pinned rank outside
+     * [0, totalRanks()).
      */
     RequestId submit(GemmProblem problem, DesignPoint design,
-                     bool computeValues, const PlanOverrides& overrides,
-                     const SubmitOptions& submitOptions);
+                     bool computeValues = false,
+                     const PlanOverrides& overrides = {},
+                     const SubmitOptions& submitOptions = {});
 
     /**
      * Blocks until the GEMM request @p id completes and returns its
@@ -336,16 +296,14 @@ class InferenceSession
     WorkloadCostProjection projectCost(const CompiledWorkload& workload)
         const;
 
-    /** Enqueues one compiled-workload execution; returns immediately. */
-    RequestId submit(CompiledWorkload workload);
-
     /**
-     * Same, under explicit SubmitOptions: a pinned (necessarily
-     * unsharded) workload executes whole on that rank's queue and homes
-     * its LUT residency there.
+     * Enqueues one compiled-workload execution; returns immediately.  A
+     * pinned rank in @p submitOptions executes the (necessarily
+     * unsharded) workload whole on that rank's queue and homes its LUT
+     * residency there; a rank outside [0, totalRanks()) fatals.
      */
     RequestId submit(CompiledWorkload workload,
-                     const SubmitOptions& submitOptions);
+                     const SubmitOptions& submitOptions = {});
 
     /** Blocks until workload request @p id completes (consuming it). */
     InferenceReport waitReport(RequestId id);

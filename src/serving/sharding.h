@@ -120,12 +120,6 @@ struct ShardPlan {
     double interNodeBytes = 0;   ///< bytes crossing the CXL inter-node tier
     double interNodeSeconds = 0; ///< that hop's share of collectiveSeconds
 
-    /** Ranks the cut actually produced shards for. */
-    unsigned ranksUsed() const
-    {
-        return static_cast<unsigned>(shards.size());
-    }
-
     /** Modeled seconds: slowest shard (they run concurrently) +
      * collective + the RowParallel host reduce. */
     double predictedSeconds() const;
@@ -185,17 +179,11 @@ GemmResult executeSharded(const Backend& backend,
                           PlanCache* cache = nullptr,
                           const PlanOverrides& overrides = {});
 
-/** A workload GEMM bound to its sharded execution plan. */
+/** A workload GEMM bound to its sharded execution plan (the cut spans
+ * every rank of every node). */
 struct ShardedGemm {
     WorkloadGemm gemm; ///< the shape + repeat count
     ShardPlan plan;    ///< its rank cut
-    /**
-     * Pipeline stage / home node of this GEMM.  Tensor-parallel
-     * placement leaves 0 (the cut itself spans every node); pipeline-
-     * parallel placement assigns whole layers to nodes and this names
-     * the node whose local ranks execute the cut.
-     */
-    unsigned node = 0;
 };
 
 /**

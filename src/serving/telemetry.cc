@@ -268,10 +268,11 @@ Telemetry::recordBroadcastTiers(const BroadcastTierBytes& tiers)
 }
 
 void
-Telemetry::recordFaults(const FaultCounters& faults)
+Telemetry::recordFaults(const FaultStats& faults, double capacityRatio)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     state_.faults = faults;
+    state_.capacityRatio = capacityRatio;
 }
 
 void
@@ -596,7 +597,7 @@ Telemetry::prometheusText() const
            "total ranks (degraded-capacity gauge).\n"
            "# TYPE localut_capacity_ratio gauge\n";
     appendf(out, "localut_capacity_ratio %.6f\n",
-            snap.faults.capacityRatio);
+            snap.capacityRatio);
 
     out += "# HELP localut_collective_seconds_total Modeled collective "
            "transfer seconds across completions.\n"

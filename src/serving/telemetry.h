@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "serving/fault.h"
+
 namespace localut {
 
 /**
@@ -238,27 +240,6 @@ struct BroadcastTierBytes {
     double interBytes = 0;    ///< bytes actually sent inter-node (coded)
 };
 
-/**
- * Cumulative fault-injection and recovery counters plus health gauges,
- * recorded from FaultInjector::stats() (serving/fault.h).  Mirrored as
- * a plain struct so telemetry stays dependency-free.
- */
-struct FaultCounters {
-    std::uint64_t transientFaults = 0;    ///< injected execute failures
-    std::uint64_t retries = 0;            ///< retried attempts (charged)
-    std::uint64_t corruptedBroadcasts = 0;///< checksum-detected payloads
-    std::uint64_t resends = 0;            ///< broadcast resends (charged)
-    std::uint64_t quarantines = 0;        ///< ranks ever quarantined
-    std::uint64_t failovers = 0;          ///< re-homes + re-shards
-    std::uint64_t shedFault = 0;          ///< requests shed by faults
-    std::uint64_t linkDegrades = 0;       ///< degradation events fired
-    std::uint64_t ranksDead = 0;          ///< gauge: currently dead
-    std::uint64_t ranksQuarantined = 0;   ///< gauge: quarantined now
-    double backoffSeconds = 0;            ///< virtual backoff charged
-    /** Gauge: schedulable ranks / total ranks, in [0, 1]. */
-    double capacityRatio = 1.0;
-};
-
 /** A consistent copy of all telemetry state (see Telemetry::snapshot). */
 struct TelemetrySnapshot {
     /** Per-lane (DeadlineClass-indexed) submitted-request counters. */
@@ -286,8 +267,11 @@ struct TelemetrySnapshot {
     std::vector<NodeResidencyGauge> nodeResidency;
     /** Latest per-tier LUT-broadcast byte counters. */
     BroadcastTierBytes broadcastTiers;
-    /** Latest fault/recovery counters and health gauges. */
-    FaultCounters faults;
+    /** Latest fault/recovery counters and health gauges, recorded from
+     * FaultInjector::stats(). */
+    FaultStats faults;
+    /** Gauge: schedulable ranks / total ranks, in [0, 1]. */
+    double capacityRatio = 1.0;
 
     /** Submissions across all lanes. */
     std::uint64_t totalSubmitted() const;
@@ -340,8 +324,9 @@ class Telemetry
     /** Replaces the per-tier broadcast byte counters with @p tiers. */
     void recordBroadcastTiers(const BroadcastTierBytes& tiers);
 
-    /** Replaces the fault counters and health gauges with @p faults. */
-    void recordFaults(const FaultCounters& faults);
+    /** Replaces the fault counters and health gauges with @p faults
+     * and the capacity gauge with @p capacityRatio. */
+    void recordFaults(const FaultStats& faults, double capacityRatio);
 
     /**
      * Counts one admitted request on @p sample's lane that was shed by

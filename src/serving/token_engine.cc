@@ -11,18 +11,6 @@ namespace localut {
 
 namespace {
 
-/** Folds one execution report into a running aggregate. */
-void
-addReport(InferenceReport& into, const InferenceReport& part)
-{
-    accumulate(into.timing, part.timing);
-    accumulate(into.energy, part.energy);
-    into.gemmSeconds += part.gemmSeconds;
-    into.hostOpSeconds += part.hostOpSeconds;
-    into.collectiveSeconds += part.collectiveSeconds;
-    into.lutBroadcastSeconds += part.lutBroadcastSeconds;
-}
-
 /**
  * Engines sharing one InferenceSession share its ResidencyManager, so
  * KV stream identities are salted per engine instance to keep two
@@ -280,10 +268,8 @@ TokenEngine::admitPrefill(RankState& rank, std::vector<Stream>& streams)
             stream.result.id, rank.rank, options_.model.layers,
             options_.model.kvBytesPerTokenPerLayer(options_.kvBitsPerValue),
             stream.req.promptLen);
-        kv.apply(report.timing, report.energy);
         serviceSeconds += kv.seconds();
     }
-    addReport(aggregate_, report);
 
     const double end = now + serviceSeconds;
     rank.freeAt = end;
@@ -375,12 +361,10 @@ TokenEngine::runDecodeStep(RankState& rank, std::vector<Stream>& streams)
                 capacityShed.push_back(s);
                 continue;
             }
-            kv.apply(report.timing, report.energy);
             kvSeconds += kv.seconds();
         }
         serviceSeconds += kvSeconds;
     }
-    addReport(aggregate_, report);
 
     const double end = now + serviceSeconds;
     rank.freeAt = end;
@@ -664,13 +648,6 @@ TokenEngine::stepTraces() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return traces_;
-}
-
-InferenceReport
-TokenEngine::aggregateReport() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return aggregate_;
 }
 
 } // namespace localut

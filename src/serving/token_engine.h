@@ -192,9 +192,9 @@ struct TokenEngineOptions {
  *
  * run() drives every submitted stream to a terminal state in virtual
  * time and returns per-stream results; stepTraces() exposes the
- * per-step cost ledger and aggregateReport() the summed execution
- * reports.  Thread-safety: submit()/run() are internally locked (one
- * run() at a time; concurrent engines may share a session).
+ * per-step cost ledger.  Thread-safety: submit()/run() are internally
+ * locked (one run() at a time; concurrent engines may share a
+ * session).
  */
 class TokenEngine
 {
@@ -228,10 +228,6 @@ class TokenEngine
     /** Per-step ledger of every run() so far, in execution order. */
     std::vector<StepTrace> stepTraces() const;
 
-    /** Summed execution reports (prefills + decode steps + KV charges)
-     * across every run() so far. */
-    InferenceReport aggregateReport() const;
-
   private:
     struct Stream;
     struct RankState;
@@ -263,10 +259,7 @@ class TokenEngine
      * rests on). */
     std::map<unsigned, InferenceSession::CompiledWorkload> decodeGraphs_;
     std::map<unsigned, InferenceSession::CompiledWorkload> prefillGraphs_;
-    std::map<unsigned, double> decodeStepSeconds_; ///< per-tier GEMM cost
-    std::map<unsigned, double> prefillSeconds_;    ///< per-length cost
     std::vector<StepTrace> traces_;
-    InferenceReport aggregate_;
 };
 
 } // namespace localut

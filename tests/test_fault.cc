@@ -212,8 +212,7 @@ TEST(ResidencyFault, InvalidateRankDropsSetsAndDisplacesKv)
     const BackendPtr backend = makeBackend("upmem");
     ResidencyManager manager(backend, Topology{2, 2},
                              /*budgetBytesPerUnit=*/64ull << 20,
-                             ResidencyPolicy::CostAware,
-                             /*interNodeCodec=*/false);
+                             ResidencyPolicy::CostAware);
 
     const GemmPlan plan = faultTestPlan();
     const ResidencyCharge first =
@@ -263,12 +262,12 @@ TEST(ResidencyFault, LinkDegradeStretchesInterNodeBroadcast)
 
     const GemmPlan gemm = faultTestPlan();
     ResidencyManager healthy(backend, topo, 64ull << 20,
-                             ResidencyPolicy::CostAware, false);
+                             ResidencyPolicy::CostAware);
     const double clean =
         healthy.acquire(gemm, "layer0", 1.0, /*homeRank=*/3).seconds;
 
     ResidencyManager degraded(backend, topo, 64ull << 20,
-                              ResidencyPolicy::CostAware, false);
+                              ResidencyPolicy::CostAware);
     degraded.setFaultInjector(&inj);
     inj.advanceTo(0.0);
     const double slow =
@@ -278,7 +277,7 @@ TEST(ResidencyFault, LinkDegradeStretchesInterNodeBroadcast)
     // An injector with no active degrade charges exactly the clean cost.
     FaultInjector idle(FaultPlan{}, topo);
     ResidencyManager wired(backend, topo, 64ull << 20,
-                           ResidencyPolicy::CostAware, false);
+                           ResidencyPolicy::CostAware);
     wired.setFaultInjector(&idle);
     EXPECT_DOUBLE_EQ(wired.acquire(gemm, "layer0", 1.0, 3).seconds, clean);
 }
@@ -535,7 +534,7 @@ TEST(SchedulerFault, AcceptanceDeathAndTransientsServeBitExact)
 
     const TelemetrySnapshot snap = scheduler.telemetry().snapshot();
     EXPECT_EQ(snap.faults.ranksDead, 1u);
-    EXPECT_DOUBLE_EQ(snap.faults.capacityRatio, 7.0 / 8.0);
+    EXPECT_DOUBLE_EQ(snap.capacityRatio, 7.0 / 8.0);
     EXPECT_GT(snap.faults.transientFaults, 0u);
 
     const std::string prom = scheduler.telemetry().prometheusText();

@@ -437,11 +437,10 @@ TEST(ResidencyManager, RemoteHomeRankChargesTheInterNodeTier)
     ASSERT_GT(setBytes, 0u);
     const MemoryProfile profile = backend->memoryProfile();
 
-    // 2 nodes x 2 ranks, codec off: flat rank 2 lives on node 1.
+    // 2 nodes x 2 ranks: flat rank 2 lives on node 1.
     ResidencyManager manager(backend, Topology{2, 2},
                              /*budgetBytesPerUnit=*/0,
-                             ResidencyPolicy::CostAware,
-                             /*interNodeCodec=*/false);
+                             ResidencyPolicy::CostAware);
 
     // Node-0 home: the whole set rides the intra-host broadcast link.
     const ResidencyCharge local = manager.acquire(plan, "a", 1.0, 0);
@@ -450,17 +449,22 @@ TEST(ResidencyManager, RemoteHomeRankChargesTheInterNodeTier)
     EXPECT_DOUBLE_EQ(local.seconds, manager.broadcastSeconds(setBytes));
 
     // Remote home: the same set crosses the inter-node tier instead —
-    // uncompressed (codec off), at the slower fabric rate.
+    // delta/RLE coded, at the slower fabric rate, plus the encode time
+    // of the raw bytes.
     const ResidencyCharge remote = manager.acquire(plan, "a", 1.0, 2);
     EXPECT_FALSE(remote.hit);
     EXPECT_DOUBLE_EQ(remote.interNodeRawBytes,
                      static_cast<double>(setBytes));
-    EXPECT_DOUBLE_EQ(remote.interNodeBytes, remote.interNodeRawBytes);
-    EXPECT_DOUBLE_EQ(remote.codecSeconds, 0.0);
+    EXPECT_GT(remote.interNodeBytes, 0.0);
+    EXPECT_LE(remote.interNodeBytes, remote.interNodeRawBytes);
+    EXPECT_DOUBLE_EQ(remote.codecSeconds,
+                     static_cast<double>(setBytes) /
+                         (profile.codecGBs * 1e9));
     EXPECT_DOUBLE_EQ(remote.seconds,
                      profile.interNodeLatencyUs * 1e-6 +
-                         static_cast<double>(setBytes) /
-                             (profile.interNodeGBs * 1e9));
+                         remote.interNodeBytes /
+                             (profile.interNodeGBs * 1e9) +
+                         remote.codecSeconds);
     EXPECT_GT(remote.seconds, local.seconds);
 
     // The projection the scheduler's placement runs agrees exactly.
@@ -489,8 +493,7 @@ TEST(ResidencyManager, InterNodeCodecShrinksTheCrossingBytes)
     const std::uint64_t setBytes = tableSetBytes(plan);
 
     ResidencyManager manager(backend, Topology{2, 2}, 0,
-                             ResidencyPolicy::CostAware,
-                             /*interNodeCodec=*/true);
+                             ResidencyPolicy::CostAware);
     const ResidencyCharge remote = manager.acquire(plan, "a", 1.0, 2);
     EXPECT_FALSE(remote.hit);
     EXPECT_DOUBLE_EQ(remote.interNodeRawBytes,
@@ -515,10 +518,9 @@ TEST(ResidencyManager, SingleNodeTopologyMatchesTheFlatConstructor)
 
     ResidencyManager flat(backend, /*numRanks=*/2, 0,
                           ResidencyPolicy::CostAware);
-    // Codec on is irrelevant on one node: nothing ever crosses.
+    // The codec is irrelevant on one node: nothing ever crosses.
     ResidencyManager hier(backend, Topology{1, 2}, 0,
-                          ResidencyPolicy::CostAware,
-                          /*interNodeCodec=*/true);
+                          ResidencyPolicy::CostAware);
     for (const unsigned rank : {0u, 1u}) {
         const ResidencyCharge a = flat.acquire(plan, "x", 1.0, rank);
         const ResidencyCharge b = hier.acquire(plan, "x", 1.0, rank);
@@ -543,8 +545,7 @@ TEST(ResidencyManager, ShardedAcquireSplitsTiersByRankNode)
     ASSERT_EQ(plan.shards.size(), 4u);
 
     ResidencyManager manager(backend, Topology{2, 2}, 0,
-                             ResidencyPolicy::CostAware,
-                             /*interNodeCodec=*/true);
+                             ResidencyPolicy::CostAware);
     const ResidencyCharge charge = manager.acquire(plan, "qkv");
     EXPECT_FALSE(charge.hit);
     // Shards 2 and 3 home on node 1: their tables cross compressed.
@@ -761,34 +762,6 @@ TEST(ResidencyKv, HotLutSetDeflectsEvictionOntoKvAndSpilledStreamRefills)
     EXPECT_EQ(manager.kvBytes(0), 3 * S);
     EXPECT_EQ(manager.lutBytes(0), S);
     EXPECT_LE(manager.residentBytes(0), manager.budgetBytesPerUnit());
-}
-
-TEST(ResidencyKv, LruPolicyArbitratesAcrossClassesByRecency)
-{
-    const BackendPtr backend = kvBackend();
-    const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmPlan plan = fabricatedPlan(cfg, 2);
-    const std::uint64_t S = tableSetBytes(plan);
-
-    // KV touched after the LUT set: the LUT set is the LRU victim.
-    ResidencyManager stale(backend, 1, 4 * S, ResidencyPolicy::Lru);
-    EXPECT_FALSE(stale.acquire(plan, "a").hit);
-    EXPECT_FALSE(stale.acquireKv(1, 0, 1, S, 2).shed);
-    EXPECT_FALSE(stale.acquireKv(2, 0, 1, S, 2).shed);
-    EXPECT_FALSE(stale.isResident(tableSetKeyFor(plan, "a", 1.0, 0)));
-    EXPECT_EQ(stale.stats().evictions, 1u);
-    EXPECT_EQ(stale.stats().kvSpills, 0u);
-
-    // LUT set touched after the KV stream: the KV stream goes instead.
-    ResidencyManager fresh(backend, 1, 4 * S, ResidencyPolicy::Lru);
-    EXPECT_FALSE(fresh.acquireKv(1, 0, 1, S, 2).shed);
-    EXPECT_FALSE(fresh.acquire(plan, "a").hit);
-    EXPECT_TRUE(fresh.acquire(plan, "a").hit); // a is the most recent
-    EXPECT_FALSE(fresh.acquireKv(2, 0, 1, S, 2).shed);
-    EXPECT_TRUE(fresh.isResident(tableSetKeyFor(plan, "a", 1.0, 0)));
-    EXPECT_FALSE(fresh.kvResident({1, 0}));
-    EXPECT_EQ(fresh.stats().kvSpills, 1u);
-    EXPECT_EQ(fresh.stats().evictions, 0u);
 }
 
 TEST(ResidencyKv, OversizedStreamIsShedAndReleased)

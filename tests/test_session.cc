@@ -2,16 +2,20 @@
  * @file
  * InferenceSession tests: asynchronous submit/wait matches the
  * synchronous engine bit-for-bit, compiled workloads match the
- * TransformerRunner, decode steps reuse cached plans, and errors raised
- * inside worker threads surface at wait().
+ * TransformerRunner, decode steps reuse cached plans, errors raised
+ * inside worker threads surface at wait(), and malformed GEMM input is
+ * rejected as a FatalError at the backend and session entry points.
  */
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.h"
+#include "common/logging.h"
 #include "nn/inference.h"
 #include "serving/session.h"
 
@@ -55,13 +59,13 @@ TEST(InferenceSession, TileParallelPreparedServingIsBitExact)
         SessionOptions options;
         options.workers = 4; // force a real pool even on small machines
         options.numRanks = ranks;
-        options.computeValues = true;
         InferenceSession session(backend, options);
         ASSERT_EQ(session.workerCount(), 4u);
 
         std::vector<InferenceSession::RequestId> ids;
         for (int i = 0; i < 6; ++i) {
-            ids.push_back(session.submit(problem, DesignPoint::LoCaLut));
+            ids.push_back(session.submit(problem, DesignPoint::LoCaLut,
+                                         /*computeValues=*/true));
         }
         for (const auto id : ids) {
             EXPECT_EQ(session.wait(id).outInt, sync.outInt)
@@ -244,6 +248,101 @@ TEST(InferenceSession, DrainCompletesOutstandingWork)
     EXPECT_EQ(session.pendingRequests(), 0u);
     for (const auto id : ids) {
         EXPECT_GT(session.wait(id).timing.total, 0.0);
+    }
+}
+
+/** A well-formed 64x64x8 W4A4 probe. */
+GemmProblem
+wellFormedProbe()
+{
+    return makeRandomProblem(64, 64, 8, QuantConfig::preset("W4A4"), 31);
+}
+
+/** Variants of @p good that a functional execution must reject. */
+std::vector<std::pair<std::string, GemmProblem>>
+malformedProbes(const GemmProblem& good)
+{
+    GemmProblem shortWeights = good;
+    shortWeights.w.codes.resize(good.w.codes.size() - good.w.cols);
+    GemmProblem hotActivation = good;
+    hotActivation.a.codes[3] =
+        static_cast<std::uint16_t>(good.a.codec.cardinality());
+    GemmProblem hotWeight = good;
+    hotWeight.w.codes[5] =
+        static_cast<std::uint16_t>(good.w.codec.cardinality());
+    return {{"weight codes one row short", shortWeights},
+            {"activation code at cardinality", hotActivation},
+            {"weight code at cardinality", hotWeight}};
+}
+
+TEST(MalformedInput, EveryBackendRejectsItAsUserError)
+{
+    const GemmProblem good = wellFormedProbe();
+    const std::vector<std::int32_t> ref = referenceGemmInt(good.w, good.a);
+    for (const char* name :
+         {"upmem", "bankpim", "host-cpu", "host-gpu", "upmem-sim"}) {
+        const BackendPtr backend = makeBackend(name);
+        const GemmPlan plan = backend->plan(good, DesignPoint::LoCaLut);
+        for (const auto& [label, bad] : malformedProbes(good)) {
+            EXPECT_THROW(backend->execute(bad, plan, /*computeValues=*/true),
+                         FatalError)
+                << name << ": " << label;
+        }
+        EXPECT_EQ(backend->execute(good, plan, /*computeValues=*/true).outInt,
+                  ref)
+            << name;
+    }
+}
+
+TEST(MalformedInput, SessionRejectsItAtSubmitOrWait)
+{
+    SessionOptions options;
+    options.numRanks = 4;
+    InferenceSession session(makeBackend("upmem"), options);
+    const GemmProblem good = wellFormedProbe();
+    const auto probes = malformedProbes(good);
+
+    // Short codes never reach a shard slice: submit() rejects them,
+    // sharded (rank -1) or pinned.
+    for (const int rank : {-1, 2}) {
+        EXPECT_THROW(session.submit(probes[0].second, DesignPoint::LoCaLut,
+                                    true, {}, SubmitOptions{rank}),
+                     FatalError)
+            << rank;
+    }
+    // Out-of-range codes are found by the functional pass; the error
+    // surfaces at wait().
+    for (std::size_t i = 1; i < probes.size(); ++i) {
+        for (const int rank : {-1, 2}) {
+            const auto id = session.submit(probes[i].second,
+                                           DesignPoint::LoCaLut, true, {},
+                                           SubmitOptions{rank});
+            EXPECT_THROW(session.wait(id), FatalError)
+                << probes[i].first << ", rank " << rank;
+        }
+    }
+    // A pinned rank must exist; it no longer wraps onto rank 9 % 4.
+    EXPECT_THROW(session.submit(good, DesignPoint::LoCaLut, true, {},
+                                SubmitOptions{9}),
+                 FatalError);
+    EXPECT_THROW(
+        session.submit(session.compileUnsharded(
+                           WorkloadSpec::prefill(TransformerConfig::bertBase(),
+                                                 1, 16),
+                           QuantConfig::preset("W4A4"),
+                           DesignPoint::LoCaLut),
+                       SubmitOptions{4}),
+        FatalError);
+
+    // The session still serves well-formed work on every rank.
+    const std::vector<std::int32_t> ref = referenceGemmInt(good.w, good.a);
+    for (const int rank : {-1, 3}) {
+        EXPECT_EQ(session
+                      .wait(session.submit(good, DesignPoint::LoCaLut, true,
+                                           {}, SubmitOptions{rank}))
+                      .outInt,
+                  ref)
+            << rank;
     }
 }
 
