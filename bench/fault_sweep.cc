@@ -74,8 +74,8 @@ runOne(double rate, bool recover, double deathAt, double deadline,
        const std::vector<GemmProblem>& pool,
        const std::vector<std::vector<std::int32_t>>& refs)
 {
-    // The identical seeded fault plan drives both modes: rank 2 dies a
-    // quarter of the way through the trace, and every execute attempt
+    // The identical seeded fault plan drives both modes: rank 2 dies an
+    // eighth of the way through the trace, and every execute attempt
     // on any rank fails with probability `rate`.
     FaultPlan plan;
     plan.seed = 0xfa017u;

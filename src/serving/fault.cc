@@ -227,9 +227,8 @@ FaultInjector::advanceTo(double seconds)
     std::vector<std::pair<std::function<void(unsigned)>, unsigned>> fire;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        clock_ = std::max(clock_, seconds);
         for (Scheduled& event : scheduled_) {
-            if (event.fired || event.spec.atSeconds > clock_) {
+            if (event.fired || event.spec.atSeconds > seconds) {
                 continue;
             }
             event.fired = true;
@@ -247,13 +246,6 @@ FaultInjector::advanceTo(double seconds)
     for (auto& [listener, rank] : fire) {
         listener(rank);
     }
-}
-
-double
-FaultInjector::clockSeconds() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return clock_;
 }
 
 RankHealth

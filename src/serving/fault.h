@@ -6,11 +6,15 @@
  * A FaultInjector is shared by an InferenceSession, its ResidencyManager,
  * the RequestScheduler, and the TokenEngine.  Fault *decisions* are pure
  * functions of stable identifiers (seed, request id, attempt index, rank),
- * so the same seed and fault plan reproduce the same injected faults across
- * runs and across worker-thread counts; *scheduled* faults (rank death,
- * fabric-link degradation) fire on the existing virtual-time clock when a
- * consumer calls advanceTo().  Nothing here sleeps or touches wall clock:
- * retries and backoff are charged as modeled virtual-time seconds.
+ * and the session makes every placement, retry and failover decision
+ * when a request is submitted, so the same seed, fault plan and
+ * submission sequence reproduce the same outcomes across runs and across
+ * worker-thread counts.  *Scheduled*
+ * faults (rank death, fabric-link degradation) fire when a consumer
+ * advances to a virtual time at or past their instant (advanceTo()); the
+ * consumers' own virtual clocks (scheduler arrivals, token-engine steps)
+ * drive it.  Nothing here sleeps or touches wall clock: retries and
+ * backoff are charged as modeled virtual-time seconds.
  */
 #ifndef LOCALUT_SERVING_FAULT_H_
 #define LOCALUT_SERVING_FAULT_H_
@@ -195,15 +199,12 @@ public:
     bool broadcastCorrupted(std::uint64_t payloadId, unsigned attempt);
 
     /**
-     * Advance the virtual clock to @p seconds (monotone max) and fire
-     * every scheduled fault whose time has come, exactly once.  Rank
-     * deaths invoke the registered rank-loss listeners after the
-     * injector's lock is released.
+     * Fire every scheduled fault not yet fired whose time is at or
+     * before @p seconds, exactly once; a stale (smaller) time fires
+     * nothing new.  Rank deaths invoke the registered rank-loss
+     * listeners after the injector's lock is released.
      */
     void advanceTo(double seconds);
-
-    /** Current virtual clock (max over all advanceTo calls). */
-    double clockSeconds() const;
 
     /** Health of flat @p rank. */
     RankHealth health(unsigned rank) const;
@@ -288,7 +289,6 @@ private:
     double corruptRate_ = 0.0;          ///< immutable
 
     mutable std::mutex mutex_;
-    double clock_ = 0.0;
     std::vector<Scheduled> scheduled_;
     std::vector<std::function<void(unsigned)>> listeners_;
 

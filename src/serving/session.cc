@@ -12,13 +12,10 @@ namespace localut {
 
 namespace {
 
-/** What the deterministic fault-resolution pass decided for one unit of
- * work: the rank it executes on, the failed attempts to re-pay, the
- * virtual backoff accumulated between them, and any failover hops. */
+/** What settle() decided for one unit of work: the failed attempts to
+ * re-pay and the virtual backoff accumulated between them. */
 struct FaultOutcome {
-    unsigned rank = 0;
     unsigned retries = 0;
-    unsigned failovers = 0;
     double backoffSeconds = 0.0;
 };
 
@@ -51,50 +48,49 @@ transientFailures(FaultInjector& inj, const FaultPolicy& policy,
 
 /**
  * Deterministic placement + retry resolution for a whole (unsharded)
- * request starting on @p startRank: retry transients on the rank under
- * the policy; on exhaustion — or a dead/quarantined rank — fail over to
- * the next schedulable rank (wrapping, each visited at most once) when
- * the policy allows, else shed.  Throws FaultShedError when no rank can
- * serve the request.
+ * request starting on @p rank: retry transients on the rank under the
+ * policy; on exhaustion — or a dead/quarantined rank — fail over when
+ * the policy allows, walking the ranks after it in wrap order and
+ * trying each schedulable one once, else shed.  Leaves the serving rank
+ * in @p rank; throws FaultShedError when no rank can serve the request.
  */
 FaultOutcome
 resolveWholeFaults(FaultInjector& inj, const FaultPolicy& policy,
-                   std::uint64_t requestId, unsigned startRank)
+                   std::uint64_t requestId, unsigned& rank)
 {
     FaultOutcome out;
-    out.rank = startRank;
+    const unsigned start = rank;
     const unsigned total = inj.topology().totalRanks();
+    const unsigned visits = policy.failover ? total : 1;
     // The salt bumps per failover hop so every rank visit draws from its
     // own deterministic attempt stream.
     std::uint64_t salt = 0;
-    for (unsigned hops = 0; hops <= total; ++hops) {
-        if (inj.schedulable(out.rank)) {
-            const unsigned failed = transientFailures(
-                inj, policy, requestId, out.rank, salt,
-                out.backoffSeconds);
-            out.retries += failed;
-            if (failed < policy.maxAttempts) {
-                return out; // an attempt went through on this rank
-            }
+    for (unsigned i = 0; i < visits; ++i) {
+        const unsigned next = (start + i) % total;
+        if (!inj.schedulable(next)) {
+            continue;
         }
-        if (!policy.failover) {
-            inj.noteShedFault();
-            throw FaultShedError(
-                out.rank, "fault shed: rank " + std::to_string(out.rank) +
-                              " cannot serve the request and failover "
-                              "is disabled");
+        if (i > 0) {
+            ++salt;
+            inj.noteFailover();
         }
-        const unsigned next = inj.firstSchedulable((out.rank + 1) % total);
-        if (next == FaultInjector::kNoRank || next == out.rank) {
-            break; // no other live rank to hop to
+        rank = next;
+        const unsigned failed = transientFailures(
+            inj, policy, requestId, rank, salt, out.backoffSeconds);
+        out.retries += failed;
+        if (failed < policy.maxAttempts) {
+            inj.noteRetries(out.retries);
+            inj.noteBackoff(out.backoffSeconds);
+            return out; // an attempt went through on this rank
         }
-        out.rank = next;
-        ++out.failovers;
-        ++salt;
-        inj.noteFailover();
     }
     inj.noteShedFault();
-    throw FaultShedError(out.rank,
+    if (!policy.failover) {
+        throw FaultShedError(
+            rank, "fault shed: rank " + std::to_string(rank) +
+                      " cannot serve the request and failover is disabled");
+    }
+    throw FaultShedError(rank,
                          "fault shed: no schedulable rank could serve "
                          "the request");
 }
@@ -102,8 +98,7 @@ resolveWholeFaults(FaultInjector& inj, const FaultPolicy& policy,
 /** Folds a fault outcome into @p timing: each failed attempt re-pays the
  * clean cost of the work, plus the accumulated virtual backoff. */
 void
-chargeFaultPenalty(TimingReport& timing, const FaultOutcome& fault,
-                   FaultInjector& inj)
+chargeFaultPenalty(TimingReport& timing, const FaultOutcome& fault)
 {
     if (fault.retries == 0 && fault.backoffSeconds <= 0) {
         return;
@@ -117,8 +112,6 @@ chargeFaultPenalty(TimingReport& timing, const FaultOutcome& fault,
     if (fault.backoffSeconds > 0) {
         timing.seconds.add("fault.backoff", fault.backoffSeconds);
     }
-    inj.noteRetries(fault.retries);
-    inj.noteBackoff(fault.backoffSeconds);
 }
 
 /**
@@ -169,9 +162,11 @@ struct InferenceSession::Request {
     bool computeValues = false;
     GemmResult result;
 
-    // Sharded GEMM state (numRanks > 1): the plan stage fills these and
-    // fans one shard task per rank; the last shard to finish reduces.
+    // Gang state: settle() cuts the plan and decides each shard's fault
+    // outcome, the fan-out task queues one shard task per rank, and the
+    // last shard to finish reduces.
     ShardPlan shardPlan;
+    std::vector<FaultOutcome> shardFaults;
     std::vector<GemmResult> shardResults;
     unsigned remainingShards = 0; ///< guarded by the session mutex
 
@@ -180,8 +175,10 @@ struct InferenceSession::Request {
     InferenceReport report;
 
     // Residency home rank: 0 unless the submission pinned a rank
-    // (SubmitOptions::rank — the scheduler's placement decision).
+    // (SubmitOptions::rank — the scheduler's placement decision); a
+    // settled failover moves it to the rank that serves the request.
     unsigned homeRank = 0;
+    FaultOutcome fault; ///< settled outcome of a whole request
 
     bool done = false;
     bool claimed = false; ///< a waiter owns this request's result
@@ -330,23 +327,116 @@ InferenceSession::enqueue(std::unique_ptr<Request> request,
                         " of a session with ", totalRanks(), " ranks");
         raw->homeRank = static_cast<unsigned>(submitOptions.rank);
     }
-    RequestId id;
+    const RequestId id = nextId_.fetch_add(1, std::memory_order_relaxed);
+    raw->id = id;
+    // A pinned request executes whole (unsharded) on its rank; an
+    // unpinned GEMM on a multi-rank session shards across ranks.  A
+    // failed settle is the request's outcome: it is never queued and
+    // wait() rethrows it.
+    bool gang = !pinned && !raw->isWorkload && totalRanks() > 1;
+    try {
+        gang = settle(*raw, gang);
+    } catch (...) {
+        raw->error = std::current_exception();
+        raw->done = true;
+    }
     {
         std::unique_lock<std::mutex> lock(mutex_);
         LOCALUT_REQUIRE(!stopping_, "session is shutting down");
-        id = nextId_++;
-        raw->id = id;
+        if (!raw->done) {
+            const unsigned rank = pinned ? raw->homeRank : pickRankLocked();
+            rankQueues_[rank].push_back(
+                {raw, gang ? kFanOutTask : kWholeTask, {}});
+        }
         requests_.emplace(id, std::move(request));
-        // A pinned request executes whole (unsharded) on its rank; an
-        // unpinned GEMM on a multi-rank session shards across ranks.
-        const bool shardedGemm = !pinned && !raw->isWorkload &&
-                                 rankQueues_.size() > 1;
-        const unsigned rank = pinned ? raw->homeRank : pickRankLocked();
-        rankQueues_[rank].push_back(
-            {raw, shardedGemm ? kPlanTask : kWholeTask, {}});
     }
     queueCv_.notify_one();
     return id;
+}
+
+bool
+InferenceSession::settle(Request& request, bool gang)
+{
+    FaultInjector* const inj = options_.faultInjector;
+    const FaultPolicy& policy = options_.faultPolicy;
+    ShardSpec spec{options_.numRanks, options_.shardStrategy, 1,
+                   options_.numNodes};
+    std::vector<unsigned> survivors;
+    bool reshard = false;
+    if (gang && inj != nullptr) {
+        survivors = inj->schedulableRanks();
+        reshard = survivors.size() < totalRanks();
+        if (reshard) {
+            if (survivors.empty()) {
+                inj->noteShedFault();
+                throw FaultShedError(FaultInjector::kNoRank,
+                                     "fault shed: no schedulable rank "
+                                     "left to cut the GEMM across");
+            }
+            if (!policy.failover) {
+                inj->noteShedFault();
+                throw FaultShedError(survivors.front(),
+                                     "fault shed: rank loss with "
+                                     "failover disabled");
+            }
+            inj->noteFailover();
+            // Re-shard over the survivor set: the survivor-count cut is
+            // memoized like any other, the shards are remapped onto the
+            // live ranks below, and the column/row reductions are exact
+            // at any cut, so results stay bit-identical to healthy runs.
+            // One survivor leaves nothing to cut: serve the request
+            // whole on it (bit-exact by the numRanks = 1 equivalence).
+            spec = ShardSpec{static_cast<unsigned>(survivors.size()),
+                             options_.shardStrategy, 1, 1};
+            if (survivors.size() == 1) {
+                request.homeRank = survivors.front();
+                gang = false;
+            }
+        }
+    }
+    if (!gang) {
+        if (inj != nullptr) {
+            // Residency homes the tables on the rank that serves it.
+            request.fault = resolveWholeFaults(*inj, policy, request.id,
+                                               request.homeRank);
+        }
+        return false;
+    }
+    request.shardPlan = cache_.shardPlanFor(
+        *backend_, request.problem, request.design, spec,
+        request.overrides);
+    const std::size_t shards = request.shardPlan.shards.size();
+    request.shardResults.resize(shards);
+    request.shardFaults.resize(shards);
+    if (inj == nullptr) {
+        return true;
+    }
+    for (std::size_t i = 0; i < shards; ++i) {
+        GemmShard& shard = request.shardPlan.shards[i];
+        if (reshard) {
+            shard.rank = survivors[shard.rank % survivors.size()];
+        }
+        // Shards never hop ranks — the survivor re-shard is the failover
+        // — so exhausting the retry budget sheds the whole request.
+        const unsigned rank = shard.rank % totalRanks();
+        FaultOutcome& fault = request.shardFaults[i];
+        fault.retries = transientFailures(
+            *inj, policy, request.id, rank,
+            /*salt=*/static_cast<std::uint64_t>(i) + 1,
+            fault.backoffSeconds);
+        if (fault.retries >= policy.maxAttempts) {
+            inj->noteShedFault();
+            throw FaultShedError(
+                rank, "fault shed: shard " + std::to_string(i) +
+                          " exhausted its attempts on rank " +
+                          std::to_string(rank));
+        }
+    }
+    for (const FaultOutcome& fault : request.shardFaults) {
+        inj->noteRetries(fault.retries);
+        inj->noteBackoff(fault.backoffSeconds);
+    }
+    return true;
 }
 
 InferenceSession::RequestId
@@ -527,22 +617,9 @@ InferenceSession::execOptions(bool computeValues) const
 void
 InferenceSession::runWhole(Request& request)
 {
-    FaultInjector* const inj = options_.faultInjector;
-    FaultOutcome fault;
-    fault.rank = request.homeRank;
-    if (inj != nullptr) {
-        // Resolve placement and injected transients deterministically up
-        // front: residency must home its tables on the rank that
-        // actually ends up serving the request.
-        fault = resolveWholeFaults(*inj, options_.faultPolicy, request.id,
-                                   request.homeRank);
-        request.homeRank = fault.rank;
-    }
     if (request.isWorkload) {
         request.report = runAt(request.workload, request.homeRank);
-        if (inj != nullptr) {
-            chargeFaultPenalty(request.report.timing, fault, *inj);
-        }
+        chargeFaultPenalty(request.report.timing, request.fault);
         return;
     }
     // Plans are memoized; identical shapes across requests hit the cache.
@@ -562,103 +639,12 @@ InferenceSession::runWhole(Request& request)
             .apply(request.result.timing, request.result.energy,
                    &request.result.cost);
     }
-    if (inj != nullptr) {
-        chargeFaultPenalty(request.result.timing, fault, *inj);
-    }
-}
-
-void
-InferenceSession::runPlanStage(Request& request)
-{
-    // Cut the GEMM (memoized) and fan one shard task onto each rank's
-    // queue; the submitting thread never pays the planning cost.
-    FaultInjector* const inj = options_.faultInjector;
-    ShardSpec spec{options_.numRanks, options_.shardStrategy, 1,
-                   options_.numNodes};
-    std::vector<unsigned> survivors;
-    bool reshard = false;
-    if (inj != nullptr) {
-        survivors = inj->schedulableRanks();
-        reshard = survivors.size() < rankQueues_.size();
-        if (reshard) {
-            if (survivors.empty()) {
-                inj->noteShedFault();
-                throw FaultShedError(FaultInjector::kNoRank,
-                                     "fault shed: no schedulable rank "
-                                     "left to cut the GEMM across");
-            }
-            if (!options_.faultPolicy.failover) {
-                inj->noteShedFault();
-                throw FaultShedError(survivors.front(),
-                                     "fault shed: rank loss with "
-                                     "failover disabled");
-            }
-            inj->noteFailover();
-            if (survivors.size() == 1) {
-                // One survivor leaves nothing to cut: serve the request
-                // whole on it (bit-exact with the sharded reduction by
-                // the numRanks = 1 equivalence).
-                request.homeRank = survivors.front();
-                runWhole(request);
-                finishRequest(request);
-                return;
-            }
-            // Re-shard over the survivor set: the survivor-count cut is
-            // memoized like any other, the shards are remapped onto the
-            // live ranks below, and the column/row reductions are exact
-            // at any cut, so results stay bit-identical to healthy runs.
-            spec = ShardSpec{static_cast<unsigned>(survivors.size()),
-                             options_.shardStrategy, 1, 1};
-        }
-    }
-    request.shardPlan = cache_.shardPlanFor(
-        *backend_, request.problem, request.design, spec,
-        request.overrides);
-    if (reshard) {
-        for (GemmShard& shard : request.shardPlan.shards) {
-            shard.rank = survivors[shard.rank % survivors.size()];
-        }
-    }
-    request.shardResults.resize(request.shardPlan.shards.size());
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        request.remainingShards =
-            static_cast<unsigned>(request.shardPlan.shards.size());
-        for (unsigned i = 0; i < request.shardPlan.shards.size(); ++i) {
-            const unsigned rank =
-                request.shardPlan.shards[i].rank %
-                static_cast<unsigned>(rankQueues_.size());
-            rankQueues_[rank].push_back(
-                {&request, static_cast<int>(i), {}});
-        }
-    }
-    queueCv_.notify_all();
+    chargeFaultPenalty(request.result.timing, request.fault);
 }
 
 void
 InferenceSession::runShard(Request& request, unsigned shardIndex)
 {
-    FaultInjector* const inj = options_.faultInjector;
-    FaultOutcome fault;
-    if (inj != nullptr) {
-        // Shards never hop ranks mid-flight — the survivor re-shard at
-        // the plan stage is the failover — so exhausting the retry
-        // budget sheds the whole request.
-        fault.rank = request.shardPlan.shards[shardIndex].rank %
-                     static_cast<unsigned>(rankQueues_.size());
-        fault.retries = transientFailures(
-            *inj, options_.faultPolicy, request.id, fault.rank,
-            /*salt=*/static_cast<std::uint64_t>(shardIndex) + 1,
-            fault.backoffSeconds);
-        if (fault.retries >= options_.faultPolicy.maxAttempts) {
-            inj->noteShedFault();
-            throw FaultShedError(
-                fault.rank, "fault shed: shard " +
-                                std::to_string(shardIndex) +
-                                " exhausted its attempts on rank " +
-                                std::to_string(fault.rank));
-        }
-    }
     const GemmProblem slice =
         shardProblem(request.problem, request.shardPlan, shardIndex);
     const GemmPlan& plan = request.shardPlan.shards[shardIndex].plan;
@@ -669,10 +655,8 @@ InferenceSession::runShard(Request& request, unsigned shardIndex)
     options.prepared = prepared.get();
     request.shardResults[shardIndex] =
         backend_->execute(slice, plan, options);
-    if (inj != nullptr) {
-        chargeFaultPenalty(request.shardResults[shardIndex].timing, fault,
-                           *inj);
-    }
+    chargeFaultPenalty(request.shardResults[shardIndex].timing,
+                       request.shardFaults[shardIndex]);
 }
 
 void
@@ -747,13 +731,20 @@ InferenceSession::runTask(const Task& task)
         return;
     }
     Request& request = *task.request;
-    if (task.shard == kPlanTask) {
-        try {
-            runPlanStage(request);
-        } catch (...) {
-            request.error = std::current_exception();
-            finishRequest(request);
+    if (task.shard == kFanOutTask) {
+        // Queue one task per shard on its rank.  This runs on a worker
+        // rather than in submit(): fanning out from the submitting
+        // thread measured slower on closed-loop decode.
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            request.remainingShards =
+                static_cast<unsigned>(request.shardPlan.shards.size());
+            for (unsigned i = 0; i < request.remainingShards; ++i) {
+                rankQueues_[request.shardPlan.shards[i].rank % totalRanks()]
+                    .push_back({&request, static_cast<int>(i), {}});
+            }
         }
+        queueCv_.notify_all();
         return;
     }
     if (task.shard == kWholeTask) {
@@ -780,7 +771,7 @@ InferenceSession::runTask(const Task& task)
     {
         std::unique_lock<std::mutex> lock(mutex_);
         LOCALUT_ASSERT(request.remainingShards > 0,
-                       "shard finished on a settled request");
+                       "shard finished after its request completed");
         last = --request.remainingShards == 0;
     }
     if (!last) {

@@ -36,6 +36,7 @@
  * for FFN/QKV, head-aligned — i.e. head-parallel — for QKV).
  */
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -102,9 +103,10 @@ struct SessionOptions {
      */
     std::uint64_t mramBudgetBytes = 0;
     /**
-     * Deterministic fault injector (serving/fault.h) this session
-     * consults on every execute; shared with the scheduler and token
-     * engine so all layers see one health registry.  nullptr (the
+     * Deterministic fault injector (serving/fault.h) that submit()
+     * consults to settle each request's fault outcome before queueing
+     * it; shared with the scheduler and token engine so all layers see
+     * one health registry.  nullptr (the
      * default) serves fault-free with zero overhead.  Not owned: the
      * injector must outlive the session, its topology must match the
      * session's, and its scheduled faults must not fire after the
@@ -245,13 +247,14 @@ class InferenceSession
 
     // ------------------------------------------------- GEMM requests
     /**
-     * Enqueues one GEMM; returns immediately.  @p computeValues runs
+     * Enqueues one GEMM without executing it.  @p computeValues runs
      * the functional pass (false = cost accounting only).  A pinned
      * rank in @p submitOptions executes the GEMM whole (unsharded) on
-     * that rank's queue and homes its LUT residency there.  Malformed
-     * input fatals here, before any work is queued: materialized codes
-     * whose count is not rows x cols, or a pinned rank outside
-     * [0, totalRanks()).
+     * that rank's queue and homes its LUT residency there; an unpinned
+     * GEMM on a multi-rank session is cut across the ranks here.
+     * Malformed input fatals here, before any work is queued:
+     * materialized codes whose count is not rows x cols, or a pinned
+     * rank outside [0, totalRanks()).
      */
     RequestId submit(GemmProblem problem, DesignPoint design,
                      bool computeValues = false,
@@ -323,18 +326,18 @@ class InferenceSession
 
     /**
      * One schedulable unit on a rank queue: a whole request (unsharded
-     * GEMM or compiled workload), the plan stage of a sharded GEMM
-     * (cuts the problem and fans the shards out across the rank
-     * queues), one shard of a sharded GEMM, or a functional tile batch
+     * GEMM or compiled workload), the fan-out of a gang (queues one
+     * shard task per shard; the cut and every fault outcome were settled
+     * at submit), one shard of a gang, or a functional tile batch
      * fanned out by an executing request (kTileTask; `tiles` set).
      */
     struct Task {
         Request* request = nullptr;
-        int shard = kWholeTask; ///< kWholeTask/kPlanTask/kTileTask/index
+        int shard = kWholeTask; ///< kWholeTask/kFanOutTask/kTileTask/index
         std::shared_ptr<TileBatch> tiles;
     };
     static constexpr int kWholeTask = -1;
-    static constexpr int kPlanTask = -2;
+    static constexpr int kFanOutTask = -2;
     static constexpr int kTileTask = -3;
 
     /**
@@ -374,12 +377,18 @@ class InferenceSession
                           unsigned homeRank) const;
     RequestId enqueue(std::unique_ptr<Request> request,
                       const SubmitOptions& submitOptions);
+    /**
+     * Makes every fault decision for @p request and cuts a @p gang over
+     * the schedulable ranks, on the submitting thread before it is
+     * queued; returns whether it still runs as a gang.  Throws on a
+     * shed or a failed cut.
+     */
+    bool settle(Request& request, bool gang);
     bool anyQueuedLocked() const;
     unsigned pickRankLocked();
     Task popTaskLocked(unsigned preferredRank);
     void workerLoop(unsigned workerIndex);
     void runTask(const Task& task);
-    void runPlanStage(Request& request);
     void runShard(Request& request, unsigned shardIndex);
     void runWhole(Request& request);
     void runTileBatch(std::size_t tiles,
@@ -408,7 +417,7 @@ class InferenceSession
     std::vector<std::deque<Task>> rankQueues_;
     unsigned nextRank_ = 0; ///< rotates whole-task placement on ties
     std::unordered_map<RequestId, std::unique_ptr<Request>> requests_;
-    RequestId nextId_ = 1;
+    std::atomic<RequestId> nextId_{1}; ///< drawn before settle, unlocked
     bool stopping_ = false;
     std::vector<std::thread> workers_;
 };

@@ -8,11 +8,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.h"
+#include "common/rng.h"
 #include "dram/timing.h"
 #include "serving/fault.h"
 #include "serving/residency.h"
@@ -129,9 +132,10 @@ TEST(FaultInjector, ScheduledDeathFiresOnceAtVirtualTime)
     EXPECT_EQ(inj.aliveCount(), 7u);
     EXPECT_DOUBLE_EQ(inj.capacityRatio(), 7.0 / 8.0);
     EXPECT_EQ(inj.stats().ranksDead, 1u);
-    // The clock is monotone: a stale smaller time cannot rewind it.
+    // A stale smaller time changes nothing.
     inj.advanceTo(0.25);
-    EXPECT_DOUBLE_EQ(inj.clockSeconds(), 2.0);
+    EXPECT_EQ(losses.load(), 1u);
+    EXPECT_EQ(inj.health(5), RankHealth::Dead);
 }
 
 TEST(FaultInjector, QuarantineAfterThresholdFailures)
@@ -349,6 +353,34 @@ TEST(SessionFault, DeadRankWithoutFailoverShedsAtWait)
     EXPECT_GT(session.wait(ok).timing.total, 0.0);
 }
 
+TEST(SessionFault, FailoverTriesEachRankOnce)
+{
+    // Every attempt fails on both ranks and quarantine is off: the
+    // request exhausts rank 0, fails over once to rank 1, exhausts it
+    // too and sheds without revisiting rank 0.
+    FaultPlan plan;
+    plan.transientExecute(1.0);
+    FaultInjector injector(plan, Topology{1, 2});
+    SessionOptions options;
+    options.numRanks = 2;
+    options.faultInjector = &injector;
+    options.faultPolicy.quarantineThreshold = 0;
+    InferenceSession session(makeBackend("upmem"), options);
+
+    const GemmProblem problem =
+        makeRandomProblem(64, 64, 8, QuantConfig::preset("W4A4"), 3);
+    const auto id = session.submit(problem, DesignPoint::LoCaLut, false,
+                                   {}, SubmitOptions{0});
+    EXPECT_THROW(session.wait(id), FaultShedError);
+    const FaultStats stats = injector.stats();
+    EXPECT_EQ(stats.transientFaults, 2u * options.faultPolicy.maxAttempts);
+    EXPECT_EQ(stats.failovers, 1u);
+    EXPECT_EQ(stats.shedFault, 1u);
+    // A shed request charges no retries or backoff.
+    EXPECT_EQ(stats.retries, 0u);
+    EXPECT_EQ(stats.backoffSeconds, 0.0);
+}
+
 TEST(SessionFault, RankDeathReshardsGangRequestsBitExact)
 {
     const QuantConfig cfg = QuantConfig::preset("W4A4");
@@ -376,9 +408,12 @@ TEST(SessionFault, RankDeathReshardsGangRequestsBitExact)
 
 TEST(SessionFault, DeterministicAcrossWorkerCounts)
 {
-    // Same seed, same plan, serialized submit->wait: fault decisions,
+    // Same seed, same plan, same submission sequence: fault decisions,
     // charged timings, and outputs are identical no matter how many
-    // session workers execute underneath.
+    // session workers execute underneath.  Three passes: pinned
+    // requests closed loop (submit, wait) and open loop (submit all,
+    // then wait), then unpinned gangs with a rank killed between two
+    // submits.
     const QuantConfig cfg = QuantConfig::preset("W4A4");
     std::vector<GemmProblem> pool;
     std::vector<std::vector<std::int32_t>> refs;
@@ -391,10 +426,11 @@ TEST(SessionFault, DeterministicAcrossWorkerCounts)
         std::vector<std::vector<std::int32_t>> outputs;
         std::vector<double> timings;
         std::uint64_t transients = 0, retries = 0, failovers = 0;
+        std::uint64_t sheds = 0, quarantines = 0;
         double backoff = 0;
     };
     std::vector<Run> runs;
-    for (const unsigned workers : {1u, 4u}) {
+    for (const unsigned workers : {1u, 4u, 8u}) {
         FaultPlan plan;
         plan.seed = 9;
         plan.transientExecute(0.5);
@@ -414,10 +450,46 @@ TEST(SessionFault, DeterministicAcrossWorkerCounts)
             run.outputs.push_back(out.outInt);
             run.timings.push_back(out.timing.total);
         }
+        // Records a waited request's values and charged time; a shed
+        // records an empty output and a negative time.
+        const auto collect = [&](InferenceSession::RequestId id,
+                                 unsigned i) {
+            try {
+                const GemmResult out = session.wait(id);
+                EXPECT_EQ(out.outInt, refs[i % pool.size()]);
+                run.outputs.push_back(out.outInt);
+                run.timings.push_back(out.timing.total);
+            } catch (const FaultShedError&) {
+                run.outputs.emplace_back();
+                run.timings.push_back(-1.0);
+            }
+        };
+        std::vector<InferenceSession::RequestId> ids;
+        for (unsigned i = 0; i < 8; ++i) {
+            ids.push_back(session.submit(
+                pool[i % pool.size()], DesignPoint::LoCaLut, true, {},
+                SubmitOptions{static_cast<int>(i % 4)}));
+        }
+        for (unsigned i = 0; i < ids.size(); ++i) {
+            collect(ids[i], i);
+        }
+        ids.clear();
+        for (unsigned i = 0; i < 8; ++i) {
+            if (i == 4) {
+                injector.killRank(2);
+            }
+            ids.push_back(session.submit(pool[i % pool.size()],
+                                         DesignPoint::LoCaLut, true));
+        }
+        for (unsigned i = 0; i < ids.size(); ++i) {
+            collect(ids[i], i);
+        }
         const FaultStats stats = injector.stats();
         run.transients = stats.transientFaults;
         run.retries = stats.retries;
         run.failovers = stats.failovers;
+        run.sheds = stats.shedFault;
+        run.quarantines = stats.quarantines;
         run.backoff = stats.backoffSeconds;
         runs.push_back(std::move(run));
     }
@@ -428,6 +500,21 @@ TEST(SessionFault, DeterministicAcrossWorkerCounts)
     EXPECT_EQ(runs[0].failovers, runs[1].failovers);
     EXPECT_DOUBLE_EQ(runs[0].backoff, runs[1].backoff);
     EXPECT_GT(runs[0].transients, 0u);
+    // Eight workers agree too; so do sheds, quarantines and the exact
+    // backoff sum at every worker count.
+    const Run& eight = runs[2];
+    EXPECT_EQ(runs[0].outputs, eight.outputs);
+    EXPECT_EQ(runs[0].timings, eight.timings);
+    EXPECT_EQ(runs[0].transients, eight.transients);
+    EXPECT_EQ(runs[0].retries, eight.retries);
+    EXPECT_EQ(runs[0].failovers, eight.failovers);
+    for (const Run& run : runs) {
+        EXPECT_EQ(runs[0].sheds, run.sheds);
+        EXPECT_EQ(runs[0].quarantines, run.quarantines);
+        EXPECT_EQ(runs[0].backoff, run.backoff);
+    }
+    // Every gang submitted after the kill re-shards around rank 2.
+    EXPECT_GE(runs[0].failovers, 4u);
 }
 
 TEST(SessionFault, ConcurrentSubmittersCompleteOrShedCleanly)
@@ -546,6 +633,153 @@ TEST(SchedulerFault, AcceptanceDeathAndTransientsServeBitExact)
         std::string::npos);
     EXPECT_NE(prom.find("localut_capacity_ratio 0.875"),
               std::string::npos);
+}
+
+/** bench_fault_sweep's smoke trace: a pool of four 512x512x8 GEMMs and
+ * 48 Poisson arrivals at half the healthy 2x4 capacity. */
+struct SweepTrace {
+    std::vector<GemmProblem> pool;
+    std::vector<std::vector<std::int32_t>> refs;
+    std::vector<std::pair<double, unsigned>> arrivals; ///< time, problem
+    double deadline = 0;
+    double deathAt = 0; ///< rank 2 dies at the seventh arrival
+};
+
+SweepTrace
+sweepSmokeTrace()
+{
+    constexpr unsigned kRequests = 48;
+    constexpr unsigned kPoolSize = 4;
+    SweepTrace trace;
+    const QuantConfig quant = QuantConfig::preset("W4A4");
+    for (unsigned p = 0; p < kPoolSize; ++p) {
+        trace.pool.push_back(makeRandomProblem(512, 512, 8, quant, 90 + p));
+        trace.refs.push_back(
+            referenceGemmInt(trace.pool.back().w, trace.pool.back().a));
+    }
+    const BackendPtr probe = makeBackend("upmem");
+    const double service =
+        probe
+            ->execute(trace.pool[0],
+                      probe->plan(trace.pool[0], DesignPoint::LoCaLut),
+                      /*computeValues=*/false)
+            .timing.total;
+    const double rate = 0.5 * 8.0 / service;
+    trace.deadline = 40.0 * service;
+    Rng rng(0xfa0175ull);
+    double t = 0;
+    for (unsigned i = 0; i < kRequests; ++i) {
+        t += -std::log(1.0 - rng.nextDouble()) / rate;
+        trace.arrivals.emplace_back(
+            t, static_cast<unsigned>(rng.nextBounded(kPoolSize)));
+    }
+    trace.deathAt = trace.arrivals[kRequests / 8].first;
+    return trace;
+}
+
+/** Every ticket's verdict and the fault totals of one sweep replay. */
+struct SweepReplay {
+    std::vector<std::pair<AdmissionOutcome, unsigned>> tickets;
+    std::uint64_t completed = 0, met = 0, shed = 0;
+    std::uint64_t retries = 0, failovers = 0, quarantines = 0;
+    double backoff = 0;
+};
+
+/** Replays @p trace open loop at transient rate 0.6 under the failover
+ * stack (@p recover) or the fail-stop baseline, as the sweep does. */
+SweepReplay
+replaySweep(const SweepTrace& trace, unsigned workers, bool recover,
+            std::uint64_t quarantineThreshold)
+{
+    FaultPlan plan;
+    plan.seed = 0xfa017u;
+    plan.transientExecute(0.6);
+    plan.rankDeath(2, trace.deathAt);
+    FaultInjector injector(plan, topo2x4());
+    SessionOptions sessionOptions;
+    sessionOptions.numNodes = 2;
+    sessionOptions.numRanks = 4;
+    sessionOptions.workers = workers;
+    sessionOptions.faultInjector = &injector;
+    sessionOptions.faultPolicy.quarantineThreshold = quarantineThreshold;
+    if (!recover) {
+        sessionOptions.faultPolicy.maxAttempts = 1;
+        sessionOptions.faultPolicy.failover = false;
+    }
+    InferenceSession session(makeBackend("upmem"), sessionOptions);
+    SchedulerOptions options;
+    options.policy = SchedulerPolicy::Slo;
+    options.faultAware = recover;
+    options.maxQueuedPerRank = 16;
+    RequestScheduler scheduler(session, options);
+
+    std::vector<AdmissionDecision> decisions;
+    for (const auto& [time, problem] : trace.arrivals) {
+        ServingRequest request =
+            ServingRequest::gemm(trace.pool[problem], DesignPoint::LoCaLut,
+                                 DeadlineClass::Interactive, trace.deadline);
+        request.arrivalSeconds = time;
+        decisions.push_back(scheduler.submit(std::move(request)));
+    }
+    SweepReplay replay;
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+        const ServingResult result = scheduler.wait(decisions[i].id);
+        replay.tickets.emplace_back(result.decision.outcome,
+                                    result.decision.rank);
+        if (result.decision.outcome == AdmissionOutcome::Admitted) {
+            EXPECT_EQ(result.gemm.outInt,
+                      trace.refs[trace.arrivals[i].second]);
+        }
+    }
+    const TelemetrySnapshot snap = scheduler.telemetry().snapshot();
+    for (std::size_t lane = 0; lane < kDeadlineClasses; ++lane) {
+        replay.completed += snap.lanes[lane].completed;
+        replay.met += snap.lanes[lane].deadlineMet;
+        replay.shed += snap.shedFault[lane];
+    }
+    replay.retries = snap.faults.retries;
+    replay.failovers = snap.faults.failovers;
+    replay.quarantines = snap.faults.quarantines;
+    replay.backoff = snap.faults.backoffSeconds;
+    return replay;
+}
+
+TEST(SchedulerFault, SweepSmokeCountsMatchAcrossWorkerCounts)
+{
+    // bench_fault_sweep --smoke, replayed open loop (all submits, then
+    // all waits): every ticket's verdict and every fault counter match
+    // whether 1, 4 or 8 workers execute, in both modes and with
+    // quarantine firing.
+    const SweepTrace trace = sweepSmokeTrace();
+    struct Leg {
+        bool recover;
+        std::uint64_t quarantineThreshold;
+    };
+    for (const Leg leg : {Leg{true, 1ull << 40}, Leg{false, 1ull << 40},
+                          Leg{true, 3}}) {
+        const SweepReplay base =
+            replaySweep(trace, 1, leg.recover, leg.quarantineThreshold);
+        EXPECT_GT(base.shed + base.retries, 0u);
+        if (leg.quarantineThreshold == 3) {
+            EXPECT_GT(base.quarantines, 0u);
+        }
+        for (const unsigned workers : {4u, 8u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "recover " << leg.recover << ", threshold "
+                         << leg.quarantineThreshold << ", workers "
+                         << workers);
+            const SweepReplay run = replaySweep(trace, workers, leg.recover,
+                                                leg.quarantineThreshold);
+            EXPECT_EQ(base.tickets, run.tickets);
+            EXPECT_EQ(base.completed, run.completed);
+            EXPECT_EQ(base.met, run.met);
+            EXPECT_EQ(base.shed, run.shed);
+            EXPECT_EQ(base.retries, run.retries);
+            EXPECT_EQ(base.failovers, run.failovers);
+            EXPECT_EQ(base.quarantines, run.quarantines);
+            EXPECT_EQ(base.backoff, run.backoff);
+        }
+    }
 }
 
 // ------------------------------------------------ token-engine faults
