@@ -2,7 +2,7 @@
  * @file
  * Fault sweep: seeded fault plans (one scheduled rank death plus
  * any-rank transient execute faults at a swept rate) drive the SLO
- * scheduler on a 2-node x 4-rank session, comparing the full recovery
+ * scheduler on an 8-rank session, comparing the full recovery
  * stack — capped-backoff retries, health-aware placement, failover —
  * against a fail-stop baseline (one attempt, no failover, fault-blind
  * placement) over the identical arrival trace.  Reports completed /
@@ -39,7 +39,9 @@ namespace {
  * queueing still land in time, so the sweep measures fault sheds, not
  * deadline tightness. */
 constexpr double kDeadlineX = 40.0;
-/** Offered load (fraction of the healthy 8-rank capacity). */
+/** Ranks the session serves on. */
+constexpr unsigned kRanks = 8;
+/** Offered load (fraction of the healthy kRanks capacity). */
 constexpr double kLoadFactor = 0.5;
 constexpr unsigned kDeadRank = 2;
 
@@ -81,11 +83,10 @@ runOne(double rate, bool recover, double deathAt, double deadline,
     plan.seed = 0xfa017u;
     plan.transientExecute(rate);
     plan.rankDeath(kDeadRank, deathAt);
-    FaultInjector injector(plan, Topology{2, 4});
+    FaultInjector injector(plan, kRanks);
 
     SessionOptions sessionOptions;
-    sessionOptions.numNodes = 2;
-    sessionOptions.numRanks = 4;
+    sessionOptions.numRanks = kRanks;
     sessionOptions.faultInjector = &injector;
     // Quarantine targets asymmetric persistent faults; under uniform
     // any-rank transient noise it would eventually fence every rank, so
@@ -237,7 +238,7 @@ main(int argc, char** argv)
             ->execute(pool[0], probe->plan(pool[0], DesignPoint::LoCaLut),
                       /*computeValues=*/false)
             .timing.total;
-    const double capacity = 8.0 / service; // 2 nodes x 4 ranks
+    const double capacity = kRanks / service; // one request per rank
     const double rateArrivals = kLoadFactor * capacity;
     const double deadline = kDeadlineX * service;
 
@@ -253,7 +254,8 @@ main(int argc, char** argv)
     }
     const double deathAt = arrivals[requests / 8].time;
 
-    bench::note("2x4 topology, " + std::to_string(requests) +
+    bench::note(std::to_string(kRanks) + " ranks, " +
+                std::to_string(requests) +
                 " requests at " + Table::fmt(kLoadFactor, 2) +
                 "x capacity, deadline " + bench::fmtSeconds(deadline) +
                 "; rank " + std::to_string(kDeadRank) + " dies at " +

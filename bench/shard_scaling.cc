@@ -7,173 +7,16 @@
  * the capacity-computation tradeoff at the multi-rank level: more ranks
  * cut the per-rank GEMM slice but pay a fixed reduction transfer, so
  * scaling is sublinear and saturates on the skinny decode GEMMs.
- *
- * The node sweep extends the study across the hierarchical topology
- * (nodes x ranks-per-node): each point is a *cold* session (LUT
- * broadcasts included), so the fig10_2x4 row it splices into
- * BENCH_exec.json carries the scale-out claim end to end.  Under
- * --smoke the run gates CI: 2x4 must beat 1x4 on cold-inclusive decode
- * time, and the delta/RLE codec must shrink the inter-node broadcast
- * bytes by >= 2x on the OPT-class table sets.
  */
 
 #include "bench_util.h"
 
 #include "common/table.h"
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 using namespace localut;
-
-namespace {
-
-/** One cold topology point of the node sweep. */
-struct TopoPoint {
-    unsigned nodes = 1;
-    unsigned ranksPerNode = 1;
-    double totalSeconds = 0;
-    double collectiveSeconds = 0;
-    double interNodeSeconds = 0;
-    double interRawBytes = 0;
-    double interBytes = 0;
-
-    std::string
-    name() const
-    {
-        return std::to_string(nodes) + "x" + std::to_string(ranksPerNode);
-    }
-
-    double
-    compressionRatio() const
-    {
-        return interBytes > 0 ? interRawBytes / interBytes : 0.0;
-    }
-};
-
-/** Runs the fig10 OPT decode cold on a fresh (nodes x ranks) session. */
-TopoPoint
-runTopology(const WorkloadSpec& spec, const QuantConfig& cfg,
-            unsigned nodes, unsigned ranksPerNode)
-{
-    SessionOptions options;
-    options.numRanks = ranksPerNode;
-    options.numNodes = nodes;
-    options.residencyPolicy = ResidencyPolicy::CostAware;
-    InferenceSession session(makeBackend("upmem"), options);
-    const InferenceReport report = session.waitReport(
-        session.submit(session.compile(spec, cfg, DesignPoint::LoCaLut)));
-    const ResidencyStats stats = session.residencyStats();
-    TopoPoint point;
-    point.nodes = nodes;
-    point.ranksPerNode = ranksPerNode;
-    point.totalSeconds = report.timing.total;
-    point.collectiveSeconds = report.collectiveSeconds;
-    point.interNodeSeconds = report.interNodeSeconds;
-    point.interRawBytes = stats.broadcastInterRawBytes;
-    point.interBytes = stats.broadcastInterBytes;
-    return point;
-}
-
-/** Serializes the node sweep as the "shard_scaling" JSON object. */
-std::string
-sweepJson(const std::vector<TopoPoint>& points, const TopoPoint* fig,
-          double vs1x4)
-{
-    std::string out = "\"shard_scaling\": {\n";
-    char buf[512];
-    std::snprintf(buf, sizeof buf, "    \"smoke\": %s,\n",
-                  bench::smoke() ? "true" : "false");
-    out += buf;
-    if (fig != nullptr) {
-        std::snprintf(
-            buf, sizeof buf,
-            "    \"fig10_2x4\": {\"total_seconds\": %.6e, "
-            "\"inter_node_seconds\": %.6e, "
-            "\"broadcast_inter_raw_bytes\": %.0f, "
-            "\"broadcast_inter_bytes\": %.0f, "
-            "\"compression_ratio\": %.3f, \"vs_1x4_speedup\": %.3f},\n",
-            fig->totalSeconds, fig->interNodeSeconds, fig->interRawBytes,
-            fig->interBytes, fig->compressionRatio(), vs1x4);
-        out += buf;
-    }
-    out += "    \"rows\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const TopoPoint& p = points[i];
-        std::snprintf(buf, sizeof buf,
-                      "      {\"topology\": \"%s\", \"nodes\": %u, "
-                      "\"ranks_per_node\": %u, \"total_seconds\": %.6e, "
-                      "\"collective_seconds\": %.6e, "
-                      "\"inter_node_seconds\": %.6e, "
-                      "\"compression_ratio\": %.3f}%s\n",
-                      p.name().c_str(), p.nodes, p.ranksPerNode,
-                      p.totalSeconds, p.collectiveSeconds,
-                      p.interNodeSeconds, p.compressionRatio(),
-                      i + 1 < points.size() ? "," : "");
-        out += buf;
-    }
-    out += "    ]\n  }";
-    return out;
-}
-
-/**
- * Splices the node-sweep object into BENCH_exec.json next to the
- * exec_throughput numbers (creating a minimal file when the exec bench
- * has not run), so one artifact carries the whole perf trajectory.
- */
-void
-spliceIntoBenchJson(const std::string& object)
-{
-    std::string existing;
-    if (std::FILE* f = std::fopen("BENCH_exec.json", "rb")) {
-        char chunk[4096];
-        std::size_t n = 0;
-        while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-            existing.append(chunk, n);
-        }
-        std::fclose(f);
-    }
-    // Drop a stale "shard_scaling" block (previous splice) by brace
-    // matching from the key to its closing brace.
-    const std::size_t key = existing.find("\"shard_scaling\":");
-    if (key != std::string::npos) {
-        std::size_t start = existing.find_last_of(',', key);
-        if (start == std::string::npos) {
-            start = key;
-        }
-        std::size_t pos = existing.find('{', key);
-        int depth = 0;
-        while (pos < existing.size()) {
-            if (existing[pos] == '{') {
-                ++depth;
-            } else if (existing[pos] == '}' && --depth == 0) {
-                break;
-            }
-            ++pos;
-        }
-        if (pos < existing.size()) {
-            existing.erase(start, pos + 1 - start);
-        }
-    }
-    const std::size_t close = existing.find_last_of('}');
-    std::string out;
-    if (close == std::string::npos) {
-        out = "{\n  \"bench\": \"shard_scaling\",\n  " + object + "\n}\n";
-    } else {
-        out = existing.substr(0, close) + ",\n  " + object + "\n" +
-              existing.substr(close);
-    }
-    if (std::FILE* f = std::fopen("BENCH_exec.json", "wb")) {
-        std::fwrite(out.data(), 1, out.size(), f);
-        std::fclose(f);
-        bench::note("spliced shard_scaling into BENCH_exec.json");
-    } else {
-        bench::note("could not open BENCH_exec.json for writing");
-    }
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
@@ -244,71 +87,5 @@ main(int argc, char** argv)
                 "heavier collective that can still win on skinny decode "
                 "GEMMs, where cutting K shortens the per-DPU reduction.");
 
-    bench::section("node sweep: cold sessions, LUT broadcasts included");
-    const std::vector<std::pair<unsigned, unsigned>> topologies =
-        bench::smokeTrim<std::vector<std::pair<unsigned, unsigned>>>(
-            {{1, 1}, {1, 2}, {1, 4}, {2, 2}, {2, 4}}, {{1, 4}, {2, 4}});
-    std::vector<TopoPoint> points;
-    Table topo({"topology", "total", "collective", "inter-node",
-                "inter raw", "inter sent", "ratio", "speedup"});
-    double topoBaseline = 0;
-    for (const auto& [nodes, ranks] : topologies) {
-        const TopoPoint p = runTopology(spec, cfg, nodes, ranks);
-        if (points.empty()) {
-            topoBaseline = p.totalSeconds;
-        }
-        topo.addRow({p.name(), bench::fmtSeconds(p.totalSeconds),
-                     bench::fmtSeconds(p.collectiveSeconds),
-                     bench::fmtSeconds(p.interNodeSeconds),
-                     bench::fmtBytes(p.interRawBytes),
-                     bench::fmtBytes(p.interBytes),
-                     Table::fmt(p.compressionRatio(), 2) + "x",
-                     Table::fmt(topoBaseline / p.totalSeconds, 3) + "x"});
-        points.push_back(p);
-    }
-    topo.print();
-    bench::note("every point is a fresh session, so the totals include "
-                "the cold LUT table-set broadcasts; multi-node points "
-                "pay the CXL tier but the compressed broadcasts and the "
-                "wider rank pool still have to win end to end.");
-
-    const TopoPoint* p1x4 = nullptr;
-    const TopoPoint* p2x4 = nullptr;
-    for (const TopoPoint& p : points) {
-        if (p.nodes == 1 && p.ranksPerNode == 4) {
-            p1x4 = &p;
-        } else if (p.nodes == 2 && p.ranksPerNode == 4) {
-            p2x4 = &p;
-        }
-    }
-    const double vs1x4 = (p1x4 != nullptr && p2x4 != nullptr)
-                             ? p1x4->totalSeconds / p2x4->totalSeconds
-                             : 0.0;
-    spliceIntoBenchJson(sweepJson(points, p2x4, vs1x4));
-
-    // CI gates (--smoke): scale-out must be real, compression must hold.
-    int failures = 0;
-    if (p1x4 != nullptr && p2x4 != nullptr &&
-        p2x4->totalSeconds > p1x4->totalSeconds) {
-        bench::note("GATE FAILED: cold 2x4 decode is slower than 1x4 (" +
-                    bench::fmtSeconds(p2x4->totalSeconds) + " vs " +
-                    bench::fmtSeconds(p1x4->totalSeconds) + ")");
-        ++failures;
-    }
-    if (p2x4 != nullptr && p2x4->compressionRatio() < 2.0) {
-        bench::note("GATE FAILED: inter-node broadcast compression " +
-                    Table::fmt(p2x4->compressionRatio(), 2) +
-                    "x is below the 2x floor");
-        ++failures;
-    }
-    if (failures == 0) {
-        bench::note("gates: 2x4 beats 1x4 cold (" +
-                    Table::fmt(vs1x4, 3) +
-                    "x) and inter-node compression >= 2x (" +
-                    Table::fmt(p2x4 != nullptr ? p2x4->compressionRatio()
-                                               : 0.0,
-                               2) +
-                    "x)");
-    }
-    return failures == 0 ? 0 : 1;
+    return 0;
 }

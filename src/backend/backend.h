@@ -71,20 +71,11 @@ struct CollectiveLinkProfile {
     DramEnergyParams dramEnergy;
     unsigned banksPerRank = 64;   ///< banks streaming concurrently per rank
     double pjPerLinkByte = 150.0; ///< host link + channel I/O per byte
-    /** Inter-node (CXL/PCIe fabric) tier a multi-node collective's
-     * cross-node hop travels: slower, higher launch latency, and
-     * costlier per byte than the intra-host DMA link.  The launch cost
-     * covers the fabric transaction plus the remote-side DMA setup, so
-     * it strictly exceeds the intra-host launch — a remote hop is never
-     * cheaper than a local one, even for tiny transfers.  Irrelevant
-     * (and never charged) on a single-node topology. */
-    LinkTierParams interNode{6.0, 25.0, 360.0};
 
-    /** The intra-host tier expressed in LinkTierParams form (drain-side
-     * gather rate = link.pimToHostGBs), so both hops of a hierarchical
-     * collective price through the same collectiveHopCost() helper. */
+    /** The host link in LinkTierParams form (drain-side gather rate =
+     * link.pimToHostGBs), as collectiveHopCost() prices it. */
     LinkTierParams
-    intraTier() const
+    hostLinkTier() const
     {
         return {link.pimToHostGBs, link.launchLatencyUs, pjPerLinkByte};
     }
@@ -117,41 +108,12 @@ struct MemoryProfile {
     double broadcastGBs = 20.0;      ///< host -> PIM table broadcast rate
     double broadcastLatencyUs = 10.0;///< fixed launch per table broadcast
     double pjPerBroadcastByte = 150.0; ///< broadcast link energy per byte
-    /** Inter-node broadcast rate (GB/s): table bytes bound for a rank on
-     * a remote node cross the CXL/PCIe fabric instead of the local
-     * broadcast link. */
-    double interNodeGBs = 6.0;
-    /** Fixed launch latency of one inter-node broadcast: the fabric
-     * transaction plus the remote-side broadcast launch, so it strictly
-     * exceeds broadcastLatencyUs and a remote home rank never prices
-     * below a local one. */
-    double interNodeLatencyUs = 25.0;
-    /** Inter-node fabric energy per byte crossing. */
-    double pjPerInterNodeByte = 360.0;
-    /** Host-side delta/RLE codec throughput for compressed inter-node
-     * broadcasts, in GB/s of *raw* bytes (encode side; the decode on
-     * the node-side controller overlaps the link stream). */
-    double codecGBs = 8.0;
 
     /** Physical MRAM devoted to tables across one rank's replicas. */
     std::uint64_t
     lutBytesPerRank() const
     {
         return lutBytesPerUnit * unitsPerRank;
-    }
-
-    /** The intra-host broadcast tier in LinkTierParams form. */
-    LinkTierParams
-    broadcastTier() const
-    {
-        return {broadcastGBs, broadcastLatencyUs, pjPerBroadcastByte};
-    }
-
-    /** The inter-node broadcast tier in LinkTierParams form. */
-    LinkTierParams
-    interNodeTier() const
-    {
-        return {interNodeGBs, interNodeLatencyUs, pjPerInterNodeByte};
     }
 };
 

@@ -90,24 +90,22 @@ CollectiveCost
 collectiveHopCost(const DramTimingParams& t, const DramEnergyParams& e,
                   const CollectiveHop& hop, const LinkTierParams& tier)
 {
-    LOCALUT_REQUIRE(hop.perSourceDrainBytes >= 0 && hop.totalDrainBytes >= 0 &&
-                        hop.paceLinkBytes >= 0 && hop.totalLinkBytes >= 0,
+    LOCALUT_REQUIRE(hop.perSourceDrainBytes >= 0 && hop.totalBytes >= 0,
                     "negative collective hop bytes");
     CollectiveCost cost;
-    if (hop.totalDrainBytes <= 0 && hop.totalLinkBytes <= 0)
+    if (hop.totalBytes <= 0)
         return cost;
     CollectiveCost drain;
     if (hop.drainBanks > 0 && hop.perSourceDrainBytes > 0)
         drain = collectiveDrainCost(t, e, hop.drainBanks,
                                     hop.perSourceDrainBytes);
-    const double linkSeconds = hop.paceLinkBytes / (tier.gbPerSec * 1e9);
+    const double linkSeconds = hop.totalBytes / (tier.gbPerSec * 1e9);
     cost.seconds =
         tier.launchLatencyUs * 1e-6 + std::max(drain.seconds, linkSeconds);
     CollectiveCost drainAll;
-    if (hop.drainBanks > 0 && hop.totalDrainBytes > 0)
-        drainAll = collectiveDrainCost(t, e, hop.drainBanks,
-                                       hop.totalDrainBytes);
-    cost.joules = drainAll.joules + tier.pjPerByte * hop.totalLinkBytes * 1e-12;
+    if (hop.drainBanks > 0)
+        drainAll = collectiveDrainCost(t, e, hop.drainBanks, hop.totalBytes);
+    cost.joules = drainAll.joules + tier.pjPerByte * hop.totalBytes * 1e-12;
     return cost;
 }
 

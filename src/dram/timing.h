@@ -74,10 +74,8 @@ CollectiveCost collectiveDrainCost(const DramTimingParams& t,
                                    unsigned banks, double bytes);
 
 /**
- * One interconnect tier of the hierarchical topology: the link every
- * hop of a collective crosses at that level.  The intra-host tier is
- * the PIM<->host DMA link; the inter-node tier is the CXL/PCIe fabric
- * between PIM nodes (slower, higher launch latency, costlier per byte).
+ * The link a collective hop crosses: the PIM<->host DMA link behind
+ * the ranks of one host.
  */
 struct LinkTierParams {
     double gbPerSec = 12.0;       ///< sustained link rate (GB/s)
@@ -86,28 +84,23 @@ struct LinkTierParams {
 };
 
 /**
- * One hop of a collective over one tier: the DRAM drain feeding the hop
- * (zero for pure link hops such as the inter-node forward of an already
- * host-resident gather) plus the bytes the tier's links move.
+ * The rank -> host hop of a collective: every rank drains its slice out
+ * of its DRAM banks while the host link moves the aggregate.
  *
  * Drain and link pacing overlap (the link streams while banks drain),
- * so a hop's time is the launch latency plus the max of the two;
+ * so the hop's time is the launch latency plus the max of the two;
  * energy is additive (every drained byte and every link byte pays).
  */
 struct CollectiveHop {
-    unsigned drainBanks = 0;        ///< banks per draining source (0 = no drain)
-    double perSourceDrainBytes = 0; ///< largest single source's drain (paces time)
-    double totalDrainBytes = 0;     ///< all sources' drain bytes (pays energy)
-    double paceLinkBytes = 0;       ///< bytes the tier's busiest link serializes
-    double totalLinkBytes = 0;      ///< aggregate bytes crossing the tier (energy)
+    unsigned drainBanks = 0;        ///< banks per draining rank (0 = no drain)
+    double perSourceDrainBytes = 0; ///< largest single rank's drain (paces time)
+    double totalBytes = 0;          ///< all ranks' bytes: drained and linked
 };
 
 /**
- * Time/energy of one collective hop over one tier:
- * `launch + max(perSourceDrain, paceLinkBytes/rate)` seconds;
- * drain energy on totalDrainBytes plus link energy on totalLinkBytes.
- * With pace == total == drain bytes this reproduces the single-host
- * collective charge exactly (golden-pinned in test_golden_costs).
+ * Time/energy of the collective hop over @p tier:
+ * `launch + max(perSourceDrain, totalBytes/rate)` seconds; drain plus
+ * link energy on totalBytes (golden-pinned in test_golden_costs).
  */
 CollectiveCost collectiveHopCost(const DramTimingParams& t,
                                  const DramEnergyParams& e,

@@ -89,10 +89,6 @@ struct InferenceReport {
     double gemmSeconds = 0;  ///< PIM GEMM portion (kernel + its host/link)
     double hostOpSeconds = 0;///< non-GEMM host work
     double collectiveSeconds = 0; ///< sharded all-gather/reduce transfers
-    /** Share of collectiveSeconds spent on the CXL inter-node tier
-     * (cross-node collective hops and pipeline-stage activation
-     * transfers); 0 on a single-node topology. */
-    double interNodeSeconds = 0;
     /** Host -> PIM LUT table broadcasts charged by the residency manager
      * (serving/residency.h); 0 when every table set was already resident
      * (steady state) or residency is disabled. */

@@ -42,10 +42,6 @@ faultKindName(FaultKind kind)
         return "transient_execute";
     case FaultKind::RankDeath:
         return "rank_death";
-    case FaultKind::LinkDegrade:
-        return "link_degrade";
-    case FaultKind::BroadcastCorrupt:
-        return "broadcast_corrupt";
     }
     return "unknown";
 }
@@ -86,45 +82,17 @@ FaultPlan::rankDeath(unsigned rank, double atSeconds)
     return *this;
 }
 
-FaultPlan&
-FaultPlan::linkDegrade(unsigned node, double factor, double atSeconds)
+FaultInjector::FaultInjector(FaultPlan plan, unsigned numRanks)
+    : plan_(std::move(plan)), numRanks_(numRanks)
 {
-    FaultSpec spec;
-    spec.kind = FaultKind::LinkDegrade;
-    spec.node = node;
-    spec.factor = factor;
-    spec.atSeconds = atSeconds;
-    specs.push_back(spec);
-    return *this;
-}
-
-FaultPlan&
-FaultPlan::broadcastCorrupt(double rate)
-{
-    FaultSpec spec;
-    spec.kind = FaultKind::BroadcastCorrupt;
-    spec.rate = rate;
-    specs.push_back(spec);
-    return *this;
-}
-
-FaultInjector::FaultInjector(FaultPlan plan, Topology topology)
-    : plan_(std::move(plan)), topo_(topology)
-{
-    const unsigned ranks = topo_.totalRanks();
-    LOCALUT_REQUIRE(ranks >= 1, "FaultInjector needs at least one rank");
-    transientRate_.assign(ranks, 0.0);
-    health_ = std::make_unique<std::atomic<std::uint8_t>[]>(ranks);
-    failures_ = std::make_unique<std::atomic<std::uint64_t>[]>(ranks);
-    for (unsigned r = 0; r < ranks; ++r) {
+    LOCALUT_REQUIRE(numRanks_ >= 1, "FaultInjector needs at least one rank");
+    transientRate_.assign(numRanks_, 0.0);
+    health_ = std::make_unique<std::atomic<std::uint8_t>[]>(numRanks_);
+    failures_ = std::make_unique<std::atomic<std::uint64_t>[]>(numRanks_);
+    for (unsigned r = 0; r < numRanks_; ++r) {
         health_[r].store(static_cast<std::uint8_t>(RankHealth::Healthy),
                          std::memory_order_relaxed);
         failures_[r].store(0, std::memory_order_relaxed);
-    }
-    const unsigned nodes = std::max(1u, topo_.nodes);
-    linkFactor_ = std::make_unique<std::atomic<double>[]>(nodes);
-    for (unsigned n = 0; n < nodes; ++n) {
-        linkFactor_[n].store(1.0, std::memory_order_relaxed);
     }
 
     for (const FaultSpec& spec : plan_.specs) {
@@ -133,32 +101,20 @@ FaultInjector::FaultInjector(FaultPlan plan, Topology topology)
             LOCALUT_REQUIRE(spec.rate >= 0.0 && spec.rate <= 1.0,
                             "transient fault rate must be in [0, 1]");
             if (spec.rank == FaultSpec::kAnyRank) {
-                for (unsigned r = 0; r < ranks; ++r) {
+                for (unsigned r = 0; r < numRanks_; ++r) {
                     transientRate_[r] =
                         std::min(1.0, transientRate_[r] + spec.rate);
                 }
             } else {
-                LOCALUT_REQUIRE(spec.rank < ranks,
+                LOCALUT_REQUIRE(spec.rank < numRanks_,
                                 "transient fault rank out of range");
                 transientRate_[spec.rank] =
                     std::min(1.0, transientRate_[spec.rank] + spec.rate);
             }
             break;
-        case FaultKind::BroadcastCorrupt:
-            LOCALUT_REQUIRE(spec.rate >= 0.0 && spec.rate <= 1.0,
-                            "broadcast corruption rate must be in [0, 1]");
-            corruptRate_ = std::min(1.0, corruptRate_ + spec.rate);
-            break;
         case FaultKind::RankDeath:
-            LOCALUT_REQUIRE(spec.rank < ranks,
+            LOCALUT_REQUIRE(spec.rank < numRanks_,
                             "rank death target out of range");
-            scheduled_.push_back({spec, false});
-            break;
-        case FaultKind::LinkDegrade:
-            LOCALUT_REQUIRE(spec.node < nodes,
-                            "link degrade node out of range");
-            LOCALUT_REQUIRE(spec.factor >= 1.0,
-                            "link degrade factor must be >= 1");
             scheduled_.push_back({spec, false});
             break;
         }
@@ -191,21 +147,12 @@ bool
 FaultInjector::executeFails(std::uint64_t requestId, unsigned attempt,
                             unsigned rank, std::uint64_t salt)
 {
-    const unsigned ranks = topo_.totalRanks();
-    const double rate = transientRate_[rank % ranks];
+    LOCALUT_REQUIRE(rank < numRanks_, "executeFails rank ", rank,
+                    " outside the ", numRanks_, "-rank grid");
+    const double rate = transientRate_[rank];
     const std::uint64_t unit = (salt << 32) | rank;
     if (decide(requestId, attempt, unit, rate)) {
         transientFaults_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-    }
-    return false;
-}
-
-bool
-FaultInjector::broadcastCorrupted(std::uint64_t payloadId, unsigned attempt)
-{
-    if (decide(payloadId, attempt, 0x6c75742d62636173ULL, corruptRate_)) {
-        corruptedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
         return true;
     }
     return false;
@@ -232,14 +179,8 @@ FaultInjector::advanceTo(double seconds)
                 continue;
             }
             event.fired = true;
-            if (event.spec.kind == FaultKind::RankDeath) {
-                for (auto& listener : markDeadLocked(event.spec.rank)) {
-                    fire.emplace_back(listener, event.spec.rank);
-                }
-            } else if (event.spec.kind == FaultKind::LinkDegrade) {
-                linkFactor_[event.spec.node].store(
-                    event.spec.factor, std::memory_order_relaxed);
-                linkDegrades_.fetch_add(1, std::memory_order_relaxed);
+            for (auto& listener : markDeadLocked(event.spec.rank)) {
+                fire.emplace_back(listener, event.spec.rank);
             }
         }
     }
@@ -251,16 +192,17 @@ FaultInjector::advanceTo(double seconds)
 RankHealth
 FaultInjector::health(unsigned rank) const
 {
-    const unsigned ranks = topo_.totalRanks();
+    LOCALUT_REQUIRE(rank < numRanks_, "health rank ", rank,
+                    " outside the ", numRanks_, "-rank grid");
     return static_cast<RankHealth>(
-        health_[rank % ranks].load(std::memory_order_acquire));
+        health_[rank].load(std::memory_order_acquire));
 }
 
 std::vector<unsigned>
 FaultInjector::schedulableRanks() const
 {
     std::vector<unsigned> alive;
-    for (unsigned r = 0; r < topo_.totalRanks(); ++r) {
+    for (unsigned r = 0; r < numRanks_; ++r) {
         if (schedulable(r)) {
             alive.push_back(r);
         }
@@ -272,7 +214,7 @@ unsigned
 FaultInjector::aliveCount() const
 {
     unsigned alive = 0;
-    for (unsigned r = 0; r < topo_.totalRanks(); ++r) {
+    for (unsigned r = 0; r < numRanks_; ++r) {
         alive += schedulable(r) ? 1u : 0u;
     }
     return alive;
@@ -282,15 +224,14 @@ double
 FaultInjector::capacityRatio() const
 {
     return static_cast<double>(aliveCount()) /
-           static_cast<double>(topo_.totalRanks());
+           static_cast<double>(numRanks_);
 }
 
 unsigned
 FaultInjector::firstSchedulable(unsigned from) const
 {
-    const unsigned ranks = topo_.totalRanks();
-    for (unsigned i = 0; i < ranks; ++i) {
-        const unsigned rank = (from + i) % ranks;
+    for (unsigned i = 0; i < numRanks_; ++i) {
+        const unsigned rank = (from + i) % numRanks_;
         if (schedulable(rank)) {
             return rank;
         }
@@ -298,18 +239,10 @@ FaultInjector::firstSchedulable(unsigned from) const
     return kNoRank;
 }
 
-double
-FaultInjector::linkFactor(unsigned node) const
-{
-    const unsigned nodes = std::max(1u, topo_.nodes);
-    return linkFactor_[node % nodes].load(std::memory_order_relaxed);
-}
-
 void
 FaultInjector::killRank(unsigned rank)
 {
-    LOCALUT_REQUIRE(rank < topo_.totalRanks(),
-                    "killRank target out of range");
+    LOCALUT_REQUIRE(rank < numRanks_, "killRank target out of range");
     std::vector<std::function<void(unsigned)>> listeners;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -323,8 +256,8 @@ FaultInjector::killRank(unsigned rank)
 void
 FaultInjector::recordFailure(unsigned rank, std::uint64_t quarantineThreshold)
 {
-    const unsigned ranks = topo_.totalRanks();
-    rank %= ranks;
+    LOCALUT_REQUIRE(rank < numRanks_, "recordFailure rank ", rank,
+                    " outside the ", numRanks_, "-rank grid");
     const std::uint64_t count =
         failures_[rank].fetch_add(1, std::memory_order_acq_rel) + 1;
     if (quarantineThreshold == 0 || count < quarantineThreshold) {
@@ -370,27 +303,17 @@ FaultInjector::noteShedFault()
     shedFault_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void
-FaultInjector::noteResend()
-{
-    resends_.fetch_add(1, std::memory_order_relaxed);
-}
-
 FaultStats
 FaultInjector::stats() const
 {
     FaultStats out;
     out.transientFaults = transientFaults_.load(std::memory_order_relaxed);
     out.retries = retries_.load(std::memory_order_relaxed);
-    out.corruptedBroadcasts =
-        corruptedBroadcasts_.load(std::memory_order_relaxed);
-    out.resends = resends_.load(std::memory_order_relaxed);
     out.quarantines = quarantines_.load(std::memory_order_relaxed);
     out.failovers = failovers_.load(std::memory_order_relaxed);
     out.shedFault = shedFault_.load(std::memory_order_relaxed);
-    out.linkDegrades = linkDegrades_.load(std::memory_order_relaxed);
     out.backoffSeconds = backoffSeconds_.load(std::memory_order_relaxed);
-    for (unsigned r = 0; r < topo_.totalRanks(); ++r) {
+    for (unsigned r = 0; r < numRanks_; ++r) {
         switch (health(r)) {
         case RankHealth::Dead:
             ++out.ranksDead;

@@ -1,19 +1,18 @@
 /**
  * @file fault.h
- * @brief Deterministic, seed-driven fault injection and rank/node health
+ * @brief Deterministic, seed-driven fault injection and rank health
  *        tracking for the serving stack.
  *
- * A FaultInjector is shared by an InferenceSession, its ResidencyManager,
- * the RequestScheduler, and the TokenEngine.  Fault *decisions* are pure
+ * A FaultInjector is shared by an InferenceSession, the
+ * RequestScheduler, and the TokenEngine.  Fault *decisions* are pure
  * functions of stable identifiers (seed, request id, attempt index, rank),
  * and the session makes every placement, retry and failover decision
  * when a request is submitted, so the same seed, fault plan and
  * submission sequence reproduce the same outcomes across runs and across
- * worker-thread counts.  *Scheduled*
- * faults (rank death, fabric-link degradation) fire when a consumer
- * advances to a virtual time at or past their instant (advanceTo()); the
- * consumers' own virtual clocks (scheduler arrivals, token-engine steps)
- * drive it.  Nothing here sleeps or touches wall clock: retries and
+ * worker-thread counts.  *Scheduled* faults (rank deaths) fire when a
+ * consumer advances to a virtual time at or past their instant
+ * (advanceTo()); the consumers' own virtual clocks (scheduler arrivals,
+ * token-engine steps) drive it.  Nothing here sleeps or touches wall clock: retries and
  * backoff are charged as modeled virtual-time seconds.
  */
 #ifndef LOCALUT_SERVING_FAULT_H_
@@ -28,16 +27,12 @@
 #include <string>
 #include <vector>
 
-#include "common/topology.h"
-
 namespace localut {
 
 /** Kinds of fault a FaultPlan can inject. */
 enum class FaultKind {
     TransientExecute,  ///< a rank's execute attempt fails (retryable)
     RankDeath,         ///< a rank dies permanently at a virtual time
-    LinkDegrade,       ///< a node's fabric link slows by a factor
-    BroadcastCorrupt,  ///< an inter-node LUT broadcast payload corrupts
 };
 
 /** Stable lower-case name of @p kind (used as a Prometheus label). */
@@ -50,16 +45,12 @@ struct FaultSpec {
 
     /** What kind of fault this spec injects. */
     FaultKind kind = FaultKind::TransientExecute;
-    /** Target flat rank (TransientExecute / RankDeath); kAnyRank = all. */
+    /** Target rank (TransientExecute / RankDeath); kAnyRank = all. */
     unsigned rank = kAnyRank;
-    /** Target node (LinkDegrade only). */
-    unsigned node = 0;
-    /** Per-attempt probability (TransientExecute / BroadcastCorrupt). */
+    /** Per-attempt probability (TransientExecute only). */
     double rate = 0.0;
-    /** Virtual fire time in seconds (RankDeath / LinkDegrade). */
+    /** Virtual fire time in seconds (RankDeath only). */
     double atSeconds = 0.0;
-    /** Link slowdown multiplier, >= 1 (LinkDegrade only). */
-    double factor = 1.0;
 };
 
 /**
@@ -70,9 +61,7 @@ struct FaultSpec {
  *   FaultPlan plan;
  *   plan.seed = 42;
  *   plan.transientExecute(0.2)      // 20% of attempts fail, any rank
- *       .rankDeath(3, 0.5)          // flat rank 3 dies at t = 0.5 s
- *       .linkDegrade(1, 4.0, 0.25)  // node 1 fabric 4x slower from 0.25 s
- *       .broadcastCorrupt(0.1);     // 10% of inter-node payloads corrupt
+ *       .rankDeath(3, 0.5);         // rank 3 dies at t = 0.5 s
  * @endcode
  */
 struct FaultPlan {
@@ -86,10 +75,6 @@ struct FaultPlan {
                                 unsigned rank = FaultSpec::kAnyRank);
     /** Add a permanent death of @p rank at virtual time @p atSeconds. */
     FaultPlan& rankDeath(unsigned rank, double atSeconds);
-    /** Degrade @p node's fabric link by @p factor from @p atSeconds on. */
-    FaultPlan& linkDegrade(unsigned node, double factor, double atSeconds);
-    /** Add inter-node broadcast corruption at @p rate per payload send. */
-    FaultPlan& broadcastCorrupt(double rate);
 };
 
 /**
@@ -117,7 +102,7 @@ struct FaultPolicy {
     bool failover = true;
 };
 
-/** Health of one flat rank. */
+/** Health of one rank. */
 enum class RankHealth : std::uint8_t {
     Healthy = 0,     ///< schedulable
     Quarantined = 1, ///< too many transient failures; no new placements
@@ -131,12 +116,9 @@ const char* rankHealthName(RankHealth health);
 struct FaultStats {
     std::uint64_t transientFaults = 0;    ///< injected execute failures
     std::uint64_t retries = 0;            ///< retried attempts (charged)
-    std::uint64_t corruptedBroadcasts = 0;///< checksum-detected payloads
-    std::uint64_t resends = 0;            ///< broadcast resends (charged)
     std::uint64_t quarantines = 0;        ///< ranks ever quarantined
     std::uint64_t failovers = 0;          ///< re-homes + re-shards
     std::uint64_t shedFault = 0;          ///< requests shed by faults
-    std::uint64_t linkDegrades = 0;       ///< degradation events fired
     std::uint64_t ranksDead = 0;          ///< gauge: currently dead
     std::uint64_t ranksQuarantined = 0;   ///< gauge: currently quarantined
     double backoffSeconds = 0.0;          ///< virtual backoff charged
@@ -151,7 +133,7 @@ public:
     {
     }
 
-    /** Flat rank the request was bound to when it was shed. */
+    /** Rank the request was bound to when it was shed. */
     unsigned rank() const { return rank_; }
 
 private:
@@ -159,11 +141,11 @@ private:
 };
 
 /**
- * Deterministic fault source + rank/node health registry.
+ * Deterministic fault source + rank health registry.
  *
- * Thread-safe.  Decision methods (executeFails, broadcastCorrupted) are
- * pure hashes over stable ids plus relaxed stat counters, so they never
- * serialize hot paths.  advanceTo() fires due scheduled faults exactly
+ * Thread-safe.  The decision method (executeFails) is a pure hash over
+ * stable ids plus a relaxed stat counter, so it never serializes hot
+ * paths.  advanceTo() fires due scheduled faults exactly
  * once; rank-loss listeners run outside the injector's lock so they may
  * take their own locks (e.g. ResidencyManager::invalidateRank).
  */
@@ -172,31 +154,23 @@ public:
     /** Sentinel returned by firstSchedulable() when every rank is down. */
     static constexpr unsigned kNoRank = ~0u;
 
-    /** Create an injector for @p plan over @p topology's flat ranks. */
-    FaultInjector(FaultPlan plan, Topology topology);
+    /** Create an injector for @p plan over @p numRanks ranks. */
+    FaultInjector(FaultPlan plan, unsigned numRanks);
 
-    /** The topology the injector tracks health for. */
-    const Topology& topology() const { return topo_; }
+    /** Ranks the injector tracks health for. */
+    unsigned numRanks() const { return numRanks_; }
 
     /** The plan this injector replays. */
     const FaultPlan& plan() const { return plan_; }
 
     /**
      * Deterministically decide whether attempt @p attempt of request
-     * @p requestId on flat rank @p rank fails.  @p salt distinguishes
-     * concurrent units of the same request (e.g. shard index + 1).
-     * Counts an injected fault when it returns true.
+     * @p requestId on rank @p rank (below numRanks()) fails.  @p salt
+     * distinguishes concurrent units of the same request (e.g. shard
+     * index + 1).  Counts an injected fault when it returns true.
      */
     bool executeFails(std::uint64_t requestId, unsigned attempt,
                       unsigned rank, std::uint64_t salt = 0);
-
-    /**
-     * Deterministically decide whether send @p attempt of broadcast
-     * payload @p payloadId corrupts in flight.  Counts the corruption
-     * (and, for attempt > 0, nothing extra: resends are noted by the
-     * charging side via noteResend()).
-     */
-    bool broadcastCorrupted(std::uint64_t payloadId, unsigned attempt);
 
     /**
      * Fire every scheduled fault not yet fired whose time is at or
@@ -206,7 +180,7 @@ public:
      */
     void advanceTo(double seconds);
 
-    /** Health of flat @p rank. */
+    /** Health of @p rank (below numRanks()). */
     RankHealth health(unsigned rank) const;
 
     /** True when @p rank may receive new work (Healthy). */
@@ -215,7 +189,7 @@ public:
         return health(rank) == RankHealth::Healthy;
     }
 
-    /** All currently schedulable flat ranks, ascending. */
+    /** All currently schedulable ranks, ascending. */
     std::vector<unsigned> schedulableRanks() const;
 
     /** Number of currently schedulable ranks. */
@@ -230,9 +204,6 @@ public:
      */
     unsigned firstSchedulable(unsigned from = 0) const;
 
-    /** Current fabric-link slowdown factor of @p node (1 = healthy). */
-    double linkFactor(unsigned node) const;
-
     /**
      * Kill @p rank immediately (also used by advanceTo for scheduled
      * deaths).  Fires rank-loss listeners outside the lock; a second
@@ -241,7 +212,8 @@ public:
     void killRank(unsigned rank);
 
     /**
-     * Record a transient failure on @p rank.  Once the per-rank count
+     * Record a transient failure on @p rank (below numRanks()).  Once
+     * the per-rank count
      * reaches @p quarantineThreshold (> 0) a Healthy rank moves to
      * Quarantined.
      */
@@ -266,9 +238,6 @@ public:
     /** Note one request shed for fault reasons (stats only). */
     void noteShedFault();
 
-    /** Note one broadcast resend charged (stats only). */
-    void noteResend();
-
     /** Snapshot of the cumulative counters and health gauges. */
     FaultStats stats() const;
 
@@ -284,9 +253,8 @@ private:
     markDeadLocked(unsigned rank);
 
     FaultPlan plan_;
-    Topology topo_;
+    unsigned numRanks_;
     std::vector<double> transientRate_; ///< per rank, immutable
-    double corruptRate_ = 0.0;          ///< immutable
 
     mutable std::mutex mutex_;
     std::vector<Scheduled> scheduled_;
@@ -294,16 +262,12 @@ private:
 
     std::unique_ptr<std::atomic<std::uint8_t>[]> health_;
     std::unique_ptr<std::atomic<std::uint64_t>[]> failures_;
-    std::unique_ptr<std::atomic<double>[]> linkFactor_;
 
     mutable std::atomic<std::uint64_t> transientFaults_{0};
-    mutable std::atomic<std::uint64_t> corruptedBroadcasts_{0};
     std::atomic<std::uint64_t> retries_{0};
-    std::atomic<std::uint64_t> resends_{0};
     std::atomic<std::uint64_t> quarantines_{0};
     std::atomic<std::uint64_t> failovers_{0};
     std::atomic<std::uint64_t> shedFault_{0};
-    std::atomic<std::uint64_t> linkDegrades_{0};
     std::atomic<double> backoffSeconds_{0.0};
 };
 

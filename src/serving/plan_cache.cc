@@ -45,7 +45,6 @@ PlanKeyHash::operator()(const PlanKey& key) const
     hashCombine(seed, key.shard.numRanks);
     hashCombine(seed, static_cast<std::size_t>(key.shard.strategy));
     hashCombine(seed, key.shard.align);
-    hashCombine(seed, key.shard.numNodes);
     hashCombine(seed, std::hash<std::string>{}(key.backend));
     hashCombine(seed, static_cast<std::size_t>(key.fingerprint));
     return seed;

@@ -9,9 +9,7 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/saturate.h"
-#include "lut/broadcast_codec.h"
 #include "lut/capacity.h"
-#include "serving/fault.h"
 
 namespace localut {
 
@@ -58,7 +56,6 @@ TableSetKeyHash::operator()(const TableSetKey& key) const
     hashCombine(seed, key.shard.numRanks);
     hashCombine(seed, static_cast<std::size_t>(key.shard.strategy));
     hashCombine(seed, key.shard.align);
-    hashCombine(seed, key.shard.numNodes);
     hashCombine(seed, static_cast<std::size_t>(key.instances));
     hashCombine(seed, key.homeRank);
     return seed;
@@ -131,25 +128,17 @@ ResidencyCharge::apply(TimingReport& timing, EnergyReport& energy,
 ResidencyManager::ResidencyManager(BackendPtr backend, unsigned numRanks,
                                    std::uint64_t budgetBytesPerUnit,
                                    ResidencyPolicy policy)
-    : ResidencyManager(std::move(backend), Topology{1, numRanks},
-                       budgetBytesPerUnit, policy)
-{}
-
-ResidencyManager::ResidencyManager(BackendPtr backend,
-                                   const Topology& topology,
-                                   std::uint64_t budgetBytesPerUnit,
-                                   ResidencyPolicy policy)
-    : backend_(std::move(backend)), policy_(policy), topo_(topology)
+    : backend_(std::move(backend)), policy_(policy)
 {
     LOCALUT_REQUIRE(backend_ != nullptr,
                     "ResidencyManager needs a backend");
-    LOCALUT_REQUIRE(topo_.nodes >= 1 && topo_.ranksPerNode >= 1,
+    LOCALUT_REQUIRE(numRanks >= 1,
                     "ResidencyManager needs at least one rank");
     profile_ = backend_->memoryProfile();
     budget_ = budgetBytesPerUnit != 0 ? budgetBytesPerUnit
                                       : profile_.lutBytesPerUnit;
-    residentBytes_.assign(topo_.totalRanks(), 0);
-    kvFootprint_.assign(topo_.totalRanks(), 0);
+    residentBytes_.assign(numRanks, 0);
+    kvFootprint_.assign(numRanks, 0);
 }
 
 unsigned
@@ -166,7 +155,8 @@ ResidencyManager::acquire(const GemmPlan& plan, const std::string& scope,
     if (policy_ == ResidencyPolicy::Disabled || perCopy == 0) {
         return {}; // nothing to place; nothing charged
     }
-    homeRank %= numRanks();
+    LOCALUT_REQUIRE(homeRank < numRanks(), "table-set home rank ",
+                    homeRank, " outside the ", numRanks(), "-rank grid");
     TableSetKey key = tableSetKeyFor(plan, scope, instances, homeRank);
     const std::uint64_t bytes = satMulU64(perCopy, key.instances);
     if (lutBytesSaturated(bytes)) {
@@ -177,16 +167,9 @@ ResidencyManager::acquire(const GemmPlan& plan, const std::string& scope,
         // never enter budget arithmetic).
         return {};
     }
-    // The measured codec ratio materializes tables under its own lock;
-    // compute it before taking ours (it is memoized per shape).
-    const double ratio = topo_.nodeOf(homeRank) != 0
-                             ? codecRatioFor(plan.design, plan.config,
-                                             std::max(1u, plan.p))
-                             : 1.0;
     std::lock_guard<std::mutex> lock(mutex_);
     SpillCost spill;
-    return acquireLocked(std::move(key), {{homeRank, bytes}}, ratio,
-                         spill);
+    return acquireLocked(std::move(key), {{homeRank, bytes}}, spill);
 }
 
 ResidencyCharge
@@ -232,65 +215,32 @@ ResidencyManager::acquire(const ShardPlan& plan, const std::string& scope,
             rankBytes.emplace_back(rank, perRank[rank]);
         }
     }
-    // Ratio before the lock (see the GemmPlan overload).
-    const double ratio =
-        crossesNodes(rankBytes)
-            ? codecRatioFor(plan.design, plan.config, key.p)
-            : 1.0;
     std::lock_guard<std::mutex> lock(mutex_);
     SpillCost spill;
-    return acquireLocked(std::move(key), std::move(rankBytes), ratio,
-                         spill);
+    return acquireLocked(std::move(key), std::move(rankBytes), spill);
 }
 
 ResidencyCharge
 ResidencyManager::acquireLocked(
     TableSetKey key,
     std::vector<std::pair<unsigned, std::uint64_t>> rankBytes,
-    double codecRatio, SpillCost& spill)
+    SpillCost& spill)
 {
     ++clock_;
     auto [it, inserted] = sets_.try_emplace(std::move(key));
     TableSet& set = it->second;
     if (inserted) {
         set.rankBytes = std::move(rankBytes);
-        // Split the broadcast by tier: node-0 shares ride the intra-host
-        // rank-parallel broadcast link, remote nodes' shares cross the
-        // inter-node (CXL) tier, compressed by the codec, plus its encode
-        // time.  With one node this degenerates to the flat formula
-        // bit-for-bit (interRaw == 0).
-        double intraBytes = 0;
-        double interRaw = 0;
-        for (const auto& [rank, bytes] : set.rankBytes) {
-            if (topo_.nodeOf(rank) == 0) {
-                intraBytes += static_cast<double>(bytes);
-            } else {
-                interRaw += static_cast<double>(bytes);
-            }
+        // One broadcast moves every rank's share over the rank-parallel
+        // broadcast link.
+        std::uint64_t bytes = 0;
+        for (const auto& [rank, rankShare] : set.rankBytes) {
+            bytes = satAddU64(bytes, rankShare);
         }
-        const double interBytes =
-            interRaw > 0 ? interRaw / std::max(1.0, codecRatio) : 0.0;
-        double seconds = 0;
-        double joules = 0;
-        const double codecSeconds = interRaw / (profile_.codecGBs * 1e9);
-        if (intraBytes > 0) {
-            seconds += profile_.broadcastLatencyUs * 1e-6 +
-                       intraBytes / (profile_.broadcastGBs * 1e9);
-            joules += profile_.pjPerBroadcastByte * intraBytes * 1e-12;
-        }
-        if (interRaw > 0) {
-            seconds += profile_.interNodeLatencyUs * 1e-6 +
-                       interBytes / (profile_.interNodeGBs * 1e9) +
-                       codecSeconds;
-            joules += profile_.pjPerInterNodeByte * interBytes * 1e-12;
-        }
-        set.broadcastBytes = intraBytes + interBytes;
-        set.intraBytes = intraBytes;
-        set.interRawBytes = interRaw;
-        set.interBytes = interBytes;
-        set.codecSeconds = codecSeconds;
-        set.broadcastSeconds = seconds;
-        set.broadcastJoules = joules;
+        set.broadcastBytes = static_cast<double>(bytes);
+        set.broadcastSeconds = broadcastSeconds(bytes);
+        set.broadcastJoules =
+            profile_.pjPerBroadcastByte * set.broadcastBytes * 1e-12;
     }
     set.lastUse = clock_;
     ++set.uses;
@@ -315,61 +265,13 @@ ResidencyManager::acquireLocked(
         }
         ++stats_.tableSets;
     }
-    // Fault modeling on the inter-node share: a degraded fabric link
-    // stretches the hop (latency + transfer, not the host-side encode),
-    // and a corrupted payload — detected by the codec's CRC32 on the
-    // receiving node — is re-sent over the same stretched hop, each
-    // send decided deterministically from the set identity and its
-    // per-set send count.  set.broadcastSeconds stays the clean
-    // rebroadcast cost so eviction scores are fault-independent.
-    double faultSeconds = 0;
-    if (set.interRawBytes > 0) {
-        const double interLinkSeconds =
-            profile_.interNodeLatencyUs * 1e-6 +
-            set.interBytes / (profile_.interNodeGBs * 1e9);
-        double degrade = 1.0;
-        if (injector_ != nullptr) {
-            for (const auto& [rank, bytes] : set.rankBytes) {
-                const unsigned node = topo_.nodeOf(rank);
-                if (node != 0) {
-                    degrade =
-                        std::max(degrade, injector_->linkFactor(node));
-                }
-            }
-        }
-        faultSeconds += (degrade - 1.0) * interLinkSeconds;
-        if (injector_ != nullptr) {
-            const std::uint64_t payload =
-                static_cast<std::uint64_t>(
-                    TableSetKeyHash{}(it->first)) ^
-                (set.sends << 1);
-            // Each corrupted send charges a full re-send of the
-            // degraded hop; cap the deterministic retry chain so a
-            // rate of 1.0 cannot loop forever.
-            for (unsigned attempt = 0; attempt < 8; ++attempt) {
-                if (!injector_->broadcastCorrupted(payload, attempt)) {
-                    break;
-                }
-                faultSeconds += degrade * interLinkSeconds;
-                injector_->noteResend();
-                ++stats_.broadcastResends;
-            }
-        }
-        ++set.sends;
-    }
     stats_.broadcastBytes += set.broadcastBytes;
-    stats_.broadcastSeconds += set.broadcastSeconds + faultSeconds;
-    stats_.broadcastIntraBytes += set.intraBytes;
-    stats_.broadcastInterRawBytes += set.interRawBytes;
-    stats_.broadcastInterBytes += set.interBytes;
+    stats_.broadcastSeconds += set.broadcastSeconds;
     ResidencyCharge charge;
     charge.hit = false;
     charge.bytes = set.broadcastBytes;
-    charge.seconds = set.broadcastSeconds + faultSeconds;
+    charge.seconds = set.broadcastSeconds;
     charge.joules = set.broadcastJoules;
-    charge.interNodeRawBytes = set.interRawBytes;
-    charge.interNodeBytes = set.interBytes;
-    charge.codecSeconds = set.codecSeconds;
     charge.kvSpillBytes = spill.bytes;
     charge.kvSpillSeconds = spill.seconds;
     charge.kvSpillJoules = spill.joules;
@@ -555,7 +457,8 @@ ResidencyManager::acquireKv(std::uint64_t stream, unsigned rank,
     LOCALUT_REQUIRE(layers >= 1 && bytesPerTokenPerLayer >= 1 &&
                         contextTokens >= 1,
                     "degenerate KV shape");
-    rank %= numRanks();
+    LOCALUT_REQUIRE(rank < numRanks(), "KV rank ", rank, " outside the ",
+                    numRanks(), "-rank grid");
     std::lock_guard<std::mutex> lock(mutex_);
     ++clock_;
     auto [it, inserted] = kvStreams_.try_emplace(stream);
@@ -649,17 +552,6 @@ ResidencyManager::acquireKv(std::uint64_t stream, unsigned rank,
     stats_.kvMovedBytes += charge.appendBytes;
     stats_.kvMovedSeconds += charge.appendSeconds;
     return charge;
-}
-
-void
-ResidencyManager::setFaultInjector(FaultInjector* injector)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    LOCALUT_REQUIRE(injector == nullptr ||
-                        injector->topology().totalRanks() ==
-                            topo_.totalRanks(),
-                    "fault injector topology does not match residency");
-    injector_ = injector;
 }
 
 ResidencyManager::RankLoss
@@ -769,65 +661,6 @@ ResidencyManager::broadcastSeconds(std::uint64_t bytes) const
     }
     return profile_.broadcastLatencyUs * 1e-6 +
            static_cast<double>(bytes) / (profile_.broadcastGBs * 1e9);
-}
-
-double
-ResidencyManager::projectedBroadcastSeconds(const GemmPlan& plan,
-                                            std::uint64_t bytes,
-                                            unsigned homeRank) const
-{
-    if (bytes == 0) {
-        return 0.0;
-    }
-    if (topo_.nodeOf(homeRank % numRanks()) == 0) {
-        return broadcastSeconds(bytes);
-    }
-    // No lock needed: the topology and memory profile are immutable
-    // after construction, and the measured ratio locks itself.
-    const double raw = static_cast<double>(bytes);
-    const double ratio = codecRatioFor(plan.design, plan.config,
-                                       std::max(1u, plan.p));
-    double seconds = profile_.interNodeLatencyUs * 1e-6 +
-                     (raw / ratio) / (profile_.interNodeGBs * 1e9);
-    if (injector_ != nullptr) {
-        // A degraded fabric link stretches the hop; the scheduler sees
-        // the stretched projection and steers cold starts elsewhere.
-        seconds *=
-            injector_->linkFactor(topo_.nodeOf(homeRank % numRanks()));
-    }
-    return seconds + raw / (profile_.codecGBs * 1e9);
-}
-
-std::vector<ResidencyManager::NodeResidency>
-ResidencyManager::nodeResidency() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<NodeResidency> nodes(topo_.nodes);
-    for (unsigned rank = 0; rank < residentBytes_.size(); ++rank) {
-        NodeResidency& node = nodes[topo_.nodeOf(rank)];
-        node.lutBytes += residentBytes_[rank];
-        node.kvBytes += kvFootprint_[rank];
-    }
-    return nodes;
-}
-
-double
-ResidencyManager::codecRatioFor(DesignPoint design,
-                                const QuantConfig& config,
-                                unsigned p) const
-{
-    return std::max(1.0, measuredTableSetRatio(design, config, p));
-}
-
-bool
-ResidencyManager::crossesNodes(
-    const std::vector<std::pair<unsigned, std::uint64_t>>& rankBytes)
-    const
-{
-    return std::any_of(rankBytes.begin(), rankBytes.end(),
-                       [this](const auto& rb) {
-                           return topo_.nodeOf(rb.first) != 0;
-                       });
 }
 
 ResidencyStats

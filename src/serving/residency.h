@@ -62,12 +62,9 @@
 #include <vector>
 
 #include "backend/backend.h"
-#include "common/topology.h"
 #include "serving/sharding.h"
 
 namespace localut {
-
-class FaultInjector;
 
 /** How the manager behaves when a table set must be admitted. */
 enum class ResidencyPolicy {
@@ -139,20 +136,9 @@ TableSetKey tableSetKeyFor(const GemmPlan& plan,
 /** The cost acquire() charged for one table-set access. */
 struct ResidencyCharge {
     bool hit = true;   ///< tables were resident; nothing was transferred
-    /** Host -> PIM broadcast bytes charged (0 on a hit): intra-tier raw
-     * bytes plus the *compressed* inter-node bytes — what actually
-     * crossed each tier's link. */
-    double bytes = 0;
+    double bytes = 0;   ///< host -> PIM broadcast bytes (0 on a hit)
     double seconds = 0; ///< modeled broadcast seconds (0 on a hit)
     double joules = 0;  ///< modeled broadcast Joules (0 on a hit)
-    /** Pre-codec table bytes bound for ranks on remote nodes (the
-     * inter-node share of the broadcast before compression). */
-    double interNodeRawBytes = 0;
-    /** Post-codec bytes that crossed the inter-node tier. */
-    double interNodeBytes = 0;
-    /** Host-side encode time of the inter-node share, already included
-     * in seconds (0 when nothing crossed nodes). */
-    double codecSeconds = 0;
     /** Raw KV-cache bytes the admission spilled PIM -> host to make
      * room (cross-class arbitration; 0 when no stream was spilled). */
     double kvSpillBytes = 0;
@@ -221,12 +207,6 @@ struct ResidencyStats {
     std::uint64_t tableSets = 0;     ///< currently resident sets
     double broadcastBytes = 0;       ///< total host -> PIM table bytes
     double broadcastSeconds = 0;     ///< total modeled broadcast time
-    double broadcastIntraBytes = 0;  ///< share charged at the intra tier
-    /** Pre-codec table bytes bound for remote nodes (raw inter share). */
-    double broadcastInterRawBytes = 0;
-    /** Post-codec bytes charged at the inter-node tier (the CI gate
-     * pins raw/charged >= 2 on OPT-class table sets). */
-    double broadcastInterBytes = 0;
     std::uint64_t kvStreams = 0;     ///< KV streams currently resident
     std::uint64_t kvSpills = 0;      ///< streams spilled out under pressure
     std::uint64_t kvRefills = 0;     ///< spilled streams transferred back
@@ -238,7 +218,6 @@ struct ResidencyStats {
     /** KV streams whose home rank died; their next acquireKv() may
      * re-home them to a survivor at full-refill cost. */
     std::uint64_t kvDisplaced = 0;
-    std::uint64_t broadcastResends = 0; ///< corruption-forced resends
 
     /** Fraction of acquires that found tables resident. */
     double
@@ -267,32 +246,16 @@ class ResidencyManager
     /**
      * @p budgetBytesPerUnit overrides the backend memory profile's
      * per-unit LUT budget when non-zero.  @p numRanks mirrors the
-     * session's logical ranks (each gets its own ledger); equivalent to
-     * the Topology constructor with a single node.
+     * session's logical ranks (each gets its own ledger).
      */
     ResidencyManager(BackendPtr backend, unsigned numRanks,
                      std::uint64_t budgetBytesPerUnit,
                      ResidencyPolicy policy);
 
-    /**
-     * Hierarchical-topology constructor: one ledger per flat rank of
-     * @p topology (node-major).  Table bytes bound for a rank on node
-     * > 0 are charged at the inter-node tier of the backend's memory
-     * profile instead of the local broadcast link, compressed through
-     * the delta/RLE broadcast codec (lut/broadcast_codec.h): the
-     * measured compressed bytes at the link rate plus an encode-time
-     * term.
-     */
-    ResidencyManager(BackendPtr backend, const Topology& topology,
-                     std::uint64_t budgetBytesPerUnit,
-                     ResidencyPolicy policy);
-
     /** Per-unit MRAM byte budget each rank's ledger enforces. */
     std::uint64_t budgetBytesPerUnit() const { return budget_; }
-    /** Flat logical ranks tracked (one ledger each). */
+    /** Logical ranks tracked (one ledger each). */
     unsigned numRanks() const;
-    /** The node x rank grid the ledgers are keyed by. */
-    Topology topology() const { return topo_; }
 
     /**
      * Ensures the table set of @p plan (scoped by @p scope; @p instances
@@ -300,9 +263,10 @@ class ResidencyManager
      * workload node aggregates) is resident on rank @p homeRank —
      * rank 0 by default; the scheduler passes its placement rank so
      * data-parallel replicas consume their own rank's budget — charging
-     * a broadcast when it is not.  With ResidencyPolicy::Disabled this
-     * returns a zero charge every time (the pre-residency model: tables
-     * are neither charged nor retained).
+     * a broadcast when it is not.  @p homeRank must be below numRanks().
+     * With ResidencyPolicy::Disabled this returns a zero charge every
+     * time (the pre-residency model: tables are neither charged nor
+     * retained).
      */
     ResidencyCharge acquire(const GemmPlan& plan,
                             const std::string& scope = "",
@@ -310,9 +274,8 @@ class ResidencyManager
                             unsigned homeRank = 0);
 
     /** Sharded counterpart: each shard's table set consumes its own
-     * flat rank's budget; the broadcast moves every rank's tables
-     * (scatter over each node's rank-parallel broadcast link, one
-     * launch; remote nodes' shares cross the inter-node tier). */
+     * rank's budget; the broadcast moves every rank's tables (scatter
+     * over the rank-parallel broadcast link, one launch). */
     ResidencyCharge acquire(const ShardPlan& plan,
                             const std::string& scope = "",
                             double instances = 1.0);
@@ -320,7 +283,8 @@ class ResidencyManager
     /**
      * Ensures @p stream's KV-cache — @p layers layers of
      * @p bytesPerTokenPerLayer raw bytes per token, covering
-     * @p contextTokens tokens — is resident on rank @p rank, charging
+     * @p contextTokens tokens — is resident on rank @p rank (below
+     * numRanks()), charging
      * the host -> PIM write of the newly appended tokens (and, when the
      * stream had been spilled, the refill of its whole context).  The
      * context is monotone: a decode step grows it by one token; an
@@ -357,32 +321,11 @@ class ResidencyManager
 
     /**
      * The modeled host -> PIM broadcast seconds of moving @p bytes of
-     * tables over the *intra-host* tier (one launch + bytes over the
-     * rank-parallel broadcast link) — what a miss on a set of that size
-     * homed on node 0 would charge.
+     * tables: one launch plus the bytes over the rank-parallel
+     * broadcast link.  Every miss is charged exactly this, and the
+     * scheduler's cold-start projection calls it per candidate rank.
      */
     double broadcastSeconds(std::uint64_t bytes) const;
-
-    /**
-     * Tier-aware projection of what a miss on @p plan's table set
-     * (@p bytes total) homed on flat rank @p homeRank would charge:
-     * the intra-host broadcast for node-0 ranks, the inter-node hop —
-     * with the codec's measured ratio and encode time — for ranks on
-     * remote nodes.  Const and side-effect free: the scheduler's
-     * node-locality-aware placement runs this per candidate rank.
-     */
-    double projectedBroadcastSeconds(const GemmPlan& plan,
-                                     std::uint64_t bytes,
-                                     unsigned homeRank) const;
-
-    /** Per-node residency gauges (summed over the node's ranks). */
-    struct NodeResidency {
-        std::uint64_t lutBytes = 0; ///< resident LUT table bytes
-        std::uint64_t kvBytes = 0;  ///< resident KV footprint bytes
-    };
-
-    /** One gauge entry per node of the topology, in node order. */
-    std::vector<NodeResidency> nodeResidency() const;
 
     /** Per-unit bytes currently resident on @p rank across both
      * resource classes (lutBytes + kvBytes; the budget invariant is
@@ -413,7 +356,7 @@ class ResidencyManager
     };
 
     /**
-     * Invalidates everything resident on flat @p rank after it died:
+     * Invalidates everything resident on @p rank after it died:
      * every table set with bytes there loses residency whole (its next
      * acquire() re-broadcasts, charged as usual), and every KV stream
      * homed there becomes non-resident and *displaced* — the one case
@@ -423,32 +366,16 @@ class ResidencyManager
      */
     RankLoss invalidateRank(unsigned rank);
 
-    /**
-     * Attaches @p injector so broadcast charges model fabric faults:
-     * inter-node shares are scaled by the target nodes' link-degrade
-     * factor, and corrupted payloads (detected by the codec checksum)
-     * charge deterministic re-sends.  Pass nullptr to detach.  The
-     * injector must outlive the manager.
-     */
-    void setFaultInjector(FaultInjector* injector);
-
   private:
     struct TableSet {
         /** (rank, per-copy bytes x instances) this set occupies. */
         std::vector<std::pair<unsigned, std::uint64_t>> rankBytes;
-        double broadcastBytes = 0;   ///< rebroadcast size (all tiers, charged)
+        double broadcastBytes = 0;   ///< rebroadcast size
         double broadcastSeconds = 0; ///< rebroadcast cost (the score input)
         double broadcastJoules = 0;
-        double intraBytes = 0;       ///< node-0 share (intra tier, raw)
-        double interRawBytes = 0;    ///< remote-node share before the codec
-        double interBytes = 0;       ///< remote-node share as charged
-        double codecSeconds = 0;     ///< encode time inside broadcastSeconds
         std::uint64_t uses = 0;      ///< touches while resident (reuse)
         std::uint64_t lastUse = 0;   ///< logical clock (tie-break)
         std::uint64_t admitOrder = 0;///< deterministic tie-break
-        /** Broadcast events for this set so far — the deterministic
-         * per-payload salt for the injector's corruption decisions. */
-        std::uint64_t sends = 0;
         bool resident = false;
         bool everResident = false;   ///< a later miss is a re-broadcast
     };
@@ -484,7 +411,7 @@ class ResidencyManager
                                   std::vector<std::pair<unsigned,
                                                         std::uint64_t>>
                                       rankBytes,
-                                  double codecRatio, SpillCost& spill);
+                                  SpillCost& spill);
     bool makeRoomLocked(const TableSet& incoming, SpillCost& spill);
     /**
      * Frees rank capacity until @p needed more per-unit bytes fit on
@@ -506,20 +433,11 @@ class ResidencyManager
     std::uint64_t kvFootprint(std::uint64_t rawBytes) const;
     /** Modeled seconds of moving @p rawBytes of KV over the host link. */
     double kvTransferSeconds(double rawBytes) const;
-    /** The codec's measured ratio for @p plan's tables (at least 1). */
-    double codecRatioFor(DesignPoint design, const QuantConfig& config,
-                         unsigned p) const;
-    /** True when any entry of @p rankBytes lives on a node > 0. */
-    bool crossesNodes(
-        const std::vector<std::pair<unsigned, std::uint64_t>>& rankBytes)
-        const;
 
     BackendPtr backend_;
     MemoryProfile profile_;
     std::uint64_t budget_ = 0; ///< per-unit bytes each rank may hold
     ResidencyPolicy policy_;
-    Topology topo_{1, 1};      ///< the node x rank grid of the ledgers
-    FaultInjector* injector_ = nullptr; ///< optional fault source
 
     mutable std::mutex mutex_;
     std::unordered_map<TableSetKey, TableSet, TableSetKeyHash> sets_;

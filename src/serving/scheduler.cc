@@ -271,12 +271,8 @@ RequestScheduler::projectColdStartLocked(
             residency->isResident(key)) {
             continue; // warm (or untracked) on this rank
         }
-        // Tier-aware: a rank on a remote node pays the codec-compressed
-        // inter-node hop instead of the local broadcast — node-locality-
-        // aware placement falls out of the earliest-completion search
-        // pricing remote cold starts higher.
         projection.rankBroadcastSeconds[rank] +=
-            residency->projectedBroadcastSeconds(plan, bytes, rank);
+            residency->broadcastSeconds(bytes);
         projection.rankKeys[rank].push_back(std::move(key));
     }
 }
@@ -359,17 +355,11 @@ RequestScheduler::submit(ServingRequest request)
 
     const bool gang = request.isWorkload && request.workload.sharded();
     if (gang) {
-        const SessionOptions& sessionOptions = session_.options();
-        LOCALUT_REQUIRE(request.workload.numRanks ==
-                                sessionOptions.numRanks &&
-                            request.workload.numNodes ==
-                                sessionOptions.numNodes,
+        LOCALUT_REQUIRE(request.workload.numRanks == numRanks_,
                         "sharded workload compiled for ",
-                        request.workload.numNodes, "x",
                         request.workload.numRanks,
-                        " (nodes x ranks) submitted to a scheduler over ",
-                        sessionOptions.numNodes, "x",
-                        sessionOptions.numRanks);
+                        " ranks submitted to a scheduler over ",
+                        numRanks_);
     }
 
     auto reject = [&](AdmissionOutcome outcome) {
@@ -513,15 +503,6 @@ RequestScheduler::submit(ServingRequest request)
     decision.projectedCompletionSeconds = bestCompletion;
     telemetry_->recordAdmission(decision.lane,
                                 AdmissionOutcome::Admitted);
-    const Topology topo = session_.topology();
-    if (best.rank == kAllRanks) {
-        // A gang occupies every rank: count it once per node.
-        for (unsigned node = 0; node < topo.nodes; ++node) {
-            telemetry_->recordPlacement(node);
-        }
-    } else {
-        telemetry_->recordPlacement(topo.nodeOf(best.rank));
-    }
 
     // Real execution: pin the request to its placement rank (gangs
     // shard across every rank, exactly as an unpinned submit would).
@@ -612,22 +593,6 @@ RequestScheduler::wait(std::uint64_t id)
         // rethrowing, mirroring admission-time sheds.
         result.decision.outcome = AdmissionOutcome::ShedFault;
         telemetry_->recordPostAdmitFaultShed(result.sample);
-    }
-    // The execution just updated residency: refresh the node-labeled
-    // gauges and per-tier broadcast counters the Prometheus dump
-    // exposes (localut_node_*, localut_broadcast_bytes_total).
-    if (const ResidencyManager* residency = session_.residency()) {
-        const ResidencyStats stats = residency->stats();
-        BroadcastTierBytes tiers;
-        tiers.intraBytes = stats.broadcastIntraBytes;
-        tiers.interRawBytes = stats.broadcastInterRawBytes;
-        tiers.interBytes = stats.broadcastInterBytes;
-        telemetry_->recordBroadcastTiers(tiers);
-        std::vector<NodeResidencyGauge> nodes;
-        for (const auto& node : residency->nodeResidency()) {
-            nodes.push_back({node.lutBytes, node.kvBytes});
-        }
-        telemetry_->recordNodeResidency(std::move(nodes));
     }
     publishFaults();
     return result;

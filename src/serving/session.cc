@@ -60,7 +60,7 @@ resolveWholeFaults(FaultInjector& inj, const FaultPolicy& policy,
 {
     FaultOutcome out;
     const unsigned start = rank;
-    const unsigned total = inj.topology().totalRanks();
+    const unsigned total = inj.numRanks();
     const unsigned visits = policy.failover ? total : 1;
     // The salt bumps per failover hop so every rank visit draws from its
     // own deterministic attempt stream.
@@ -190,26 +190,21 @@ InferenceSession::InferenceSession(BackendPtr backend,
     : backend_(std::move(backend)), options_(options)
 {
     LOCALUT_REQUIRE(backend_ != nullptr, "InferenceSession needs a backend");
-    LOCALUT_REQUIRE(options_.numRanks >= 1,
-                    "a session needs at least one rank");
-    LOCALUT_REQUIRE(options_.numNodes >= 1,
-                    "a session needs at least one node");
-    const unsigned flatRanks = options_.numNodes * options_.numRanks;
+    const unsigned ranks = options_.numRanks;
+    LOCALUT_REQUIRE(ranks >= 1, "a session needs at least one rank");
     if (options_.residencyPolicy != ResidencyPolicy::Disabled) {
         residency_ = std::make_unique<ResidencyManager>(
-            backend_, topology(), options_.mramBudgetBytes,
+            backend_, ranks, options_.mramBudgetBytes,
             options_.residencyPolicy);
     }
     if (options_.faultInjector != nullptr) {
-        LOCALUT_REQUIRE(
-            options_.faultInjector->topology().totalRanks() == flatRanks,
-            "fault injector tracks ",
-            options_.faultInjector->topology().totalRanks(),
-            " ranks but the session models ", flatRanks);
+        LOCALUT_REQUIRE(options_.faultInjector->numRanks() == ranks,
+                        "fault injector tracks ",
+                        options_.faultInjector->numRanks(),
+                        " ranks but the session models ", ranks);
         LOCALUT_REQUIRE(options_.faultPolicy.maxAttempts >= 1,
                         "FaultPolicy::maxAttempts must be at least 1");
         if (residency_ != nullptr) {
-            residency_->setFaultInjector(options_.faultInjector);
             // Rank death invalidates everything resident there: LUT
             // sets rebroadcast on next touch, KV streams become
             // displaced and re-home to a survivor at full-refill cost.
@@ -220,14 +215,14 @@ InferenceSession::InferenceSession(BackendPtr backend,
                 });
         }
     }
-    rankQueues_.resize(flatRanks);
+    rankQueues_.resize(ranks);
     unsigned workers = options_.workers;
     if (workers == 0) {
         const unsigned base = std::max(
             1u, std::min(8u, std::thread::hardware_concurrency()));
         // Enough workers that every rank's shard of a sharded GEMM can
         // be in flight at once.
-        workers = std::max(base, std::min(flatRanks, 8u));
+        workers = std::max(base, std::min(ranks, 8u));
     }
     workers_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i) {
@@ -270,8 +265,7 @@ InferenceSession::shardPlan(const GemmProblem& problem, DesignPoint design,
                             const PlanOverrides& overrides,
                             std::size_t align)
 {
-    const ShardSpec spec{options_.numRanks, options_.shardStrategy, align,
-                         options_.numNodes};
+    const ShardSpec spec{options_.numRanks, options_.shardStrategy, align};
     return cache_.shardPlanFor(*backend_, problem, design, spec, overrides);
 }
 
@@ -359,8 +353,7 @@ InferenceSession::settle(Request& request, bool gang)
 {
     FaultInjector* const inj = options_.faultInjector;
     const FaultPolicy& policy = options_.faultPolicy;
-    ShardSpec spec{options_.numRanks, options_.shardStrategy, 1,
-                   options_.numNodes};
+    ShardSpec spec{options_.numRanks, options_.shardStrategy, 1};
     std::vector<unsigned> survivors;
     bool reshard = false;
     if (gang && inj != nullptr) {
@@ -387,7 +380,7 @@ InferenceSession::settle(Request& request, bool gang)
             // One survivor leaves nothing to cut: serve the request
             // whole on it (bit-exact by the numRanks = 1 equivalence).
             spec = ShardSpec{static_cast<unsigned>(survivors.size()),
-                             options_.shardStrategy, 1, 1};
+                             options_.shardStrategy, 1};
             if (survivors.size() == 1) {
                 request.homeRank = survivors.front();
                 gang = false;
@@ -474,8 +467,7 @@ InferenceSession::CompiledWorkload
 InferenceSession::compile(const WorkloadSpec& spec, const QuantConfig& quant,
                           DesignPoint design, const PlanOverrides& overrides)
 {
-    return compileWith(spec, quant, design, overrides, options_.numRanks,
-                       options_.numNodes);
+    return compileWith(spec, quant, design, overrides, options_.numRanks);
 }
 
 InferenceSession::CompiledWorkload
@@ -484,15 +476,14 @@ InferenceSession::compileUnsharded(const WorkloadSpec& spec,
                                    DesignPoint design,
                                    const PlanOverrides& overrides)
 {
-    return compileWith(spec, quant, design, overrides, /*numRanks=*/1,
-                       /*numNodes=*/1);
+    return compileWith(spec, quant, design, overrides, /*numRanks=*/1);
 }
 
 InferenceSession::CompiledWorkload
 InferenceSession::compileWith(const WorkloadSpec& spec,
                               const QuantConfig& quant, DesignPoint design,
                               const PlanOverrides& overrides,
-                              unsigned numRanks, unsigned numNodes)
+                              unsigned numRanks)
 {
     CompiledWorkload workload;
     workload.spec = spec;
@@ -500,18 +491,17 @@ InferenceSession::compileWith(const WorkloadSpec& spec,
     workload.design = design;
     workload.overrides = overrides;
     workload.numRanks = numRanks;
-    workload.numNodes = numNodes;
     workload.backendName = backend_->name();
     workload.backendFingerprint = backend_->configFingerprint();
     for (const WorkloadGemm& gemm : workloadGemms(spec)) {
         const GemmProblem problem =
             makeShapeOnlyProblem(gemm.m, gemm.k, gemm.n, quant);
-        if (numRanks * numNodes > 1) {
-            // Tensor-parallel column cut across the whole grid, aligned
-            // to the GEMM's row grouping — attention heads for QKV
+        if (numRanks > 1) {
+            // Tensor-parallel column cut across every rank, aligned to
+            // the GEMM's row grouping — attention heads for QKV
             // (head-parallel), 1 elsewhere.
             const ShardSpec shard{numRanks, options_.shardStrategy,
-                                  gemm.rowAlign, numNodes};
+                                  gemm.rowAlign};
             workload.shardedNodes.push_back(
                 {gemm, cache_.shardPlanFor(*backend_, problem, design,
                                            shard, overrides)});
@@ -557,14 +547,12 @@ InferenceSession::runAt(const CompiledWorkload& workload,
                     "\"");
     // Unsharded workloads occupy one rank and are valid on any session
     // of this backend (the scheduler serves them data-parallel); a
-    // sharded cut must match the session's topology exactly.
+    // sharded cut must match the session's rank count exactly.
     LOCALUT_REQUIRE(!workload.sharded() ||
-                        (workload.numRanks == options_.numRanks &&
-                         workload.numNodes == options_.numNodes),
-                    "workload compiled for ", workload.numNodes, "x",
-                    workload.numRanks,
-                    " (nodes x ranks) submitted to a session with ",
-                    options_.numNodes, "x", options_.numRanks,
+                        workload.numRanks == options_.numRanks,
+                    "workload compiled for ", workload.numRanks,
+                    " ranks submitted to a session with ",
+                    options_.numRanks,
                     " (recompile on this session to re-cut the shards)");
     const ExecOptions nodeOptions = execOptions(/*computeValues=*/false);
     InferenceReport report =

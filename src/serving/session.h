@@ -68,23 +68,14 @@ struct SessionOptions {
      */
     unsigned workers = 0;
     /**
-     * Logical PIM ranks *per node* (num_ranks).  1 executes exactly as
-     * before; > 1 shards every GEMM across the ranks and executes the
-     * shards concurrently on per-rank work queues, bit-exact with 1.
+     * Logical PIM ranks behind the host link (num_ranks).  1 executes
+     * exactly as before; > 1 shards every GEMM across the ranks and
+     * executes the shards concurrently on per-rank work queues,
+     * bit-exact with 1.
      */
     unsigned numRanks = 1;
-    /** How GEMMs are cut across ranks when the topology is sharded. */
+    /** How GEMMs are cut across ranks when numRanks > 1. */
     ShardStrategy shardStrategy = ShardStrategy::ColumnParallel;
-    /**
-     * CXL-attached PIM nodes the session scales out across.  1 keeps
-     * the single-host model (and its exact costs); > 1 models
-     * numNodes * numRanks flat ranks (node-major): every GEMM is cut
-     * across all nodes' ranks, with cross-node transfers charged at the
-     * backend's inter-node tier and cross-node LUT broadcasts
-     * compressed by the delta/RLE codec (lut/broadcast_codec.h).
-     * Results stay bit-exact with numNodes = 1.
-     */
-    unsigned numNodes = 1;
     /**
      * LUT residency tracking (serving/residency.h).  Disabled (the
      * default) reproduces the pre-residency cost model: tables are never
@@ -108,8 +99,8 @@ struct SessionOptions {
      * it; shared with the scheduler and token engine so all layers see
      * one health registry.  nullptr (the
      * default) serves fault-free with zero overhead.  Not owned: the
-     * injector must outlive the session, its topology must match the
-     * session's, and its scheduled faults must not fire after the
+     * injector must outlive the session, must track numRanks ranks, and
+     * its scheduled faults must not fire after the
      * session is destroyed (the session registers a rank-loss listener
      * that touches its residency manager).  With an injector set,
      * transient execute failures retry under `faultPolicy` with capped
@@ -137,8 +128,8 @@ struct SubmitOptions {
      * a numRanks > 1 session — shard the GEMM across the ranks.  A
      * pinned request executes *whole* (unsharded) on that rank: the
      * data-parallel serving regime, where each rank is a replica
-     * serving complete requests.  A pinned rank must be a flat rank of
-     * the session (below InferenceSession::totalRanks()).
+     * serving complete requests.  A pinned rank must be below
+     * InferenceSession::totalRanks().
      */
     int rank = -1;
 };
@@ -168,10 +159,9 @@ class InferenceSession
         PlanOverrides overrides;     ///< planner overrides in effect
         std::vector<PlanNode> nodes; ///< one per distinct GEMM shape
         /** Sharded plan graph; populated instead of `nodes` when the
-         * session compiles with a sharded topology. */
+         * session compiles with numRanks > 1. */
         std::vector<ShardedGemm> shardedNodes;
-        unsigned numRanks = 1;       ///< ranks per node the cut was for
-        unsigned numNodes = 1;       ///< nodes the cut was laid across
+        unsigned numRanks = 1;       ///< ranks the cut was for
         double hostOps = 0;          ///< non-GEMM host work (scalar ops)
         /** Identity of the backend that compiled the plans; a session
          * refuses to execute another backend's workload. */
@@ -205,12 +195,7 @@ class InferenceSession
     const Backend& backend() const { return *backend_; }
     /** The options the session was opened with. */
     const SessionOptions& options() const { return options_; }
-    /** The node x ranks-per-node grid the session models. */
-    Topology topology() const
-    {
-        return {options_.numNodes, options_.numRanks};
-    }
-    /** Flat ranks across the whole grid (one work queue each). */
+    /** Ranks the session models (one work queue each). */
     unsigned totalRanks() const
     {
         return static_cast<unsigned>(rankQueues_.size());
@@ -372,7 +357,7 @@ class InferenceSession
                                  const QuantConfig& quant,
                                  DesignPoint design,
                                  const PlanOverrides& overrides,
-                                 unsigned numRanks, unsigned numNodes);
+                                 unsigned numRanks);
     InferenceReport runAt(const CompiledWorkload& workload,
                           unsigned homeRank) const;
     RequestId enqueue(std::unique_ptr<Request> request,

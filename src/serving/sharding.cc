@@ -50,15 +50,11 @@ chargeHostReduce(const Backend& backend, const ShardPlan& plan,
 }
 
 /**
- * Charges the reduction collective of @p plan (> 1 shard only) as a
- * hierarchical two-hop transfer: every rank drains its slice over its
- * node's local host link (nodes gather concurrently; the busiest node's
- * link paces the hop), then the remote nodes' contributions hop the
- * CXL inter-node tier to the root node.  RowParallel additionally
- * reduces partials hierarchically — each node's head combines its local
- * partials before one partial per remote node crosses the fabric.  On a
- * single-node topology the inter hop vanishes and the charge reproduces
- * the flat model bit-exactly (golden-pinned in test_golden_costs).
+ * Charges the reduction collective of @p plan (> 1 shard only): every
+ * rank drains its slice out of its banks while the host link moves the
+ * aggregate (collectiveHopCost), and RowParallel adds shards - 1
+ * partials per output element on the host.  Golden-pinned against the
+ * closed form in test_golden_costs.
  */
 void
 chargeCollective(const Backend& backend, ShardPlan& plan)
@@ -68,14 +64,10 @@ chargeCollective(const Backend& backend, ShardPlan& plan)
         return;
     }
     const CollectiveLinkProfile prof = backend.collectiveProfile();
-    const Topology topo = plan.spec.topology();
     const double outElems =
         static_cast<double>(plan.m) * static_cast<double>(plan.n);
     const bool rowPar = plan.spec.strategy == ShardStrategy::RowParallel;
 
-    // Per-node aggregates of the bytes the cut's shards actually drain.
-    std::vector<double> nodeBytes(topo.nodes, 0.0);
-    std::vector<unsigned> nodeShards(topo.nodes, 0);
     double perRankBytes = 0; // the largest single rank's contribution
     double totalBytes = 0;   // moved rank -> host, summed over ranks
     for (const GemmShard& shard : plan.shards) {
@@ -83,70 +75,22 @@ chargeCollective(const Backend& backend, ShardPlan& plan)
             rowPar ? outElems * kOutBytes
                    : static_cast<double>(shard.extent()) *
                          static_cast<double>(plan.n) * kOutBytes;
-        const unsigned node = topo.nodeOf(shard.rank % topo.totalRanks());
-        nodeBytes[node] += bytes;
-        nodeShards[node] += 1;
         perRankBytes = std::max(perRankBytes, bytes);
         totalBytes += bytes;
     }
-
     if (rowPar) {
-        // Hierarchical partial-sum reduce: each node's head adds its
-        // local partials (nodes work concurrently — the busiest node
-        // paces), then the root adds one partial per active node.
-        unsigned maxIntra = 0, activeNodes = 0;
-        for (unsigned node = 0; node < topo.nodes; ++node) {
-            if (nodeShards[node] == 0) {
-                continue;
-            }
-            ++activeNodes;
-            maxIntra = std::max(maxIntra, nodeShards[node] - 1);
-        }
-        plan.hostReduceOps =
-            static_cast<double>(maxIntra + (activeNodes - 1)) * outElems;
+        plan.hostReduceOps = static_cast<double>(shards - 1) * outElems;
     }
 
-    // Intra-node hop: ranks drain concurrently; each node's host link
-    // serializes that node's aggregate (nodes transfer in parallel, so
-    // the busiest node paces); energy pays for every byte drained and
-    // crossed.  One bulk-launch latency covers the rank-parallel hop.
-    double maxNodeBytes = 0;
-    for (const double bytes : nodeBytes) {
-        maxNodeBytes = std::max(maxNodeBytes, bytes);
-    }
-    const CollectiveCost intra = collectiveHopCost(
+    // Ranks drain concurrently and the host link serializes the
+    // aggregate; energy pays for every byte drained and crossed.  One
+    // bulk-launch latency covers the rank-parallel hop.
+    const CollectiveCost cost = collectiveHopCost(
         prof.dram, prof.dramEnergy,
-        {prof.banksPerRank, perRankBytes, totalBytes, maxNodeBytes,
-         totalBytes},
-        prof.intraTier());
-
-    // Inter-node hop: what remote nodes contribute crosses the fabric
-    // to the root (node 0) — gathered slices for ColumnParallel, one
-    // node-reduced partial per active remote node for RowParallel.
-    double interBytes = 0;
-    if (topo.multiNode()) {
-        if (rowPar) {
-            for (unsigned node = 1; node < topo.nodes; ++node) {
-                if (nodeShards[node] > 0) {
-                    interBytes += outElems * kOutBytes;
-                }
-            }
-        } else {
-            interBytes = totalBytes - nodeBytes[0];
-        }
-    }
-    CollectiveCost inter;
-    if (interBytes > 0) {
-        inter = collectiveHopCost(prof.dram, prof.dramEnergy,
-                                  {0, 0, 0, interBytes, interBytes},
-                                  prof.interNode);
-    }
-
+        {prof.banksPerRank, perRankBytes, totalBytes}, prof.hostLinkTier());
     plan.collectiveBytes = totalBytes;
-    plan.interNodeBytes = interBytes;
-    plan.interNodeSeconds = inter.seconds;
-    plan.collectiveSeconds = intra.seconds + inter.seconds;
-    plan.collectiveJoules = intra.joules + inter.joules;
+    plan.collectiveSeconds = cost.seconds;
+    plan.collectiveJoules = cost.joules;
     if (plan.hostReduceOps > 0) {
         TimingReport reduceTiming;
         EnergyReport reduceEnergy;
@@ -163,7 +107,6 @@ makeShardPlan(const Backend& backend, const GemmProblem& problem,
               const PlanOverrides& overrides, PlanCache* cache)
 {
     LOCALUT_REQUIRE(spec.numRanks >= 1, "a shard plan needs >= 1 rank");
-    LOCALUT_REQUIRE(spec.numNodes >= 1, "a shard plan needs >= 1 node");
     ShardPlan plan;
     plan.spec = spec;
     plan.design = design;
@@ -180,16 +123,14 @@ makeShardPlan(const Backend& backend, const GemmProblem& problem,
                     "bit-exact only for integer configs (got ",
                     plan.config.name(), ")");
 
-    // Cut the shard axis into totalRanks() contiguous, alignment-
-    // respecting slices (ceil split: the tail shard may be shorter or
-    // absent when the axis is small).  Flat rank ids are node-major, so
-    // consecutive shards fill one node's ranks before the next node's.
+    // Cut the shard axis into numRanks contiguous, alignment-respecting
+    // slices (ceil split: the tail shard may be shorter or absent when
+    // the axis is small).
     const std::size_t axis = rowPar ? plan.k : plan.m;
     const std::size_t align = std::max<std::size_t>(1, spec.align);
     const std::size_t groups = ceilDiv(axis, align);
     const std::size_t step =
-        ceilDiv(groups, static_cast<std::size_t>(spec.totalRanks())) *
-        align;
+        ceilDiv(groups, static_cast<std::size_t>(spec.numRanks)) * align;
     for (unsigned r = 0; static_cast<std::size_t>(r) * step < axis; ++r) {
         const std::size_t begin = static_cast<std::size_t>(r) * step;
         const std::size_t end = std::min(axis, begin + step);
@@ -335,26 +276,14 @@ reduceShardResults(const Backend& backend, const ShardPlan& plan,
         }
     }
 
-    // Charge the collective on top of the critical shard, split by tier
-    // so the breakdown shows what the CXL fabric (not the host links)
-    // cost.
+    // Charge the collective on top of the critical shard.
     if (plan.collectiveSeconds > 0 || plan.collectiveJoules > 0) {
         out.timing.linkSeconds += plan.collectiveSeconds;
         out.timing.total += plan.collectiveSeconds;
-        out.timing.seconds.add("link.collective",
-                               plan.collectiveSeconds -
-                                   plan.interNodeSeconds);
-        if (plan.interNodeSeconds > 0) {
-            out.timing.seconds.add("link.internode",
-                                   plan.interNodeSeconds);
-        }
+        out.timing.seconds.add("link.collective", plan.collectiveSeconds);
         out.energy.total += plan.collectiveJoules;
         out.energy.joules.add("link.collective", plan.collectiveJoules);
         out.cost.addLinkBytes(Phase::LinkOut, plan.collectiveBytes);
-        if (plan.interNodeBytes > 0) {
-            out.cost.addLinkBytes(Phase::LinkInterNode,
-                                  plan.interNodeBytes);
-        }
     }
     if (plan.hostReduceOps > 0) {
         TimingReport reduceTiming;
@@ -432,8 +361,6 @@ executeShardedWorkload(const Backend& backend,
         report.hostOpSeconds += reduceSeconds * node.gemm.count;
         report.collectiveSeconds +=
             node.plan.collectiveSeconds * node.gemm.count;
-        report.interNodeSeconds +=
-            node.plan.interNodeSeconds * node.gemm.count;
     }
     TimingReport hostTiming;
     EnergyReport hostEnergy;

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "backend/backend.h"
-#include "common/topology.h"
 #include "kernels/exec_engine.h"
 #include "nn/workload.h"
 
@@ -52,38 +51,18 @@ const char* shardStrategyName(ShardStrategy strategy);
 
 /** Everything that determines a sharded cut (part of the PlanKey). */
 struct ShardSpec {
-    unsigned numRanks = 1; ///< logical PIM ranks *per node* (1 = unsharded)
+    unsigned numRanks = 1; ///< logical PIM ranks (1 = unsharded)
     ShardStrategy strategy = ShardStrategy::ColumnParallel;
     /**
      * Shard boundaries land on multiples of this (e.g. the attention
      * head size for QKV projections — head-parallel attention).
      */
     std::size_t align = 1;
-    /**
-     * CXL/PCIe-attached PIM nodes the cut spans.  Shards are dealt
-     * across numNodes * numRanks flat ranks (node-major); the
-     * collective then gathers intra-node over each node's host link and
-     * hops the remote nodes' bytes over the inter-node tier.  1 keeps
-     * the flat single-host model (and its exact costs).
-     */
-    unsigned numNodes = 1;
 
     bool operator==(const ShardSpec&) const = default; ///< field-wise
 
-    /** True when this spec actually cuts the GEMM (> 1 flat rank). */
-    bool sharded() const { return totalRanks() > 1; }
-
-    /** Flat ranks across the whole node x rank grid. */
-    unsigned totalRanks() const
-    {
-        return numRanks * (numNodes ? numNodes : 1);
-    }
-
-    /** The node x ranks-per-node grid this spec shards over. */
-    Topology topology() const
-    {
-        return {numNodes ? numNodes : 1, numRanks};
-    }
+    /** True when this spec actually cuts the GEMM (> 1 rank). */
+    bool sharded() const { return numRanks > 1; }
 };
 
 /** One rank's slice of a sharded GEMM, bound to its execution plan. */
@@ -111,14 +90,11 @@ struct ShardPlan {
     std::vector<GemmShard> shards; ///< never empty; 1 entry = unsharded
 
     // Reduction collective (all zero when a single shard covers the GEMM).
-    double collectiveBytes = 0;   ///< bytes drained rank -> host (intra tier)
-    double collectiveSeconds = 0; ///< both hops: intra gather + inter-node
-    double collectiveJoules = 0;  ///< drain + both tiers' transfer energy
+    double collectiveBytes = 0;   ///< bytes drained rank -> host
+    double collectiveSeconds = 0; ///< modeled rank -> host hop
+    double collectiveJoules = 0;  ///< drain + link transfer energy
     double hostReduceOps = 0;     ///< RowParallel host partial-sum adds
     double hostReduceSeconds = 0; ///< modeled time of those adds
-    // Inter-node hop share (zero on a single-node topology).
-    double interNodeBytes = 0;   ///< bytes crossing the CXL inter-node tier
-    double interNodeSeconds = 0; ///< that hop's share of collectiveSeconds
 
     /** Modeled seconds: slowest shard (they run concurrently) +
      * collective + the RowParallel host reduce. */
@@ -180,7 +156,7 @@ GemmResult executeSharded(const Backend& backend,
                           const PlanOverrides& overrides = {});
 
 /** A workload GEMM bound to its sharded execution plan (the cut spans
- * every rank of every node). */
+ * every rank). */
 struct ShardedGemm {
     WorkloadGemm gemm; ///< the shape + repeat count
     ShardPlan plan;    ///< its rank cut
@@ -189,7 +165,7 @@ struct ShardedGemm {
 /**
  * Sharded counterpart of executeWorkload(): executes every node's shards
  * (timing-only) plus @p hostOps host work and aggregates the report,
- * including the per-node collective transfers.  @p options carries the
+ * including each node's collective transfer.  @p options carries the
  * execution knobs (its computeValues is overridden to false: workload
  * nodes are shape-only).
  */

@@ -244,30 +244,6 @@ Telemetry::recordKvResidency(const KvResidencyGauges& gauges)
 }
 
 void
-Telemetry::recordPlacement(unsigned node)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (state_.nodeRequests.size() <= node) {
-        state_.nodeRequests.resize(node + 1, 0);
-    }
-    ++state_.nodeRequests[node];
-}
-
-void
-Telemetry::recordNodeResidency(std::vector<NodeResidencyGauge> nodes)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    state_.nodeResidency = std::move(nodes);
-}
-
-void
-Telemetry::recordBroadcastTiers(const BroadcastTierBytes& tiers)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    state_.broadcastTiers = tiers;
-}
-
-void
 Telemetry::recordFaults(const FaultStats& faults, double capacityRatio)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -489,74 +465,10 @@ Telemetry::prometheusText() const
     appendf(out, "localut_evictions_total{class=\"kv\"} %llu\n",
             static_cast<unsigned long long>(snap.kv.spills));
 
-    if (!snap.nodeRequests.empty()) {
-        out += "# HELP localut_node_requests_total Requests placed per "
-               "topology node.\n# TYPE localut_node_requests_total "
-               "counter\n";
-        for (std::size_t node = 0; node < snap.nodeRequests.size();
-             ++node) {
-            appendf(out, "localut_node_requests_total{node=\"%zu\"} %llu\n",
-                    node,
-                    static_cast<unsigned long long>(
-                        snap.nodeRequests[node]));
-        }
-    }
-    if (!snap.nodeResidency.empty()) {
-        out += "# HELP localut_node_lut_resident_bytes LUT table-set "
-               "bytes resident per topology node.\n"
-               "# TYPE localut_node_lut_resident_bytes gauge\n";
-        for (std::size_t node = 0; node < snap.nodeResidency.size();
-             ++node) {
-            appendf(out,
-                    "localut_node_lut_resident_bytes{node=\"%zu\"} %llu\n",
-                    node,
-                    static_cast<unsigned long long>(
-                        snap.nodeResidency[node].lutBytes));
-        }
-        out += "# HELP localut_node_kv_resident_bytes Raw KV bytes "
-               "resident per topology node.\n"
-               "# TYPE localut_node_kv_resident_bytes gauge\n";
-        for (std::size_t node = 0; node < snap.nodeResidency.size();
-             ++node) {
-            appendf(out,
-                    "localut_node_kv_resident_bytes{node=\"%zu\"} %llu\n",
-                    node,
-                    static_cast<unsigned long long>(
-                        snap.nodeResidency[node].kvBytes));
-        }
-    }
-
-    out += "# HELP localut_broadcast_bytes_total LUT broadcast bytes by "
-           "link tier (intra-node host link vs inter-node CXL hop) and "
-           "kind (raw vs compressed on the wire).\n"
-           "# TYPE localut_broadcast_bytes_total counter\n";
-    // Intra-node broadcasts are never coded, so raw == compressed there;
-    // the inter-node pair exposes the measured codec ratio.
-    appendf(out,
-            "localut_broadcast_bytes_total{tier=\"intra\",kind=\"raw\"} "
-            "%.9e\n",
-            snap.broadcastTiers.intraBytes);
-    appendf(out,
-            "localut_broadcast_bytes_total{tier=\"intra\","
-            "kind=\"compressed\"} %.9e\n",
-            snap.broadcastTiers.intraBytes);
-    appendf(out,
-            "localut_broadcast_bytes_total{tier=\"inter\",kind=\"raw\"} "
-            "%.9e\n",
-            snap.broadcastTiers.interRawBytes);
-    appendf(out,
-            "localut_broadcast_bytes_total{tier=\"inter\","
-            "kind=\"compressed\"} %.9e\n",
-            snap.broadcastTiers.interBytes);
-
     out += "# HELP localut_faults_total Injected faults by kind.\n"
            "# TYPE localut_faults_total counter\n";
     appendf(out, "localut_faults_total{kind=\"transient_execute\"} %llu\n",
             static_cast<unsigned long long>(snap.faults.transientFaults));
-    appendf(out, "localut_faults_total{kind=\"broadcast_corrupt\"} %llu\n",
-            static_cast<unsigned long long>(snap.faults.corruptedBroadcasts));
-    appendf(out, "localut_faults_total{kind=\"link_degrade\"} %llu\n",
-            static_cast<unsigned long long>(snap.faults.linkDegrades));
     const struct {
         const char* name;
         const char* help;
@@ -566,9 +478,6 @@ Telemetry::prometheusText() const
         {"localut_fault_retries_total",
          "Execute attempts retried after an injected transient fault.",
          "counter", snap.faults.retries},
-        {"localut_broadcast_resends_total",
-         "LUT broadcasts re-sent after checksum-detected corruption.",
-         "counter", snap.faults.resends},
         {"localut_quarantines_total",
          "Ranks quarantined after crossing the failure threshold.",
          "counter", snap.faults.quarantines},

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "serving/fault.h"
 
@@ -218,28 +217,6 @@ struct KvResidencyGauges {
     std::uint64_t lutEvictions = 0;  ///< cumulative LUT sets evicted
 };
 
-/**
- * Point-in-time residency gauges for one topology node, recorded from
- * ResidencyManager::nodeResidency() (serving/residency.h).  Kept as a
- * plain mirror struct so telemetry stays dependency-free.
- */
-struct NodeResidencyGauge {
-    std::uint64_t lutBytes = 0; ///< resident LUT table-set bytes on node
-    std::uint64_t kvBytes = 0;  ///< resident raw KV bytes on node
-};
-
-/**
- * Cumulative LUT-broadcast byte counters split by link tier, recorded
- * from ResidencyStats (serving/residency.h).  The inter-node pair is
- * the codec acceptance metric: interRawBytes / interBytes is the
- * measured compression ratio on the CXL link.
- */
-struct BroadcastTierBytes {
-    double intraBytes = 0;    ///< bytes over the intra-node host link
-    double interRawBytes = 0; ///< pre-codec bytes bound for remote nodes
-    double interBytes = 0;    ///< bytes actually sent inter-node (coded)
-};
-
 /** A consistent copy of all telemetry state (see Telemetry::snapshot). */
 struct TelemetrySnapshot {
     /** Per-lane (DeadlineClass-indexed) submitted-request counters. */
@@ -260,13 +237,6 @@ struct TelemetrySnapshot {
     double lutBroadcastSeconds = 0;
     /** Latest KV-residency gauges (token engine, last recorded step). */
     KvResidencyGauges kv;
-    /** Requests placed per topology node (index = node id); grows on
-     * first placement recorded for a node. */
-    std::vector<std::uint64_t> nodeRequests;
-    /** Latest per-node residency gauges (index = node id). */
-    std::vector<NodeResidencyGauge> nodeResidency;
-    /** Latest per-tier LUT-broadcast byte counters. */
-    BroadcastTierBytes broadcastTiers;
     /** Latest fault/recovery counters and health gauges, recorded from
      * FaultInjector::stats(). */
     FaultStats faults;
@@ -314,15 +284,6 @@ class Telemetry
 
     /** Replaces the KV-residency gauges with @p gauges. */
     void recordKvResidency(const KvResidencyGauges& gauges);
-
-    /** Counts one request placed on topology node @p node. */
-    void recordPlacement(unsigned node);
-
-    /** Replaces the per-node residency gauges with @p nodes. */
-    void recordNodeResidency(std::vector<NodeResidencyGauge> nodes);
-
-    /** Replaces the per-tier broadcast byte counters with @p tiers. */
-    void recordBroadcastTiers(const BroadcastTierBytes& tiers);
 
     /** Replaces the fault counters and health gauges with @p faults
      * and the capacity gauge with @p capacityRatio. */

@@ -208,11 +208,7 @@ CostEvaluator::timing(const KernelCost& cost, unsigned nDpusUsed) const
             report.hostSeconds += seconds;
         } else if (isLinkPhase(p)) {
             if (pc.linkBytes > 0) {
-                // LinkInterNode bytes are priced here at the output-
-                // gather rate as a conservative fallback; the serving
-                // layers charge the actual tiered hop seconds directly.
-                const double gbs = (p == Phase::LinkOut ||
-                                    p == Phase::LinkInterNode)
+                const double gbs = p == Phase::LinkOut
                                        ? config_.link.pimToHostGBs
                                        : config_.link.hostToPimGBs;
                 seconds = pc.linkBytes / (gbs * 1e9) +

@@ -35,7 +35,9 @@ enum class Phase : unsigned {
     LinkWeightIn,    ///< host -> PIM weight transfer (init-time; reported)
     LinkOut,         ///< PIM -> host output gather
     LutBroadcast,    ///< host -> PIM LUT table-set broadcast (cold start)
-    LinkInterNode,   ///< CXL/PCIe inter-node hop (multi-node collectives)
+    /** Reserved link phase: nothing charges it (one host, no inter-node
+     * hop); kept so perfbench's per-phase metric names stay stable. */
+    LinkInterNode,
     LutLoadDma,      ///< MRAM -> WRAM LUT slice streaming
     OperandDma,      ///< MRAM -> WRAM weight/activation tile traffic
     TableBuild,      ///< runtime LUT construction (LTC-style baselines)

@@ -5,7 +5,7 @@
  * @file
  * Trace-driven cycle-level micro-simulator of one UPMEM-class DPU.
  *
- * Pipeline model (DESIGN.md Section 10):
+ * Pipeline model (DESIGN.md Section 9):
  *  - In-order single-issue core with tasklet round-robin: one issue
  *    slot per cycle; after issuing, a tasklet re-enters the ready set
  *    `fullIssueTasklets` cycles later (the 11-deep pipeline of the real

@@ -25,12 +25,6 @@
 namespace localut {
 namespace {
 
-Topology
-topo2x4()
-{
-    return Topology{2, 4};
-}
-
 /** A fabricated LoCaLUT plan with a forced packing degree, so table
  * sizes are exact and independent of the planner. */
 GemmPlan
@@ -64,10 +58,10 @@ TEST(FaultInjector, DecisionsAreDeterministicAndSeedSensitive)
     FaultPlan plan;
     plan.seed = 42;
     plan.transientExecute(0.5);
-    FaultInjector a(plan, topo2x4());
-    FaultInjector b(plan, topo2x4());
+    FaultInjector a(plan, 8);
+    FaultInjector b(plan, 8);
     plan.seed = 43;
-    FaultInjector c(plan, topo2x4());
+    FaultInjector c(plan, 8);
 
     unsigned diffs = 0;
     unsigned fires = 0;
@@ -93,10 +87,10 @@ TEST(FaultInjector, RateEdgesAndRankScoping)
 {
     FaultPlan never;
     never.transientExecute(0.0);
-    FaultInjector quiet(never, topo2x4());
+    FaultInjector quiet(never, 8);
     FaultPlan always;
     always.transientExecute(1.0, /*rank=*/3);
-    FaultInjector scoped(always, topo2x4());
+    FaultInjector scoped(always, 8);
     for (std::uint64_t req = 0; req < 32; ++req) {
         EXPECT_FALSE(quiet.executeFails(req, 0, req % 8));
         EXPECT_TRUE(scoped.executeFails(req, 0, 3));
@@ -110,7 +104,7 @@ TEST(FaultInjector, ScheduledDeathFiresOnceAtVirtualTime)
 {
     FaultPlan plan;
     plan.rankDeath(5, /*atSeconds=*/1.0);
-    FaultInjector inj(plan, topo2x4());
+    FaultInjector inj(plan, 8);
     std::atomic<unsigned> losses{0};
     inj.onRankLoss([&](unsigned rank) {
         EXPECT_EQ(rank, 5u);
@@ -140,7 +134,7 @@ TEST(FaultInjector, ScheduledDeathFiresOnceAtVirtualTime)
 
 TEST(FaultInjector, QuarantineAfterThresholdFailures)
 {
-    FaultInjector inj(FaultPlan{}, topo2x4());
+    FaultInjector inj(FaultPlan{}, 8);
     const std::uint64_t threshold = 4;
     for (std::uint64_t i = 0; i < threshold - 1; ++i) {
         inj.recordFailure(2, threshold);
@@ -161,24 +155,12 @@ TEST(FaultInjector, QuarantineAfterThresholdFailures)
     EXPECT_TRUE(std::find(alive.begin(), alive.end(), 2u) == alive.end());
 }
 
-TEST(FaultInjector, LinkDegradeScalesOneNode)
-{
-    FaultPlan plan;
-    plan.linkDegrade(/*node=*/1, /*factor=*/3.0, /*atSeconds=*/0.0);
-    FaultInjector inj(plan, topo2x4());
-    EXPECT_DOUBLE_EQ(inj.linkFactor(1), 1.0);
-    inj.advanceTo(0.0);
-    EXPECT_DOUBLE_EQ(inj.linkFactor(1), 3.0);
-    EXPECT_DOUBLE_EQ(inj.linkFactor(0), 1.0);
-    EXPECT_EQ(inj.stats().linkDegrades, 1u);
-}
-
 TEST(FaultInjector, ConcurrentDecisionsMatchSerialReplay)
 {
     FaultPlan plan;
     plan.seed = 7;
     plan.transientExecute(0.3);
-    FaultInjector inj(plan, topo2x4());
+    FaultInjector inj(plan, 8);
 
     constexpr unsigned kThreads = 4;
     constexpr std::uint64_t kPerThread = 256;
@@ -198,7 +180,7 @@ TEST(FaultInjector, ConcurrentDecisionsMatchSerialReplay)
     }
     // Replay serially on a fresh injector: decisions are pure functions
     // of (seed, request, attempt, rank), independent of interleaving.
-    FaultInjector replay(plan, topo2x4());
+    FaultInjector replay(plan, 8);
     std::uint64_t fires = 0;
     for (unsigned t = 0; t < kThreads; ++t) {
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
@@ -214,7 +196,7 @@ TEST(FaultInjector, ConcurrentDecisionsMatchSerialReplay)
 TEST(ResidencyFault, InvalidateRankDropsSetsAndDisplacesKv)
 {
     const BackendPtr backend = makeBackend("upmem");
-    ResidencyManager manager(backend, Topology{2, 2},
+    ResidencyManager manager(backend, /*numRanks=*/4,
                              /*budgetBytesPerUnit=*/64ull << 20,
                              ResidencyPolicy::CostAware);
 
@@ -256,36 +238,6 @@ TEST(ResidencyFault, InvalidateRankDropsSetsAndDisplacesKv)
     EXPECT_GT(manager.kvBytes(2), 0u);
 }
 
-TEST(ResidencyFault, LinkDegradeStretchesInterNodeBroadcast)
-{
-    const BackendPtr backend = makeBackend("upmem");
-    const Topology topo{2, 2};
-    FaultPlan plan;
-    plan.linkDegrade(/*node=*/1, /*factor=*/4.0, /*atSeconds=*/0.0);
-    FaultInjector inj(plan, topo);
-
-    const GemmPlan gemm = faultTestPlan();
-    ResidencyManager healthy(backend, topo, 64ull << 20,
-                             ResidencyPolicy::CostAware);
-    const double clean =
-        healthy.acquire(gemm, "layer0", 1.0, /*homeRank=*/3).seconds;
-
-    ResidencyManager degraded(backend, topo, 64ull << 20,
-                              ResidencyPolicy::CostAware);
-    degraded.setFaultInjector(&inj);
-    inj.advanceTo(0.0);
-    const double slow =
-        degraded.acquire(gemm, "layer0", 1.0, /*homeRank=*/3).seconds;
-    EXPECT_GT(slow, clean);
-
-    // An injector with no active degrade charges exactly the clean cost.
-    FaultInjector idle(FaultPlan{}, topo);
-    ResidencyManager wired(backend, topo, 64ull << 20,
-                           ResidencyPolicy::CostAware);
-    wired.setFaultInjector(&idle);
-    EXPECT_DOUBLE_EQ(wired.acquire(gemm, "layer0", 1.0, 3).seconds, clean);
-}
-
 // ----------------------------------------------- session-level faults
 
 TEST(SessionFault, ExhaustedRetriesFailOverAndStayBitExact)
@@ -307,7 +259,7 @@ TEST(SessionFault, ExhaustedRetriesFailOverAndStayBitExact)
     // there, fails over to rank 1, and still produces the exact values.
     FaultPlan plan;
     plan.transientExecute(1.0, /*rank=*/0);
-    FaultInjector injector(plan, Topology{1, 2});
+    FaultInjector injector(plan, 2);
     SessionOptions options;
     options.numRanks = 2;
     options.faultInjector = &injector;
@@ -329,7 +281,7 @@ TEST(SessionFault, ExhaustedRetriesFailOverAndStayBitExact)
 TEST(SessionFault, DeadRankWithoutFailoverShedsAtWait)
 {
     FaultPlan plan;
-    FaultInjector injector(plan, Topology{1, 2});
+    FaultInjector injector(plan, 2);
     SessionOptions options;
     options.numRanks = 2;
     options.faultInjector = &injector;
@@ -360,7 +312,7 @@ TEST(SessionFault, FailoverTriesEachRankOnce)
     // too and sheds without revisiting rank 0.
     FaultPlan plan;
     plan.transientExecute(1.0);
-    FaultInjector injector(plan, Topology{1, 2});
+    FaultInjector injector(plan, 2);
     SessionOptions options;
     options.numRanks = 2;
     options.faultInjector = &injector;
@@ -389,7 +341,7 @@ TEST(SessionFault, RankDeathReshardsGangRequestsBitExact)
         referenceGemmInt(problem.w, problem.a);
 
     FaultPlan plan;
-    FaultInjector injector(plan, Topology{1, 4});
+    FaultInjector injector(plan, 4);
     SessionOptions options;
     options.numRanks = 4;
     options.faultInjector = &injector;
@@ -434,7 +386,7 @@ TEST(SessionFault, DeterministicAcrossWorkerCounts)
         FaultPlan plan;
         plan.seed = 9;
         plan.transientExecute(0.5);
-        FaultInjector injector(plan, Topology{1, 4});
+        FaultInjector injector(plan, 4);
         SessionOptions options;
         options.numRanks = 4;
         options.workers = workers;
@@ -533,7 +485,7 @@ TEST(SessionFault, ConcurrentSubmittersCompleteOrShedCleanly)
     FaultPlan plan;
     plan.seed = 13;
     plan.transientExecute(0.4);
-    FaultInjector injector(plan, Topology{1, 4});
+    FaultInjector injector(plan, 4);
     SessionOptions options;
     options.numRanks = 4;
     options.faultInjector = &injector;
@@ -573,7 +525,7 @@ TEST(SessionFault, ConcurrentSubmittersCompleteOrShedCleanly)
 
 TEST(SchedulerFault, AcceptanceDeathAndTransientsServeBitExact)
 {
-    // The ISSUE 9 acceptance scenario: a 2x4 topology under a seeded
+    // The acceptance scenario: an 8-rank session under a seeded
     // plan of one scheduled rank death plus any-rank transients; every
     // non-shed request returns bit-exact values, and the quarantine /
     // failover counters land in the Prometheus dump.
@@ -589,10 +541,9 @@ TEST(SchedulerFault, AcceptanceDeathAndTransientsServeBitExact)
     plan.seed = 0xacce97;
     plan.transientExecute(0.25);
     plan.rankDeath(5, /*atSeconds=*/5e-3);
-    FaultInjector injector(plan, topo2x4());
+    FaultInjector injector(plan, 8);
     SessionOptions sessionOptions;
-    sessionOptions.numNodes = 2;
-    sessionOptions.numRanks = 4;
+    sessionOptions.numRanks = 8;
     sessionOptions.faultInjector = &injector;
     InferenceSession session(makeBackend("upmem"), sessionOptions);
     SchedulerOptions options;
@@ -695,10 +646,9 @@ replaySweep(const SweepTrace& trace, unsigned workers, bool recover,
     plan.seed = 0xfa017u;
     plan.transientExecute(0.6);
     plan.rankDeath(2, trace.deathAt);
-    FaultInjector injector(plan, topo2x4());
+    FaultInjector injector(plan, 8);
     SessionOptions sessionOptions;
-    sessionOptions.numNodes = 2;
-    sessionOptions.numRanks = 4;
+    sessionOptions.numRanks = 8;
     sessionOptions.workers = workers;
     sessionOptions.faultInjector = &injector;
     sessionOptions.faultPolicy.quarantineThreshold = quarantineThreshold;
@@ -799,7 +749,7 @@ TEST(TokenEngineFault, AllRanksDeadShedsStreamsOnArrival)
     FaultPlan plan;
     plan.rankDeath(0, 0.0);
     plan.rankDeath(1, 0.0);
-    FaultInjector injector(plan, Topology{1, 2});
+    FaultInjector injector(plan, 2);
     SessionOptions options;
     options.numRanks = 2;
     options.faultInjector = &injector;
@@ -853,7 +803,7 @@ TEST(TokenEngineFault, MidTraceRankDeathMigratesStreamsToSurvivor)
 
     FaultPlan plan;
     plan.rankDeath(0, makespan / 2);
-    FaultInjector injector(plan, Topology{1, 2});
+    FaultInjector injector(plan, 2);
     SessionOptions options;
     options.numRanks = 2;
     options.faultInjector = &injector;

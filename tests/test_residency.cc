@@ -428,136 +428,6 @@ TEST(ResidencyManager, PerRankHomePlacementAndConstQueries)
     EXPECT_EQ(manager.stats().misses, 2u);
 }
 
-TEST(ResidencyManager, RemoteHomeRankChargesTheInterNodeTier)
-{
-    const BackendPtr backend = makeBackend("upmem");
-    const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmPlan plan = fabricatedPlan(cfg, 2);
-    const std::uint64_t setBytes = tableSetBytes(plan);
-    ASSERT_GT(setBytes, 0u);
-    const MemoryProfile profile = backend->memoryProfile();
-
-    // 2 nodes x 2 ranks: flat rank 2 lives on node 1.
-    ResidencyManager manager(backend, Topology{2, 2},
-                             /*budgetBytesPerUnit=*/0,
-                             ResidencyPolicy::CostAware);
-
-    // Node-0 home: the whole set rides the intra-host broadcast link.
-    const ResidencyCharge local = manager.acquire(plan, "a", 1.0, 0);
-    EXPECT_FALSE(local.hit);
-    EXPECT_DOUBLE_EQ(local.interNodeRawBytes, 0.0);
-    EXPECT_DOUBLE_EQ(local.seconds, manager.broadcastSeconds(setBytes));
-
-    // Remote home: the same set crosses the inter-node tier instead —
-    // delta/RLE coded, at the slower fabric rate, plus the encode time
-    // of the raw bytes.
-    const ResidencyCharge remote = manager.acquire(plan, "a", 1.0, 2);
-    EXPECT_FALSE(remote.hit);
-    EXPECT_DOUBLE_EQ(remote.interNodeRawBytes,
-                     static_cast<double>(setBytes));
-    EXPECT_GT(remote.interNodeBytes, 0.0);
-    EXPECT_LE(remote.interNodeBytes, remote.interNodeRawBytes);
-    EXPECT_DOUBLE_EQ(remote.codecSeconds,
-                     static_cast<double>(setBytes) /
-                         (profile.codecGBs * 1e9));
-    EXPECT_DOUBLE_EQ(remote.seconds,
-                     profile.interNodeLatencyUs * 1e-6 +
-                         remote.interNodeBytes /
-                             (profile.interNodeGBs * 1e9) +
-                         remote.codecSeconds);
-    EXPECT_GT(remote.seconds, local.seconds);
-
-    // The projection the scheduler's placement runs agrees exactly.
-    EXPECT_DOUBLE_EQ(manager.projectedBroadcastSeconds(plan, setBytes, 0),
-                     local.seconds);
-    EXPECT_DOUBLE_EQ(manager.projectedBroadcastSeconds(plan, setBytes, 2),
-                     remote.seconds);
-
-    // Tier split shows up in the stats and the per-node gauges.
-    const ResidencyStats stats = manager.stats();
-    EXPECT_DOUBLE_EQ(stats.broadcastIntraBytes,
-                     static_cast<double>(setBytes));
-    EXPECT_DOUBLE_EQ(stats.broadcastInterRawBytes,
-                     static_cast<double>(setBytes));
-    const auto nodes = manager.nodeResidency();
-    ASSERT_EQ(nodes.size(), 2u);
-    EXPECT_EQ(nodes[0].lutBytes, setBytes);
-    EXPECT_EQ(nodes[1].lutBytes, setBytes);
-}
-
-TEST(ResidencyManager, InterNodeCodecShrinksTheCrossingBytes)
-{
-    const BackendPtr backend = makeBackend("upmem");
-    const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmPlan plan = fabricatedPlan(cfg, 2);
-    const std::uint64_t setBytes = tableSetBytes(plan);
-
-    ResidencyManager manager(backend, Topology{2, 2}, 0,
-                             ResidencyPolicy::CostAware);
-    const ResidencyCharge remote = manager.acquire(plan, "a", 1.0, 2);
-    EXPECT_FALSE(remote.hit);
-    EXPECT_DOUBLE_EQ(remote.interNodeRawBytes,
-                     static_cast<double>(setBytes));
-    // The ISSUE acceptance bar: the measured delta/RLE ratio on
-    // LoCaLUT W4A4 table sets shrinks the crossing bytes >= 2x, and the
-    // explicit encode-time term is charged inside seconds.
-    EXPECT_LE(remote.interNodeBytes, remote.interNodeRawBytes / 2.0);
-    EXPECT_GT(remote.codecSeconds, 0.0);
-
-    // Node-0 homes never touch the codec.
-    const ResidencyCharge local = manager.acquire(plan, "a", 1.0, 0);
-    EXPECT_DOUBLE_EQ(local.codecSeconds, 0.0);
-    EXPECT_DOUBLE_EQ(local.seconds, manager.broadcastSeconds(setBytes));
-}
-
-TEST(ResidencyManager, SingleNodeTopologyMatchesTheFlatConstructor)
-{
-    const BackendPtr backend = makeBackend("upmem");
-    const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmPlan plan = fabricatedPlan(cfg, 2);
-
-    ResidencyManager flat(backend, /*numRanks=*/2, 0,
-                          ResidencyPolicy::CostAware);
-    // The codec is irrelevant on one node: nothing ever crosses.
-    ResidencyManager hier(backend, Topology{1, 2}, 0,
-                          ResidencyPolicy::CostAware);
-    for (const unsigned rank : {0u, 1u}) {
-        const ResidencyCharge a = flat.acquire(plan, "x", 1.0, rank);
-        const ResidencyCharge b = hier.acquire(plan, "x", 1.0, rank);
-        EXPECT_DOUBLE_EQ(a.seconds, b.seconds) << rank;
-        EXPECT_DOUBLE_EQ(a.joules, b.joules) << rank;
-        EXPECT_DOUBLE_EQ(b.interNodeRawBytes, 0.0) << rank;
-        EXPECT_DOUBLE_EQ(b.codecSeconds, 0.0) << rank;
-    }
-}
-
-TEST(ResidencyManager, ShardedAcquireSplitsTiersByRankNode)
-{
-    const BackendPtr backend = makeBackend("upmem");
-    const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmProblem problem = makeShapeOnlyProblem(768, 768, 8, cfg);
-
-    ShardSpec spec;
-    spec.numRanks = 2;
-    spec.numNodes = 2;
-    const ShardPlan plan =
-        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, spec);
-    ASSERT_EQ(plan.shards.size(), 4u);
-
-    ResidencyManager manager(backend, Topology{2, 2}, 0,
-                             ResidencyPolicy::CostAware);
-    const ResidencyCharge charge = manager.acquire(plan, "qkv");
-    EXPECT_FALSE(charge.hit);
-    // Shards 2 and 3 home on node 1: their tables cross compressed.
-    EXPECT_GT(charge.interNodeRawBytes, 0.0);
-    EXPECT_LT(charge.interNodeBytes, charge.interNodeRawBytes);
-    EXPECT_GT(charge.codecSeconds, 0.0);
-    const auto nodes = manager.nodeResidency();
-    ASSERT_EQ(nodes.size(), 2u);
-    EXPECT_GT(nodes[0].lutBytes, 0u);
-    EXPECT_GT(nodes[1].lutBytes, 0u);
-}
-
 TEST(ResidencyDifferential, CostsChangeValuesNeverDo)
 {
     // The differential invariant across backends and rank counts:

@@ -269,6 +269,14 @@ TEST(Scheduler, ColdStartAwarePlacementPrefersWarmRanks)
     EXPECT_EQ(d1.rank, 0u);
     const ServingResult r1 = scheduler.wait(d1.id);
     EXPECT_GT(r1.sample.lutBroadcastSeconds, 0.0);
+    // The projection prices the cold start exactly as the execution
+    // charges it: both are the residency manager's broadcastSeconds().
+    const GemmPlan plan = session.plan(s, DesignPoint::LoCaLut);
+    EXPECT_DOUBLE_EQ(r1.sample.lutBroadcastSeconds,
+                     r1.gemm.timing.seconds.get("link.lut_broadcast"));
+    EXPECT_DOUBLE_EQ(r1.sample.lutBroadcastSeconds,
+                     session.residency()->broadcastSeconds(
+                         tableSetBytes(plan)));
 
     // With both ranks idle again, S re-runs warm on rank 0, while the
     // unseen shape T prefers the idle-but-cold rank 1 over queueing
@@ -295,72 +303,6 @@ TEST(Scheduler, ColdStartAwarePlacementPrefersWarmRanks)
     EXPECT_EQ(d4.rank, 1u);
     const ServingResult r4 = scheduler.wait(d4.id);
     EXPECT_DOUBLE_EQ(r4.sample.lutBroadcastSeconds, 0.0);
-}
-
-TEST(Scheduler, NodeLocalityPricesRemoteColdStartsHigher)
-{
-    // 2 nodes x 1 rank: flat rank 0 is node 0 (local broadcast link),
-    // flat rank 1 is node 1 (CXL tier).
-    SessionOptions sessionOptions;
-    sessionOptions.numRanks = 1;
-    sessionOptions.numNodes = 2;
-    sessionOptions.residencyPolicy = ResidencyPolicy::CostAware;
-    InferenceSession session(makeBackend("upmem"), sessionOptions);
-    SchedulerOptions schedulerOptions;
-    schedulerOptions.maxQueuedPerRank = 1;
-    RequestScheduler scheduler(session, schedulerOptions);
-
-    const GemmProblem s = makeRandomProblem(
-        768, 768, 8, QuantConfig::preset("W4A4"), 7);
-
-    // Both ranks idle and cold: the node-0 rank wins because its cold
-    // start rides the intra-host broadcast, not the slower fabric.
-    const AdmissionDecision d1 = scheduler.submit(ServingRequest::gemm(
-        s, DesignPoint::LoCaLut, DeadlineClass::Batch, kInf,
-        /*computeValues=*/false));
-    ASSERT_TRUE(d1.admitted());
-    EXPECT_EQ(d1.rank, 0u);
-    const ServingResult r1 = scheduler.wait(d1.id);
-    EXPECT_GT(r1.sample.lutBroadcastSeconds, 0.0);
-
-    // Saturate rank 0 with a long-lived batch request, then resubmit S:
-    // the only open rank is remote, so the placement pays the
-    // inter-node projection — strictly more than the intra broadcast
-    // the warm-path projection would have charged for the same bytes.
-    scheduler.advanceTo(r1.sample.completionSeconds);
-    const AdmissionDecision hold = scheduler.submit(ServingRequest::gemm(
-        smallProblem(11), DesignPoint::LoCaLut, DeadlineClass::Batch,
-        kInf, /*computeValues=*/false));
-    ASSERT_TRUE(hold.admitted());
-    EXPECT_EQ(hold.rank, 0u);
-    const AdmissionDecision d2 = scheduler.submit(ServingRequest::gemm(
-        s, DesignPoint::LoCaLut, DeadlineClass::Batch, kInf,
-        /*computeValues=*/false));
-    ASSERT_TRUE(d2.admitted());
-    EXPECT_EQ(d2.rank, 1u);
-    const GemmPlan plan = session.plan(s, DesignPoint::LoCaLut);
-    const std::uint64_t bytes = tableSetBytes(plan);
-    const ResidencyManager* residency = session.residency();
-    EXPECT_DOUBLE_EQ(
-        scheduler.wait(d2.id).sample.lutBroadcastSeconds,
-        residency->projectedBroadcastSeconds(plan, bytes, 1));
-    EXPECT_GT(residency->projectedBroadcastSeconds(plan, bytes, 1),
-              residency->broadcastSeconds(bytes));
-    scheduler.wait(hold.id);
-
-    // The telemetry the placements and waits fed: one request per node,
-    // LUT bytes resident on both nodes, and the inter-node broadcast
-    // counters showing the codec shrank what crossed.
-    const TelemetrySnapshot snap = scheduler.telemetry().snapshot();
-    ASSERT_EQ(snap.nodeRequests.size(), 2u);
-    EXPECT_EQ(snap.nodeRequests[0], 2u); // s cold + the hold request
-    EXPECT_EQ(snap.nodeRequests[1], 1u);
-    ASSERT_EQ(snap.nodeResidency.size(), 2u);
-    EXPECT_GT(snap.nodeResidency[0].lutBytes, 0u);
-    EXPECT_GT(snap.nodeResidency[1].lutBytes, 0u);
-    EXPECT_GT(snap.broadcastTiers.interRawBytes, 0.0);
-    EXPECT_LT(snap.broadcastTiers.interBytes,
-              snap.broadcastTiers.interRawBytes);
 }
 
 TEST(Scheduler, EvictedTableSetsAreReprojectedCold)

@@ -3,8 +3,9 @@
  * InferenceSession tests: asynchronous submit/wait matches the
  * synchronous engine bit-for-bit, compiled workloads match the
  * TransformerRunner, decode steps reuse cached plans, errors raised
- * inside worker threads surface at wait(), and malformed GEMM input is
- * rejected as a FatalError at the backend and session entry points.
+ * inside worker threads surface at wait(), and malformed GEMM input (or
+ * a rank outside the grid) is rejected as a FatalError at the backend,
+ * session, fault-injector and residency entry points.
  */
 
 #include <gtest/gtest.h>
@@ -208,7 +209,7 @@ TEST(InferenceSession, FaultShedsSurfacePromptlyAtWait)
     // worker pool for subsequent requests.
     FaultPlan plan;
     plan.transientExecute(1.0); // every attempt on every rank fails
-    FaultInjector injector(plan, Topology{1, 2});
+    FaultInjector injector(plan, 2);
     SessionOptions options;
     options.numRanks = 2;
     options.faultInjector = &injector;
@@ -225,7 +226,7 @@ TEST(InferenceSession, FaultShedsSurfacePromptlyAtWait)
     // A second wait-able request still completes once the injector goes
     // quiet (rate is per-attempt; a fresh plan clears it).
     FaultPlan quiet;
-    FaultInjector calm(quiet, Topology{1, 2});
+    FaultInjector calm(quiet, 2);
     SessionOptions healthy;
     healthy.numRanks = 2;
     healthy.faultInjector = &calm;
@@ -344,6 +345,48 @@ TEST(MalformedInput, SessionRejectsItAtSubmitOrWait)
                   ref)
             << rank;
     }
+}
+
+TEST(MalformedInput, RankOutsideTheGridIsRejected)
+{
+    // A rank at or past the grid size is a caller bug: every rank-taking
+    // entry point fatals instead of wrapping it onto rank % numRanks.
+    FaultInjector injector(FaultPlan{}, /*numRanks=*/4);
+    injector.killRank(0);
+    EXPECT_THROW(injector.schedulable(4), FatalError);
+    EXPECT_THROW(injector.health(4), FatalError);
+    EXPECT_THROW(injector.executeFails(/*requestId=*/1, 0, /*rank=*/4),
+                 FatalError);
+    EXPECT_THROW(injector.recordFailure(6, /*quarantineThreshold=*/1),
+                 FatalError);
+    EXPECT_THROW(injector.killRank(4), FatalError);
+    EXPECT_FALSE(injector.schedulable(0));
+    EXPECT_EQ(injector.health(2), RankHealth::Healthy);
+    EXPECT_EQ(injector.stats().quarantines, 0u);
+
+    const BackendPtr backend = makeBackend("upmem");
+    ResidencyManager residency(backend, /*numRanks=*/2,
+                               /*budgetBytesPerUnit=*/0,
+                               ResidencyPolicy::CostAware);
+    const GemmPlan plan = backend->plan(
+        makeShapeOnlyProblem(256, 256, 8, QuantConfig::preset("W4A4")),
+        DesignPoint::LoCaLut);
+    ASSERT_GT(tableSetBytes(plan), 0u);
+    EXPECT_THROW(residency.acquire(plan, "x", 1.0, /*homeRank=*/3),
+                 FatalError);
+    EXPECT_THROW(residency.acquireKv(/*stream=*/7, /*rank=*/5,
+                                     /*layers=*/1,
+                                     /*bytesPerTokenPerLayer=*/64,
+                                     /*contextTokens=*/16),
+                 FatalError);
+    EXPECT_THROW(residency.invalidateRank(2), FatalError);
+    EXPECT_EQ(residency.residentBytes(1), 0u);
+    EXPECT_EQ(residency.stats().misses, 0u);
+
+    // In-range ranks still serve.
+    EXPECT_FALSE(residency.acquire(plan, "x", 1.0, 1).hit);
+    EXPECT_FALSE(residency.acquireKv(7, 1, 1, 64, 16).shed);
+    EXPECT_GT(residency.residentBytes(1), 0u);
 }
 
 TEST(InferenceSession, WaitConsumesTheRequest)

@@ -194,60 +194,7 @@ TEST(ShardPlan, RowParallelMovesMoreBytesThanColumnParallel)
     EXPECT_DOUBLE_EQ(rowPlan.collectiveBytes, 4.0 * colPlan.collectiveBytes);
 }
 
-TEST(HierarchicalShardPlan, SingleNodeHasNoInterNodeShare)
-{
-    const BackendPtr backend = makeBackend("upmem");
-    const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmProblem problem = makeShapeOnlyProblem(256, 256, 16, cfg);
-    ShardSpec spec;
-    spec.numRanks = 4;
-    spec.numNodes = 1;
-    const ShardPlan plan =
-        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, spec);
-    EXPECT_DOUBLE_EQ(plan.interNodeBytes, 0.0);
-    EXPECT_DOUBLE_EQ(plan.interNodeSeconds, 0.0);
-}
-
-TEST(HierarchicalShardPlan, MultiNodeChargesTheInterNodeTier)
-{
-    const BackendPtr backend = makeBackend("upmem");
-    const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmProblem problem = makeShapeOnlyProblem(256, 256, 16, cfg);
-
-    // Same flat rank count, one vs two nodes: the 2x2 cut produces the
-    // same shard slices as 1x4 but routes node 1's gathered slices over
-    // the CXL tier, which is slower and costlier than the host link.
-    ShardSpec flat;
-    flat.numRanks = 4;
-    ShardSpec hier;
-    hier.numRanks = 2;
-    hier.numNodes = 2;
-    const ShardPlan flatPlan =
-        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, flat);
-    const ShardPlan hierPlan =
-        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, hier);
-    ASSERT_EQ(hierPlan.shards.size(), flatPlan.shards.size());
-
-    // ColumnParallel: node 1's two shards (half the output) cross.
-    EXPECT_DOUBLE_EQ(hierPlan.interNodeBytes, 256.0 * 16.0 * 4.0 / 2.0);
-    EXPECT_GT(hierPlan.interNodeSeconds, 0.0);
-    EXPECT_DOUBLE_EQ(hierPlan.collectiveBytes, flatPlan.collectiveBytes);
-    EXPECT_GT(hierPlan.collectiveSeconds, flatPlan.collectiveSeconds);
-    EXPECT_GT(hierPlan.collectiveJoules, flatPlan.collectiveJoules);
-
-    // RowParallel: node 1 forwards exactly one node-reduced MxN partial,
-    // and the hierarchical reduce does (local adds) + (1 remote add) =
-    // 1 + 1 ops per element instead of the flat 3.
-    ShardSpec rowHier = hier;
-    rowHier.strategy = ShardStrategy::RowParallel;
-    const ShardPlan rowPlan =
-        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, rowHier);
-    const double outElems = 256.0 * 16.0;
-    EXPECT_DOUBLE_EQ(rowPlan.interNodeBytes, outElems * 4.0);
-    EXPECT_DOUBLE_EQ(rowPlan.hostReduceOps, 2.0 * outElems);
-}
-
-TEST(HierarchicalShardPlan, MultiNodeCutsStayBitExact)
+TEST(ShardPlan, BothStrategiesStayBitExactAcrossRankCounts)
 {
     const QuantConfig cfg = QuantConfig::preset("W2A2");
     const GemmProblem problem = makeRandomProblem(64, 64, 8, cfg, 91);
@@ -256,45 +203,18 @@ TEST(HierarchicalShardPlan, MultiNodeCutsStayBitExact)
     const BackendPtr backend = makeBackend("upmem");
     for (const ShardStrategy strategy :
          {ShardStrategy::ColumnParallel, ShardStrategy::RowParallel}) {
-        for (const unsigned nodes : {1u, 2u}) {
-            for (const unsigned ranks : {2u, 4u}) {
-                ShardSpec spec;
-                spec.numRanks = ranks;
-                spec.numNodes = nodes;
-                spec.strategy = strategy;
-                const ShardPlan plan = makeShardPlan(
-                    *backend, problem, DesignPoint::LoCaLut, spec);
-                const GemmResult result =
-                    executeSharded(*backend, problem, plan);
-                EXPECT_EQ(result.outInt, reference)
-                    << shardStrategyName(strategy) << " " << nodes << "x"
-                    << ranks;
-            }
+        for (const unsigned ranks : {2u, 4u, 8u}) {
+            ShardSpec spec;
+            spec.numRanks = ranks;
+            spec.strategy = strategy;
+            const ShardPlan plan = makeShardPlan(
+                *backend, problem, DesignPoint::LoCaLut, spec);
+            const GemmResult result =
+                executeSharded(*backend, problem, plan);
+            EXPECT_EQ(result.outInt, reference)
+                << shardStrategyName(strategy) << " ranks=" << ranks;
         }
     }
-}
-
-TEST(HierarchicalShardPlan, NodeCountIsPartOfThePlanCacheKey)
-{
-    const BackendPtr backend = makeBackend("upmem");
-    const QuantConfig cfg = QuantConfig::preset("W1A3");
-    const GemmProblem problem = makeShapeOnlyProblem(128, 64, 8, cfg);
-    PlanCache cache;
-
-    ShardSpec spec;
-    spec.numRanks = 2;
-    spec.numNodes = 1;
-    cache.shardPlanFor(*backend, problem, DesignPoint::LoCaLut, spec);
-    const auto afterFlat = cache.stats();
-
-    // 2x2 deals the same per-node rank count across two nodes: a
-    // different cut (4 shards) and a different key — it must miss.
-    spec.numNodes = 2;
-    const ShardPlan hier = cache.shardPlanFor(
-        *backend, problem, DesignPoint::LoCaLut, spec);
-    EXPECT_GT(cache.stats().misses, afterFlat.misses);
-    EXPECT_EQ(hier.shards.size(), 4u);
-    EXPECT_GT(hier.interNodeBytes, 0.0);
 }
 
 TEST(PlanCacheSharding, ShardPlansAreMemoizedSeparately)
@@ -439,49 +359,13 @@ TEST(ShardedSession, Fig10OptDecodeFasterAtFourRanks)
     EXPECT_GT(sharded.timing.total, unsharded.timing.total / 4.0);
 }
 
-/** The ISSUE acceptance criterion for the hierarchical topology: the
- * fig10 OPT decode workload at 2 nodes x 4 ranks beats 1 node x 4 ranks
- * end-to-end — cold start included (fresh sessions, residency on, so
- * the first request pays every LUT broadcast, with node 1's share
- * crossing the codec-compressed inter-node tier). */
-TEST(ShardedSession, Fig10OptDecodeTwoNodesBeatOneNodeCold)
-{
-    const TransformerConfig model = TransformerConfig::opt125m();
-    const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const WorkloadSpec spec = WorkloadSpec::decode(model, 32, 128, 8);
-
-    SessionOptions oneNode;
-    oneNode.numRanks = 4;
-    oneNode.residencyPolicy = ResidencyPolicy::CostAware;
-    InferenceSession single(makeBackend("upmem"), oneNode);
-    const InferenceReport cold1x4 = single.waitReport(
-        single.submit(single.compile(spec, cfg, DesignPoint::LoCaLut)));
-
-    SessionOptions twoNodes = oneNode;
-    twoNodes.numNodes = 2;
-    InferenceSession dual(makeBackend("upmem"), twoNodes);
-    const InferenceReport cold2x4 = dual.waitReport(
-        dual.submit(dual.compile(spec, cfg, DesignPoint::LoCaLut)));
-
-    EXPECT_LT(cold2x4.timing.total, cold1x4.timing.total);
-    // The win is real scale-out, not accounting: the 2x4 run paid the
-    // inter-node tier (collective hop + remote LUT broadcasts) ...
-    EXPECT_GT(cold2x4.interNodeSeconds, 0.0);
-    const ResidencyStats stats = dual.residencyStats();
-    EXPECT_GT(stats.broadcastInterRawBytes, 0.0);
-    // ... with the codec shrinking the broadcast bytes that crossed
-    // (the >= 2x CI gate on OPT-class sets lives in bench/shard_scaling).
-    EXPECT_LT(stats.broadcastInterBytes, stats.broadcastInterRawBytes);
-}
-
-/** Bit-exactness of the two-node cut end to end: sharded GEMM requests
- * on a 2x2 session reproduce the unsharded values exactly. */
+/** Bit-exactness of the 4-rank cut end to end: sharded GEMM requests
+ * reproduce the unsharded values exactly. */
 TEST(ShardedSession, TwoNodeGemmRequestsAreBitExactWithUnsharded)
 {
     const QuantConfig cfg = QuantConfig::preset("W2A2");
     SessionOptions options;
-    options.numRanks = 2;
-    options.numNodes = 2;
+    options.numRanks = 4;
     InferenceSession session(makeBackend("upmem"), options);
     EXPECT_EQ(session.totalRanks(), 4u);
 
@@ -492,9 +376,6 @@ TEST(ShardedSession, TwoNodeGemmRequestsAreBitExactWithUnsharded)
             problem, DesignPoint::LoCaLut, /*computeValues=*/true));
         EXPECT_EQ(result.outInt, referenceGemmInt(problem.w, problem.a))
             << i;
-        // The inter-node hop is charged and split out of the intra
-        // collective share.
-        EXPECT_GT(result.timing.seconds.get("link.internode"), 0.0) << i;
     }
 }
 

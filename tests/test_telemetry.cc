@@ -283,49 +283,5 @@ TEST(Telemetry, KvGaugesLandInSnapshotAndPrometheusDump)
     }
 }
 
-TEST(Telemetry, NodeLabeledSeriesLandInPrometheusDump)
-{
-    Telemetry telemetry;
-    telemetry.recordPlacement(0);
-    telemetry.recordPlacement(0);
-    telemetry.recordPlacement(1);
-    telemetry.recordNodeResidency({{1024, 2048}, {512, 0}});
-    BroadcastTierBytes tiers;
-    tiers.intraBytes = 1e6;
-    tiers.interRawBytes = 4e5;
-    tiers.interBytes = 1e5;
-    telemetry.recordBroadcastTiers(tiers);
-
-    const TelemetrySnapshot snap = telemetry.snapshot();
-    ASSERT_EQ(snap.nodeRequests.size(), 2u);
-    EXPECT_EQ(snap.nodeRequests[0], 2u);
-    EXPECT_EQ(snap.nodeRequests[1], 1u);
-    ASSERT_EQ(snap.nodeResidency.size(), 2u);
-    EXPECT_EQ(snap.nodeResidency[0].lutBytes, 1024u);
-    EXPECT_EQ(snap.nodeResidency[0].kvBytes, 2048u);
-    EXPECT_EQ(snap.nodeResidency[1].lutBytes, 512u);
-    EXPECT_DOUBLE_EQ(snap.broadcastTiers.interRawBytes, 4e5);
-
-    const std::string text = telemetry.prometheusText();
-    for (const char* needle : {
-             "# TYPE localut_node_requests_total counter",
-             "localut_node_requests_total{node=\"0\"} 2",
-             "localut_node_requests_total{node=\"1\"} 1",
-             "localut_node_lut_resident_bytes{node=\"0\"} 1024",
-             "localut_node_lut_resident_bytes{node=\"1\"} 512",
-             "localut_node_kv_resident_bytes{node=\"0\"} 2048",
-             "localut_broadcast_bytes_total{tier=\"intra\",kind=\"raw\"}",
-             "localut_broadcast_bytes_total{tier=\"inter\",kind=\"raw\"}",
-             "localut_broadcast_bytes_total{tier=\"inter\",kind=\"compressed\"}",
-         }) {
-        EXPECT_NE(text.find(needle), std::string::npos)
-            << "missing series: " << needle << "\nin dump:\n" << text;
-    }
-
-    telemetry.reset();
-    EXPECT_TRUE(telemetry.snapshot().nodeRequests.empty());
-    EXPECT_TRUE(telemetry.snapshot().nodeResidency.empty());
-}
-
 } // namespace
 } // namespace localut
