@@ -100,7 +100,6 @@ runOne(double rate, bool recover, double deathAt, double deadline,
 
     SchedulerOptions options;
     options.policy = SchedulerPolicy::Slo;
-    options.faultAware = recover;
     options.maxQueuedPerRank = 16;
     RequestScheduler scheduler(session, options);
 

@@ -111,13 +111,21 @@ HostBackend::execute(const GemmProblem& problem, const GemmPlan& plan,
         return result;
     }
     // Host devices always execute the reference MAC whatever the design
-    // point; the engine path adds prepared decode codebooks, arena
-    // scratch, and tiled execution, bit-exact vs referenceGemmInt().
+    // point: a NaivePim plan of the same shape on the engine (decode
+    // codebooks prepared per call, tiled execution), bit-exact vs
+    // referenceGemmInt().  A caller's prepared operand was built for
+    // the requested design point and does not fit that plan.
+    GemmPlan naive(DesignPoint::NaivePim, problem.config());
+    naive.m = problem.m();
+    naive.k = problem.k();
+    naive.n = problem.n();
+    ExecOptions naiveOptions = options;
+    naiveOptions.prepared = nullptr;
     if (plan.config.weightCodec.isInteger() &&
         plan.config.actCodec.isInteger()) {
-        executeReferenceInt(problem, options, result.outInt);
+        executeGemmInt(problem, naive, naiveOptions, result.outInt);
     } else {
-        executeReferenceFloat(problem, options, result.outFloat);
+        executeGemmFloat(problem, naive, naiveOptions, result.outFloat);
     }
     return result;
 }

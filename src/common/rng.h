@@ -43,13 +43,6 @@ class Rng
         return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
     }
 
-    /** Uniform float in [lo, hi). */
-    double
-    nextUniform(double lo, double hi)
-    {
-        return lo + (hi - lo) * nextDouble();
-    }
-
     /** Standard normal via Box-Muller. */
     double
     nextGaussian()

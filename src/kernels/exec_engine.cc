@@ -1301,66 +1301,4 @@ executeGemmFloat(const GemmProblem& problem, const GemmPlan& plan,
     executeTyped<float, false>(problem, plan, options, out);
 }
 
-namespace {
-
-template <typename T, bool kInt>
-void
-executeReferenceTyped(const GemmProblem& problem,
-                      const ExecOptions& options, std::vector<T>& out)
-{
-    requireFunctionalOperands(problem);
-    // The reference MAC only needs the decode codebooks, so any
-    // preparation of the same problem fits regardless of design point.
-    std::shared_ptr<const PreparedGemm> owned;
-    const PreparedGemm* prep = options.prepared;
-    if (prep == nullptr) {
-        GemmPlan plan(DesignPoint::NaivePim, problem.config());
-        plan.m = problem.m();
-        plan.k = problem.k();
-        plan.n = problem.n();
-        owned = prepareGemm(problem, plan);
-        prep = owned.get();
-    } else {
-        LOCALUT_REQUIRE(prep->m == problem.m() && prep->k == problem.k() &&
-                            prep->config == problem.config(),
-                        "prepared operand does not match this problem");
-    }
-    ExecArena& arena =
-        options.arena != nullptr ? *options.arena : ExecArena::threadLocal();
-    const std::size_t m = problem.m(), n = problem.n();
-    out.resize(m * n);
-    T* outData = out.data();
-    const Tiling tiling = chooseTiling(m, n, problem.k(), options.tiles);
-    const TileExecutor* tiles = options.tiles;
-    runTiles(tiling, tiles, [&](std::size_t tile) {
-        ExecArena& ta = tileArena(tiling, tiles, arena);
-        if constexpr (kInt) {
-            naiveIntKernel(*prep, problem, n, tiling.rangeOf(tile), ta,
-                           outData);
-        } else {
-            naiveFloatKernel(*prep, problem, n, tiling.rangeOf(tile), ta,
-                             outData);
-        }
-    });
-}
-
-} // namespace
-
-void
-executeReferenceInt(const GemmProblem& problem, const ExecOptions& options,
-                    std::vector<std::int32_t>& out)
-{
-    LOCALUT_REQUIRE(problem.config().weightCodec.isInteger() &&
-                        problem.config().actCodec.isInteger(),
-                    "integer execution on float codecs");
-    executeReferenceTyped<std::int32_t, true>(problem, options, out);
-}
-
-void
-executeReferenceFloat(const GemmProblem& problem,
-                      const ExecOptions& options, std::vector<float>& out)
-{
-    executeReferenceTyped<float, false>(problem, options, out);
-}
-
 } // namespace localut

@@ -215,18 +215,6 @@ void executeGemmInt(const GemmProblem& problem, const GemmPlan& plan,
 void executeGemmFloat(const GemmProblem& problem, const GemmPlan& plan,
                       const ExecOptions& options, std::vector<float>& out);
 
-/**
- * The host-backend reference GEMM (plain MAC, design-independent) on
- * the engine: prepared decode codebooks, tiled execution.  Bit-exact
- * against referenceGemmInt()/referenceGemmFloat().
- */
-void executeReferenceInt(const GemmProblem& problem,
-                         const ExecOptions& options,
-                         std::vector<std::int32_t>& out);
-void executeReferenceFloat(const GemmProblem& problem,
-                           const ExecOptions& options,
-                           std::vector<float>& out);
-
 } // namespace localut
 
 #endif // LOCALUT_KERNELS_EXEC_ENGINE_H_

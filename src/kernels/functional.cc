@@ -48,28 +48,6 @@ designForMode(ReorderMode mode)
 } // namespace
 
 std::vector<std::int32_t>
-naiveInt(const GemmProblem& problem)
-{
-    return referenceGemmInt(problem.w, problem.a);
-}
-
-std::vector<float>
-naiveFloat(const GemmProblem& problem)
-{
-    return referenceGemmFloat(problem.w, problem.a);
-}
-
-std::vector<std::int32_t>
-ltcInt(const GemmProblem& problem)
-{
-    const GemmPlan plan =
-        planFor(problem, DesignPoint::Ltc, 1, false, 1);
-    std::vector<std::int32_t> out;
-    executeGemmInt(problem, plan, {}, out);
-    return out;
-}
-
-std::vector<std::int32_t>
 opInt(const GemmProblem& problem, unsigned p)
 {
     const GemmPlan plan =

@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Functional (value-computing) executors for every design point.  Each
- * indexes the real LUT data structures — the canonical/reordering
+ * Functional (value-computing) executors for the LUT design points.
+ * Each indexes the real LUT data structures — the canonical/reordering
  * executors go through the canonical + reordering tables, the
  * slice-streaming executor through materialized column slices — so the
  * test suite can assert that every design point reproduces the
@@ -26,12 +26,6 @@
 namespace localut {
 namespace functional {
 
-/** Naive MAC (identical to the reference). */
-std::vector<std::int32_t> naiveInt(const GemmProblem& problem);
-
-/** LTC-style bit-serial execution with runtime activation tables. */
-std::vector<std::int32_t> ltcInt(const GemmProblem& problem);
-
 /** Operation-packed LUT at packing degree @p p. */
 std::vector<std::int32_t> opInt(const GemmProblem& problem, unsigned p);
 
@@ -48,7 +42,6 @@ std::vector<std::int32_t> canonicalInt(const GemmProblem& problem,
                                        unsigned kSlices = 1);
 
 /** Float variants for floating-point symbol configurations. */
-std::vector<float> naiveFloat(const GemmProblem& problem);
 std::vector<float> opFloat(const GemmProblem& problem, unsigned p);
 std::vector<float> canonicalFloat(const GemmProblem& problem, unsigned p,
                                   ReorderMode mode, unsigned kSlices = 1);

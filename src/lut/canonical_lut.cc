@@ -170,21 +170,4 @@ CanonicalLut::columnInt(std::uint64_t col) const
     return slice;
 }
 
-std::vector<float>
-CanonicalLut::columnFloat(std::uint64_t col) const
-{
-    LOCALUT_ASSERT(col < cols_, "canonical LUT column OOB");
-    std::vector<float> slice(rows_);
-    if (materialized_) {
-        std::copy(entriesFloat_.begin() +
-                      static_cast<std::ptrdiff_t>(col * rows_),
-                  entriesFloat_.begin() +
-                      static_cast<std::ptrdiff_t>((col + 1) * rows_),
-                  slice.begin());
-    } else {
-        computeColumnFloat(col, slice.data());
-    }
-    return slice;
-}
-
 } // namespace localut

@@ -53,9 +53,6 @@ class CanonicalLut
     /** One full integer column slice (size rows()). */
     std::vector<std::int32_t> columnInt(std::uint64_t col) const;
 
-    /** One full float column slice (size rows()). */
-    std::vector<float> columnFloat(std::uint64_t col) const;
-
     /**
      * Allocation-free column slice into caller storage (size rows()):
      * a memcpy when materialized, a recompute in virtual mode.  The

@@ -163,15 +163,4 @@ executeWorkload(const Backend& backend,
     return report;
 }
 
-WorkloadCostProjection
-projectWorkloadCost(const Backend& backend,
-                    const std::vector<PlannedGemm>& nodes,
-                    const QuantConfig& quant, double hostOps)
-{
-    const InferenceReport report =
-        executeWorkload(backend, nodes, quant, hostOps);
-    return {report.gemmSeconds, report.hostOpSeconds,
-            report.collectiveSeconds};
-}
-
 } // namespace localut

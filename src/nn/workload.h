@@ -114,8 +114,9 @@ struct PlannedGemm {
 /**
  * Modeled steady-state cost of serving one request of a compiled
  * workload — the per-request projection the SLO scheduler's admission
- * control runs against (serving/scheduler.h).  Derived from the same
- * chargeCosts() accounting that execution reports, so projection and
+ * control runs against (serving/scheduler.h).
+ * InferenceSession::projectCost() reads the three shares from the report
+ * of executeWorkload() / executeShardedWorkload(), so projection and
  * "measurement" agree exactly; cold-start LUT broadcasts are *not*
  * included (the scheduler adds them per placement rank).
  */
@@ -130,16 +131,6 @@ struct WorkloadCostProjection {
         return gemmSeconds + hostOpSeconds + collectiveSeconds;
     }
 };
-
-/**
- * Projects the steady-state per-request cost of executing @p nodes plus
- * @p hostOps host work on @p backend: exactly executeWorkload()'s
- * timing, without running a functional pass.
- */
-WorkloadCostProjection
-projectWorkloadCost(const Backend& backend,
-                    const std::vector<PlannedGemm>& nodes,
-                    const QuantConfig& quant, double hostOps);
 
 /**
  * Executes planned GEMMs (timing-only) plus @p hostOps host work on

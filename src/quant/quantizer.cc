@@ -59,12 +59,6 @@ QuantConfig::paperConfigs()
     return {preset("W1A3"), preset("W1A4"), preset("W2A2"), preset("W4A4")};
 }
 
-float
-QuantizedMatrix::valueAt(std::size_t r, std::size_t c) const
-{
-    return codec.decode(at(r, c)) * scale;
-}
-
 std::uint64_t
 QuantizedMatrix::packedBytes() const
 {

@@ -61,9 +61,6 @@ struct QuantizedMatrix {
         return codes[r * cols + c];
     }
 
-    /** Decoded numeric value (including scale). */
-    float valueAt(std::size_t r, std::size_t c) const;
-
     /** Bytes when bit-packed at codec.bits() per element. */
     std::uint64_t packedBytes() const;
 };

@@ -34,32 +34,6 @@ faultHash(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
 
 } // namespace
 
-const char*
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::TransientExecute:
-        return "transient_execute";
-    case FaultKind::RankDeath:
-        return "rank_death";
-    }
-    return "unknown";
-}
-
-const char*
-rankHealthName(RankHealth health)
-{
-    switch (health) {
-    case RankHealth::Healthy:
-        return "healthy";
-    case RankHealth::Quarantined:
-        return "quarantined";
-    case RankHealth::Dead:
-        return "dead";
-    }
-    return "unknown";
-}
-
 FaultPlan&
 FaultPlan::transientExecute(double rate, unsigned rank)
 {

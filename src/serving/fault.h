@@ -35,9 +35,6 @@ enum class FaultKind {
     RankDeath,         ///< a rank dies permanently at a virtual time
 };
 
-/** Stable lower-case name of @p kind (used as a Prometheus label). */
-const char* faultKindName(FaultKind kind);
-
 /** One fault specification inside a FaultPlan. */
 struct FaultSpec {
     /** Matches any rank (TransientExecute) when used as FaultSpec::rank. */
@@ -108,9 +105,6 @@ enum class RankHealth : std::uint8_t {
     Quarantined = 1, ///< too many transient failures; no new placements
     Dead = 2,        ///< permanently lost; resident state invalidated
 };
-
-/** Stable lower-case name of @p health. */
-const char* rankHealthName(RankHealth health);
 
 /** Cumulative fault/recovery counters (all monotone except gauges). */
 struct FaultStats {

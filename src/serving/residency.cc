@@ -126,9 +126,8 @@ ResidencyCharge::apply(TimingReport& timing, EnergyReport& energy,
 }
 
 ResidencyManager::ResidencyManager(BackendPtr backend, unsigned numRanks,
-                                   std::uint64_t budgetBytesPerUnit,
-                                   ResidencyPolicy policy)
-    : backend_(std::move(backend)), policy_(policy)
+                                   std::uint64_t budgetBytesPerUnit)
+    : backend_(std::move(backend))
 {
     LOCALUT_REQUIRE(backend_ != nullptr,
                     "ResidencyManager needs a backend");
@@ -152,7 +151,7 @@ ResidencyManager::acquire(const GemmPlan& plan, const std::string& scope,
                           double instances, unsigned homeRank)
 {
     const std::uint64_t perCopy = tableSetBytes(plan);
-    if (policy_ == ResidencyPolicy::Disabled || perCopy == 0) {
+    if (perCopy == 0) {
         return {}; // nothing to place; nothing charged
     }
     LOCALUT_REQUIRE(homeRank < numRanks(), "table-set home rank ",
@@ -176,7 +175,7 @@ ResidencyCharge
 ResidencyManager::acquire(const ShardPlan& plan, const std::string& scope,
                           double instances)
 {
-    if (policy_ == ResidencyPolicy::Disabled || plan.shards.empty()) {
+    if (plan.shards.empty()) {
         return {};
     }
     TableSetKey key;
@@ -450,9 +449,6 @@ ResidencyManager::acquireKv(std::uint64_t stream, unsigned rank,
                             std::uint64_t bytesPerTokenPerLayer,
                             std::uint64_t contextTokens)
 {
-    if (policy_ == ResidencyPolicy::Disabled) {
-        return {}; // nothing tracked; nothing charged
-    }
     LOCALUT_REQUIRE(stream != kNoProtectedStream, "reserved stream id");
     LOCALUT_REQUIRE(layers >= 1 && bytesPerTokenPerLayer >= 1 &&
                         contextTokens >= 1,
@@ -558,9 +554,6 @@ ResidencyManager::RankLoss
 ResidencyManager::invalidateRank(unsigned rank)
 {
     RankLoss loss;
-    if (policy_ == ResidencyPolicy::Disabled) {
-        return loss;
-    }
     std::lock_guard<std::mutex> lock(mutex_);
     LOCALUT_REQUIRE(rank < residentBytes_.size(), "rank out of range");
     // Every table set with bytes on the dead rank loses residency whole:
@@ -613,9 +606,6 @@ ResidencyManager::invalidateRank(unsigned rank)
 void
 ResidencyManager::releaseKv(std::uint64_t stream)
 {
-    if (policy_ == ResidencyPolicy::Disabled) {
-        return;
-    }
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = kvStreams_.find(stream);
     if (it == kvStreams_.end()) {
@@ -633,9 +623,6 @@ ResidencyManager::releaseKv(std::uint64_t stream)
 bool
 ResidencyManager::kvResident(const KvCacheKey& key) const
 {
-    if (policy_ == ResidencyPolicy::Disabled) {
-        return false;
-    }
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = kvStreams_.find(key.stream);
     return it != kvStreams_.end() && it->second.resident &&
@@ -645,9 +632,6 @@ ResidencyManager::kvResident(const KvCacheKey& key) const
 bool
 ResidencyManager::isResident(const TableSetKey& key) const
 {
-    if (policy_ == ResidencyPolicy::Disabled) {
-        return false;
-    }
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = sets_.find(key);
     return it != sets_.end() && it->second.resident;

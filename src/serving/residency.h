@@ -28,7 +28,7 @@
  *    pays table transfer once per layer instead of 32x.
  *  - When a rank's budget is full, eviction is cost-model-driven: the
  *    resident set with the lowest (rebroadcast cost x observed reuse)
- *    score goes first (ResidencyPolicy::CostAware).
+ *    score goes first.
  *  - Sharded executions compose naturally: each shard's table set
  *    consumes its own rank's budget, and the ShardSpec is part of the
  *    table-set key so re-cut tables never alias.
@@ -66,13 +66,14 @@
 
 namespace localut {
 
-/** How the manager behaves when a table set must be admitted. */
+/** Whether an InferenceSession tracks MRAM residency at all. */
 enum class ResidencyPolicy {
-    /** No tracking: nothing is charged and nothing is resident (the
-     * pre-residency cost model; the serving default for back-compat). */
+    /** The session creates no ResidencyManager: nothing is charged and
+     * nothing is resident (the pre-residency cost model; the serving
+     * default for back-compat). */
     Disabled,
-    /** Evict the resident set with the lowest
-     * (rebroadcast cost x observed reuse) score. */
+    /** The session owns a ResidencyManager, which evicts the resident
+     * set with the lowest (rebroadcast cost x observed reuse) score. */
     CostAware,
 };
 
@@ -249,8 +250,7 @@ class ResidencyManager
      * session's logical ranks (each gets its own ledger).
      */
     ResidencyManager(BackendPtr backend, unsigned numRanks,
-                     std::uint64_t budgetBytesPerUnit,
-                     ResidencyPolicy policy);
+                     std::uint64_t budgetBytesPerUnit);
 
     /** Per-unit MRAM byte budget each rank's ledger enforces. */
     std::uint64_t budgetBytesPerUnit() const { return budget_; }
@@ -264,9 +264,6 @@ class ResidencyManager
      * rank 0 by default; the scheduler passes its placement rank so
      * data-parallel replicas consume their own rank's budget — charging
      * a broadcast when it is not.  @p homeRank must be below numRanks().
-     * With ResidencyPolicy::Disabled this returns a zero charge every
-     * time (the pre-residency model: tables are neither charged nor
-     * retained).
      */
     ResidencyCharge acquire(const GemmPlan& plan,
                             const std::string& scope = "",
@@ -292,8 +289,6 @@ class ResidencyManager
      * streams' KV or LUT table sets are evicted cost-aware (see the
      * file comment); when the stream's KV alone exceeds the rank
      * budget, the stream is shed (state released, KvCharge::shed set).
-     * With ResidencyPolicy::Disabled this returns a zero charge and
-     * tracks nothing.
      */
     KvCharge acquireKv(std::uint64_t stream, unsigned rank,
                        unsigned layers,
@@ -304,18 +299,17 @@ class ResidencyManager
      * discarding KV is free — nothing transfers. */
     void releaseKv(std::uint64_t stream);
 
-    /** True when @p key's (stream, layer) KV slice is MRAM-resident
-     * (always false under ResidencyPolicy::Disabled). */
+    /** True when @p key's (stream, layer) KV slice is MRAM-resident. */
     bool kvResident(const KvCacheKey& key) const;
 
     /** A consistent copy of the hit/miss/eviction counters. */
     ResidencyStats stats() const;
 
     /**
-     * True when @p key's table set is currently MRAM-resident (always
-     * false under ResidencyPolicy::Disabled).  Const and side-effect
-     * free: no use is counted, nothing is charged — the query the
-     * scheduler's cold-start-aware placement runs per candidate rank.
+     * True when @p key's table set is currently MRAM-resident.  Const
+     * and side-effect free: no use is counted, nothing is charged — the
+     * query the scheduler's cold-start-aware placement runs per
+     * candidate rank.
      */
     bool isResident(const TableSetKey& key) const;
 
@@ -362,7 +356,7 @@ class ResidencyManager
      * homed there becomes non-resident and *displaced* — the one case
      * acquireKv() accepts a changed rank, charging the survivor a full
      * context refill.  Wired as a FaultInjector rank-loss listener by
-     * the session.  No-op under ResidencyPolicy::Disabled.
+     * the session.
      */
     RankLoss invalidateRank(unsigned rank);
 
@@ -437,7 +431,6 @@ class ResidencyManager
     BackendPtr backend_;
     MemoryProfile profile_;
     std::uint64_t budget_ = 0; ///< per-unit bytes each rank may hold
-    ResidencyPolicy policy_;
 
     mutable std::mutex mutex_;
     std::unordered_map<TableSetKey, TableSet, TableSetKeyHash> sets_;

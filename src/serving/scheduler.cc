@@ -379,14 +379,12 @@ RequestScheduler::submit(ServingRequest request)
         return reject(AdmissionOutcome::ShedDeadline);
     }
 
-    // Fault gate: with no live rank at all nothing can serve, and a
-    // gang needs the session to re-shard around losses — impossible
-    // when its failover policy is off.
-    const bool faultAware = injector_ != nullptr && options_.faultAware;
-    if (faultAware &&
-        (injector_->aliveCount() == 0 ||
-         (gang && injector_->aliveCount() < numRanks_ &&
-          !session_.options().faultPolicy.failover))) {
+    // Fault gate: with failover on, placement follows the health mask,
+    // and with no live rank at all nothing can serve.  With failover
+    // off the session sheds at wait() whatever it cannot run.
+    const bool faultAware = injector_ != nullptr &&
+                            session_.options().faultPolicy.failover;
+    if (faultAware && injector_->aliveCount() == 0) {
         injector_->noteShedFault();
         publishFaults();
         return reject(AdmissionOutcome::ShedFault);

@@ -10,12 +10,11 @@
  * *virtual-time* model of the session's ranks:
  *
  *  - **Projection.**  Service time comes from the PlanCache-memoized
- *    plans of the request (projectWorkloadCost() /
- *    projectShardedWorkloadCost(); timing-only execution of the same
- *    chargeCosts() accounting real execution reports), so admission
- *    projections and modeled service can never diverge.  With LUT
- *    residency enabled, the projection adds the host -> PIM table
- *    broadcast a cold rank would pay.
+ *    plans of the request (InferenceSession::projectCost(); timing-only
+ *    execution of the same chargeCosts() accounting real execution
+ *    reports), so admission projections and modeled service can never
+ *    diverge.  With LUT residency enabled, the projection adds the
+ *    host -> PIM table broadcast a cold rank would pay.
  *
  *  - **Placement.**  Unsharded requests occupy one rank (a data-
  *    parallel replica); the scheduler picks the rank with the earliest
@@ -85,16 +84,6 @@ struct SchedulerOptions {
      * requests queued.
      */
     std::size_t maxQueuedPerRank = 64;
-    /**
-     * Fold the fault injector's health mask into admission and
-     * placement: dead/quarantined ranks are never candidates, and a
-     * request no live rank can serve is shed with
-     * AdmissionOutcome::ShedFault.  False models a fault-oblivious
-     * frontend (the bench baseline): placement ignores health and the
-     * session sheds post-admission.  Only meaningful when the session
-     * has a SessionOptions::faultInjector.
-     */
-    bool faultAware = true;
 };
 
 /** One request-level unit of serving work. */

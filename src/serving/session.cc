@@ -194,8 +194,7 @@ InferenceSession::InferenceSession(BackendPtr backend,
     LOCALUT_REQUIRE(ranks >= 1, "a session needs at least one rank");
     if (options_.residencyPolicy != ResidencyPolicy::Disabled) {
         residency_ = std::make_unique<ResidencyManager>(
-            backend_, ranks, options_.mramBudgetBytes,
-            options_.residencyPolicy);
+            backend_, ranks, options_.mramBudgetBytes);
     }
     if (options_.faultInjector != nullptr) {
         LOCALUT_REQUIRE(options_.faultInjector->numRanks() == ranks,
@@ -518,13 +517,14 @@ InferenceSession::compileWith(const WorkloadSpec& spec,
 WorkloadCostProjection
 InferenceSession::projectCost(const CompiledWorkload& workload) const
 {
-    return workload.sharded()
-               ? projectShardedWorkloadCost(*backend_,
-                                            workload.shardedNodes,
-                                            workload.quant,
-                                            workload.hostOps)
-               : projectWorkloadCost(*backend_, workload.nodes,
-                                     workload.quant, workload.hostOps);
+    const InferenceReport report =
+        workload.sharded()
+            ? executeShardedWorkload(*backend_, workload.shardedNodes,
+                                     workload.quant, workload.hostOps)
+            : executeWorkload(*backend_, workload.nodes, workload.quant,
+                              workload.hostOps);
+    return {report.gemmSeconds, report.hostOpSeconds,
+            report.collectiveSeconds};
 }
 
 InferenceReport

@@ -215,8 +215,6 @@ class InferenceSession
                         const PlanOverrides& overrides = {},
                         std::size_t align = 1);
 
-    /** The session's plan / shard-plan / prepared-operand memo. */
-    PlanCache& planCache() { return cache_; }
     /** Hit/miss counters of the session's PlanCache. */
     PlanCache::Stats planCacheStats() const { return cache_.stats(); }
 

@@ -371,15 +371,4 @@ executeShardedWorkload(const Backend& backend,
     return report;
 }
 
-WorkloadCostProjection
-projectShardedWorkloadCost(const Backend& backend,
-                           const std::vector<ShardedGemm>& nodes,
-                           const QuantConfig& quant, double hostOps)
-{
-    const InferenceReport report =
-        executeShardedWorkload(backend, nodes, quant, hostOps);
-    return {report.gemmSeconds, report.hostOpSeconds,
-            report.collectiveSeconds};
-}
-
 } // namespace localut

@@ -175,17 +175,6 @@ InferenceReport executeShardedWorkload(const Backend& backend,
                                        double hostOps,
                                        const ExecOptions& options = {});
 
-/**
- * Sharded counterpart of projectWorkloadCost() (nn/workload.h): the
- * steady-state per-request cost of executing @p nodes plus @p hostOps
- * host work, with the collective share separated out — exactly
- * executeShardedWorkload()'s timing, without a functional pass.
- */
-WorkloadCostProjection
-projectShardedWorkloadCost(const Backend& backend,
-                           const std::vector<ShardedGemm>& nodes,
-                           const QuantConfig& quant, double hostOps);
-
 } // namespace localut
 
 #endif // LOCALUT_SERVING_SHARDING_H_

@@ -401,14 +401,6 @@ TokenEngine::runDecodeStep(RankState& rank, std::vector<Stream>& streams)
             telemetry_->recordToken(DeadlineClass::Decode, end - previous,
                                     met);
         }
-        if (stream.req.probe) {
-            const InferenceSession::RequestId probeId = session_.submit(
-                stream.req.probeProblem, options_.design,
-                /*computeValues=*/true, options_.overrides,
-                SubmitOptions{static_cast<int>(rank.rank)});
-            stream.result.probeOutputs.push_back(
-                session_.wait(probeId).outInt);
-        }
         ++stream.step;
         if (stream.step >= stream.req.decodeSteps) {
             finishStream(stream, StreamStatus::Completed, end);
@@ -442,8 +434,13 @@ TokenEngine::runLocked(std::vector<Stream>& streams)
         ranks[r].freeAt = rankFreeAt_[r];
     }
 
-    // Quarantined and dead ranks take no *new* placements; streams
-    // already active on a quarantined rank keep being served there.
+    // Quarantined and dead ranks take no *new* placements.  A stream
+    // already on a rank that becomes quarantined stays assigned to it
+    // here: the engine keeps charging its KV and clock to that rank.
+    // Its pinned steps do not run there, though: the session's settle()
+    // fails each one over to a schedulable rank (whose LUT residency it
+    // then charges) and does not tell the engine, so StreamResult::rank
+    // and StepTrace::rank name the quarantined rank.
     const auto placeable = [&](const RankState& rank) {
         return injector == nullptr || injector->schedulable(rank.rank);
     };

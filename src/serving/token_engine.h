@@ -41,10 +41,7 @@
  *    histograms plus KV-residency gauges.
  *
  * Costs are modeled virtual-time seconds throughout (the repository's
- * TimingReport units); functional values are optionally carried by a
- * per-stream *probe* GEMM executed bit-exactly through the session each
- * decode step, so tests can pin that continuous batching never changes
- * values (tests/test_token_engine.cc).
+ * TimingReport units).
  */
 
 #include <cstdint>
@@ -80,17 +77,6 @@ struct TokenRequest {
      * +inf = no per-token bound.
      */
     double tokenDeadlineSeconds = std::numeric_limits<double>::infinity();
-    /**
-     * Optional functional probe: when true, @ref probeProblem executes
-     * with computeValues = true through the session (pinned to the
-     * stream's rank) after every decode step, and its output lands in
-     * StreamResult::probeOutputs.  Probes are test instrumentation:
-     * their modeled cost is *not* added to the virtual clock, but their
-     * LUT tables do occupy residency budget — use generous budgets when
-     * probing.
-     */
-    bool probe = false;
-    GemmProblem probeProblem; ///< the probe GEMM (when probe is true)
 };
 
 /** Terminal state of one stream. */
@@ -119,9 +105,6 @@ struct StreamResult {
     /** Absolute deadline of each emitted decode token (+inf when the
      * request had no per-token bound); parallel to tokenSeconds. */
     std::vector<double> tokenDeadlines;
-    /** Probe GEMM output after each decode step (empty unless
-     * TokenRequest::probe; integer configs only). */
-    std::vector<std::vector<std::int32_t>> probeOutputs;
     bool ttftMet = true;           ///< prefill completed by its deadline
     unsigned tokensMet = 0;        ///< decode tokens within deadline
     unsigned tokensMissed = 0;     ///< decode tokens past a finite bound
@@ -146,7 +129,9 @@ struct StreamResult {
  * decode step. */
 struct StepTrace {
     bool decode = false;       ///< false = prefill admission
-    unsigned rank = 0;         ///< rank the step executed on
+    /** Rank the engine charged the step to.  A fault failover in the
+     * session can run it elsewhere (see TokenEngine::runLocked). */
+    unsigned rank = 0;
     unsigned streams = 0;      ///< streams served (1 for prefill)
     unsigned tier = 0;         ///< GEMM batch tier (decode; 0 otherwise)
     double startSeconds = 0;   ///< virtual start

@@ -21,14 +21,6 @@ SimResult::attributedCycles() const
     return sum;
 }
 
-double
-SimResult::issueOccupancy() const
-{
-    return makespanCycles > 0
-               ? static_cast<double>(issuedInstructions) / makespanCycles
-               : 0.0;
-}
-
 namespace {
 
 /** One post-split DMA chunk waiting for (or in) the engine. */

@@ -75,9 +75,6 @@ struct SimResult {
     /** Sum of attributed cycles over all phases (the additive total). */
     double attributedCycles() const;
 
-    /** Fraction of the makespan with an instruction issuing. */
-    double issueOccupancy() const;
-
     bool operator==(const SimResult&) const = default;
 };
 

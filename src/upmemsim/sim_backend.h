@@ -37,9 +37,6 @@ class UpmemSimBackend : public UpmemBackend
 
     std::uint64_t configFingerprint() const override;
 
-    /** Simulator knobs in use (DpuParams + DMA engine geometry). */
-    const upmemsim::SimParams& simParams() const { return sim_; }
-
     /**
      * Simulates the representative-DPU kernel of @p plan (memoized per
      * plan; safe to call concurrently).

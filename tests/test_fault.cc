@@ -197,8 +197,7 @@ TEST(ResidencyFault, InvalidateRankDropsSetsAndDisplacesKv)
 {
     const BackendPtr backend = makeBackend("upmem");
     ResidencyManager manager(backend, /*numRanks=*/4,
-                             /*budgetBytesPerUnit=*/64ull << 20,
-                             ResidencyPolicy::CostAware);
+                             /*budgetBytesPerUnit=*/64ull << 20);
 
     const GemmPlan plan = faultTestPlan();
     const ResidencyCharge first =
@@ -659,7 +658,6 @@ replaySweep(const SweepTrace& trace, unsigned workers, bool recover,
     InferenceSession session(makeBackend("upmem"), sessionOptions);
     SchedulerOptions options;
     options.policy = SchedulerPolicy::Slo;
-    options.faultAware = recover;
     options.maxQueuedPerRank = 16;
     RequestScheduler scheduler(session, options);
 

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "kernels/functional.h"
 #include "kernels/gemm.h"
@@ -116,6 +119,42 @@ TEST(FloatKernels, CanonicalMatchesReferenceClosely)
         for (std::size_t i = 0; i < ref.size(); ++i) {
             // fp16 entry rounding bounds the per-group error.
             EXPECT_NEAR(out[i], ref[i], 0.1f + 0.01f * std::fabs(ref[i]));
+        }
+    }
+}
+
+TEST(FloatKernels, VirtualOpLutMatchesMaterialized)
+{
+    // The Fig. 21b accuracy proxy computes its OP-LUT rows with
+    // opFloatVirtual, so it must equal the materialized operation-packed
+    // table bit for bit.  Tables above 2^20 entries (4 MiB of floats)
+    // are skipped to keep the test fast: 14 of the 24 (config, p) pairs
+    // run, every config at p = 1 and W1 x FP4 up to p = 4.  N = 64 gives
+    // enough FP8 activation groups that some entries need the fp16
+    // rounding of the stored table.
+    const auto bits = [](const std::vector<float>& values) {
+        std::vector<std::uint32_t> out;
+        out.reserve(values.size());
+        for (const float v : values) {
+            out.push_back(std::bit_cast<std::uint32_t>(v));
+        }
+        return out;
+    };
+    for (unsigned bw : {1u, 2u, 4u}) {
+        for (unsigned ba : {4u, 8u}) {
+            const QuantConfig cfg = QuantConfig::fpPreset(bw, ba);
+            for (unsigned p = 1; p <= 4; ++p) {
+                if ((cfg.bw() + cfg.ba()) * p > 20) {
+                    continue;
+                }
+                for (std::uint64_t seed : {1u, 7u, 13u}) {
+                    const GemmProblem problem =
+                        makeRandomProblem(16, 23, 64, cfg, seed);
+                    EXPECT_EQ(bits(functional::opFloatVirtual(problem, p)),
+                              bits(functional::opFloat(problem, p)))
+                        << cfg.name() << " p=" << p << " seed=" << seed;
+                }
+            }
         }
     }
 }

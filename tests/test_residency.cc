@@ -66,8 +66,7 @@ TEST(ResidencyManager, FillEvictRebroadcast)
 
     // Budget holds exactly two sets.
     ResidencyManager manager(backend, /*numRanks=*/1,
-                             /*budgetBytesPerUnit=*/2 * setBytes,
-                             ResidencyPolicy::CostAware);
+                             /*budgetBytesPerUnit=*/2 * setBytes);
 
     const GemmPlan plan = fabricatedPlan(cfg, 2);
     // Fill: A and B broadcast on first touch and then stay resident.
@@ -107,8 +106,7 @@ TEST(ResidencyManager, OversizedSetStreamsWithoutEvictingTheWorld)
     const BackendPtr backend = makeBackend("upmem");
     const QuantConfig cfg = QuantConfig::preset("W4A4");
     const std::uint64_t setBytes = tableSetBytes(fabricatedPlan(cfg, 2));
-    ResidencyManager manager(backend, 1, 2 * setBytes,
-                             ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 1, 2 * setBytes);
 
     EXPECT_FALSE(manager.acquire(fabricatedPlan(cfg, 2), "small").hit);
     // 100 layer instances of the same tables exceed the whole budget:
@@ -125,22 +123,10 @@ TEST(ResidencyManager, OversizedSetStreamsWithoutEvictingTheWorld)
     EXPECT_TRUE(manager.acquire(fabricatedPlan(cfg, 2), "small").hit);
 }
 
-TEST(ResidencyManager, DisabledPolicyChargesAndRetainsNothing)
-{
-    const BackendPtr backend = makeBackend("upmem");
-    ResidencyManager manager(backend, 1, 0, ResidencyPolicy::Disabled);
-    const ResidencyCharge charge =
-        manager.acquire(fabricatedPlan(QuantConfig::preset("W1A3"), 3));
-    EXPECT_TRUE(charge.hit);
-    EXPECT_DOUBLE_EQ(charge.seconds, 0.0);
-    EXPECT_EQ(manager.stats().hits + manager.stats().misses, 0u);
-    EXPECT_EQ(manager.residentBytes(0), 0u);
-}
-
 TEST(ResidencyManager, BudgetDefaultsToTheBackendMemoryProfile)
 {
     const BackendPtr backend = makeBackend("upmem");
-    ResidencyManager manager(backend, 1, 0, ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 1, 0);
     EXPECT_EQ(manager.budgetBytesPerUnit(),
               backend->memoryProfile().lutBytesPerUnit);
     EXPECT_GT(manager.budgetBytesPerUnit(), 0u);
@@ -157,7 +143,7 @@ TEST(ResidencyManager, ShardedTableSetsConsumePerRankBudgets)
         makeShardPlan(*backend, problem, DesignPoint::LoCaLut, spec);
     ASSERT_EQ(plan.shards.size(), 4u);
 
-    ResidencyManager manager(backend, 4, 0, ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 4, 0);
     const ResidencyCharge charge = manager.acquire(plan);
     EXPECT_FALSE(charge.hit);
     double total = 0;
@@ -183,7 +169,7 @@ TEST(ResidencyManager, InstanceCountIsPartOfTheIdentity)
     // different table sets: more layers = more bytes, more broadcast.
     const BackendPtr backend = makeBackend("upmem");
     const QuantConfig cfg = QuantConfig::preset("W4A4");
-    ResidencyManager manager(backend, 1, 0, ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 1, 0);
     const GemmPlan plan = fabricatedPlan(cfg, 2);
     const double setBytes =
         static_cast<double>(tableSetBytes(plan));
@@ -215,16 +201,14 @@ TEST(ResidencyManager, WrappedShardRanksAreBudgetCheckedAsAnAggregate)
     const std::uint64_t sliceBytes = tableSetBytes(plan.shards[0].plan);
 
     // Budget fits two slices; all four wrap onto rank 0.
-    ResidencyManager manager(backend, 1, 2 * sliceBytes,
-                             ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 1, 2 * sliceBytes);
     EXPECT_FALSE(manager.acquire(plan).hit);
     EXPECT_FALSE(manager.acquire(plan).hit); // never admitted: oversized
     EXPECT_LE(manager.residentBytes(0), manager.budgetBytesPerUnit());
     EXPECT_EQ(manager.stats().tableSets, 0u);
 
     // With room for all four aggregated slices it is admitted whole.
-    ResidencyManager roomy(backend, 1, 4 * sliceBytes,
-                           ResidencyPolicy::CostAware);
+    ResidencyManager roomy(backend, 1, 4 * sliceBytes);
     EXPECT_FALSE(roomy.acquire(plan).hit);
     EXPECT_TRUE(roomy.acquire(plan).hit);
     EXPECT_EQ(roomy.residentBytes(0), 4 * sliceBytes);
@@ -234,7 +218,7 @@ TEST(ResidencyManager, ClearDropsResidencyButKeepsRebroadcastHistory)
 {
     const BackendPtr backend = makeBackend("upmem");
     const QuantConfig cfg = QuantConfig::preset("W4A4");
-    ResidencyManager manager(backend, 1, 0, ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 1, 0);
     const GemmPlan plan = fabricatedPlan(cfg, 2);
 
     EXPECT_FALSE(manager.acquire(plan, "a").hit);
@@ -400,8 +384,7 @@ TEST(ResidencyManager, PerRankHomePlacementAndConstQueries)
     ASSERT_GT(tableSetBytes(plan), 0u);
 
     ResidencyManager manager(backend, /*numRanks=*/2,
-                             /*budgetBytesPerUnit=*/0,
-                             ResidencyPolicy::CostAware);
+                             /*budgetBytesPerUnit=*/0);
     const TableSetKey rank0 = tableSetKeyFor(plan, "", 1.0, 0);
     const TableSetKey rank1 = tableSetKeyFor(plan, "", 1.0, 1);
     EXPECT_FALSE(manager.isResident(rank0));
@@ -512,8 +495,7 @@ kvBackend()
 TEST(ResidencyKv, GrowAppendHitAndRelease)
 {
     const BackendPtr backend = kvBackend();
-    ResidencyManager manager(backend, 1, /*budget=*/1 << 20,
-                             ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 1, /*budget=*/1 << 20);
 
     // First touch moves the whole prompt context.
     const KvCharge prompt = manager.acquireKv(
@@ -567,8 +549,7 @@ TEST(ResidencyKv, CrossClassEvictionPicksTheCheaperClass)
     const GemmPlan plan = fabricatedPlan(cfg, 2);
     const std::uint64_t S = tableSetBytes(plan);
     ASSERT_GT(S, 0u);
-    ResidencyManager manager(backend, 1, 4 * S,
-                             ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 1, 4 * S);
 
     EXPECT_FALSE(manager.acquire(plan, "a").hit);
     EXPECT_FALSE(manager.acquireKv(1, 0, 1, S, 2).shed);
@@ -598,8 +579,7 @@ TEST(ResidencyKv, HotLutSetDeflectsEvictionOntoKvAndSpilledStreamRefills)
     const QuantConfig cfg = QuantConfig::preset("W4A4");
     const GemmPlan plan = fabricatedPlan(cfg, 2);
     const std::uint64_t S = tableSetBytes(plan);
-    ResidencyManager manager(backend, 1, 4 * S,
-                             ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 1, 4 * S);
 
     EXPECT_FALSE(manager.acquire(plan, "a").hit);
     for (int i = 0; i < 4; ++i) {
@@ -637,8 +617,7 @@ TEST(ResidencyKv, HotLutSetDeflectsEvictionOntoKvAndSpilledStreamRefills)
 TEST(ResidencyKv, OversizedStreamIsShedAndReleased)
 {
     const BackendPtr backend = kvBackend();
-    ResidencyManager manager(backend, 1, /*budget=*/1000,
-                             ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 1, /*budget=*/1000);
 
     // Never fits: shed on first touch, nothing left behind.
     const KvCharge huge = manager.acquireKv(1, 0, 2, 100, 6); // 1200 raw
@@ -659,17 +638,6 @@ TEST(ResidencyKv, OversizedStreamIsShedAndReleased)
     EXPECT_EQ(manager.kvBytes(0), 0u);
 }
 
-TEST(ResidencyKv, DisabledPolicyIsAFreeHit)
-{
-    const BackendPtr backend = kvBackend();
-    ResidencyManager manager(backend, 1, 0, ResidencyPolicy::Disabled);
-    const KvCharge charge = manager.acquireKv(1, 0, 2, 100, 8);
-    EXPECT_TRUE(charge.hit());
-    EXPECT_DOUBLE_EQ(charge.seconds(), 0.0);
-    EXPECT_EQ(manager.kvBytes(0), 0u);
-    EXPECT_EQ(manager.stats().kvStreams, 0u);
-}
-
 TEST(ResidencyKv, LutAcquirerPaysForTheKvItSpills)
 {
     // The symmetric arbitration direction: an incoming LUT set evicts a
@@ -680,8 +648,7 @@ TEST(ResidencyKv, LutAcquirerPaysForTheKvItSpills)
     const QuantConfig cfg = QuantConfig::preset("W4A4");
     const GemmPlan plan = fabricatedPlan(cfg, 2);
     const std::uint64_t S = tableSetBytes(plan);
-    ResidencyManager manager(backend, 1, 2 * S,
-                             ResidencyPolicy::CostAware);
+    ResidencyManager manager(backend, 1, 2 * S);
 
     EXPECT_FALSE(manager.acquireKv(1, 0, 1, S, 2).shed); // fills 2S
     const ResidencyCharge lut = manager.acquire(plan, "a");

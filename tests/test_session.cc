@@ -366,8 +366,7 @@ TEST(MalformedInput, RankOutsideTheGridIsRejected)
 
     const BackendPtr backend = makeBackend("upmem");
     ResidencyManager residency(backend, /*numRanks=*/2,
-                               /*budgetBytesPerUnit=*/0,
-                               ResidencyPolicy::CostAware);
+                               /*budgetBytesPerUnit=*/0);
     const GemmPlan plan = backend->plan(
         makeShapeOnlyProblem(256, 256, 8, QuantConfig::preset("W4A4")),
         DesignPoint::LoCaLut);
