@@ -19,17 +19,5 @@ panicImpl(const char* file, int line, const std::string& msg)
     throw PanicError(msg);
 }
 
-void
-warnImpl(const std::string& msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string& msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
 } // namespace detail
 } // namespace localut

@@ -3,8 +3,7 @@
 
 /**
  * @file
- * Status-message and error helpers following the gem5 discipline:
- * inform()/warn() report conditions without stopping, fatal() rejects user
+ * Error helpers following the gem5 discipline: fatal() rejects user
  * error (bad configuration or input) with a FatalError, panic() reports an
  * internal invariant violation (a bug in this library) with a PanicError.
  */
@@ -44,27 +43,8 @@ strCat(Args&&... args)
 
 [[noreturn]] void fatalImpl(const char* file, int line, const std::string& msg);
 [[noreturn]] void panicImpl(const char* file, int line, const std::string& msg);
-void warnImpl(const std::string& msg);
-void informImpl(const std::string& msg);
 
 } // namespace detail
-
-/** Reports a condition the user should know about but not worry over. */
-template <typename... Args>
-void
-inform(Args&&... args)
-{
-    detail::informImpl(detail::strCat(std::forward<Args>(args)...));
-}
-
-/** Reports suspicious-but-survivable conditions. */
-template <typename... Args>
-void
-warn(Args&&... args)
-{
-    detail::warnImpl(detail::strCat(std::forward<Args>(args)...));
-}
-
 } // namespace localut
 
 /** Terminates on user error (bad configuration / invalid arguments). */

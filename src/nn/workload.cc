@@ -138,18 +138,14 @@ workloadHostOps(const WorkloadSpec& spec)
 InferenceReport
 executeWorkload(const Backend& backend,
                 const std::vector<PlannedGemm>& nodes,
-                const QuantConfig& quant, double hostOps,
-                const ExecOptions& options)
+                const QuantConfig& quant, double hostOps)
 {
-    ExecOptions nodeOptions = options;
-    nodeOptions.computeValues = false; // workload nodes are shape-only
-    nodeOptions.prepared = nullptr;
     InferenceReport report;
     for (const PlannedGemm& node : nodes) {
         const GemmProblem problem = makeShapeOnlyProblem(
             node.gemm.m, node.gemm.k, node.gemm.n, quant);
         const GemmResult r =
-            backend.execute(problem, node.plan, nodeOptions);
+            backend.execute(problem, node.plan, /*computeValues=*/false);
         accumulate(report.timing, r.timing, node.gemm.count);
         accumulate(report.energy, r.energy, node.gemm.count);
         report.gemmSeconds += r.timing.total * node.gemm.count;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "backend/backend.h"
-#include "kernels/exec_engine.h"
 #include "nn/transformer.h"
 
 namespace localut {
@@ -133,16 +132,14 @@ struct WorkloadCostProjection {
 };
 
 /**
- * Executes planned GEMMs (timing-only) plus @p hostOps host work on
- * @p backend and aggregates the report.  The single execution path
- * behind both TransformerRunner and InferenceSession workloads.
- * @p options carries the execution knobs of kernels/exec_engine.h (its
- * computeValues is overridden to false: workload nodes are shape-only).
+ * Executes planned GEMMs (timing-only: workload nodes are shape-only)
+ * plus @p hostOps host work on @p backend and aggregates the report.
+ * The single execution path behind both TransformerRunner and
+ * InferenceSession workloads.
  */
 InferenceReport executeWorkload(const Backend& backend,
                                 const std::vector<PlannedGemm>& nodes,
-                                const QuantConfig& quant, double hostOps,
-                                const ExecOptions& options = {});
+                                const QuantConfig& quant, double hostOps);
 
 } // namespace localut
 

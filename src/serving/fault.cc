@@ -201,18 +201,6 @@ FaultInjector::capacityRatio() const
            static_cast<double>(numRanks_);
 }
 
-unsigned
-FaultInjector::firstSchedulable(unsigned from) const
-{
-    for (unsigned i = 0; i < numRanks_; ++i) {
-        const unsigned rank = (from + i) % numRanks_;
-        if (schedulable(rank)) {
-            return rank;
-        }
-    }
-    return kNoRank;
-}
-
 void
 FaultInjector::killRank(unsigned rank)
 {

@@ -145,7 +145,8 @@ private:
  */
 class FaultInjector {
 public:
-    /** Sentinel returned by firstSchedulable() when every rank is down. */
+    /** Sentinel FaultShedError::rank() of a gang shed because no rank
+     * was left to cut it across. */
     static constexpr unsigned kNoRank = ~0u;
 
     /** Create an injector for @p plan over @p numRanks ranks. */
@@ -191,12 +192,6 @@ public:
 
     /** Fraction of ranks still schedulable in [0, 1] (capacity gauge). */
     double capacityRatio() const;
-
-    /**
-     * First schedulable rank at or after @p from (wrapping), or kNoRank.
-     * Deterministic survivor pick for failover.
-     */
-    unsigned firstSchedulable(unsigned from = 0) const;
 
     /**
      * Kill @p rank immediately (also used by advanceTo for scheduled

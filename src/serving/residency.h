@@ -235,11 +235,12 @@ struct ResidencyStats {
  * Tracks which LUT table sets are MRAM-resident on each logical rank and
  * charges host -> PIM broadcasts for the ones that are not.
  *
- * Thread-safety: acquire() and the accessors are internally locked; the
- * InferenceSession's worker pool calls them concurrently.  Under
- * concurrent acquisition of a *tight* budget the eviction order depends
- * on arrival order — costs may differ run to run — but functional values
- * never do (the manager never touches them).
+ * Thread-safety: acquire() and the accessors are internally locked.  An
+ * InferenceSession acquires on the submitting thread, so its charges
+ * follow submission order, and concurrent submitters take turns on the
+ * manager's lock: under a *tight* budget their interleaving decides the
+ * eviction order and so the costs, but functional values never change
+ * (the manager never touches them).
  */
 class ResidencyManager
 {

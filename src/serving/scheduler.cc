@@ -54,22 +54,6 @@ ServingRequest::workloadRequest(InferenceSession::CompiledWorkload workload,
     return request;
 }
 
-ServingRequest
-ServingRequest::prefill(InferenceSession::CompiledWorkload workload,
-                        double deadlineSeconds)
-{
-    return workloadRequest(std::move(workload), DeadlineClass::Prefill,
-                           deadlineSeconds);
-}
-
-ServingRequest
-ServingRequest::decodeStep(InferenceSession::CompiledWorkload workload,
-                           double deadlineSeconds)
-{
-    return workloadRequest(std::move(workload), DeadlineClass::Decode,
-                           deadlineSeconds);
-}
-
 RequestScheduler::RequestScheduler(InferenceSession& session,
                                    const SchedulerOptions& options,
                                    Telemetry* telemetry)
@@ -263,17 +247,15 @@ RequestScheduler::projectColdStartLocked(
 {
     const ResidencyManager* residency = session_.residency();
     for (unsigned rank = 0; rank < numRanks_; ++rank) {
-        TableSetKey key = tableSetKeyFor(plan, scope, instances, rank);
+        const TableSetKey key = tableSetKeyFor(plan, scope, instances, rank);
         const std::uint64_t bytes =
             satMulU64(tableSetBytes(plan), key.instances);
         if (bytes == 0 || lutBytesSaturated(bytes) ||
-            plannedSets_.count(key) != 0 ||
             residency->isResident(key)) {
             continue; // warm (or untracked) on this rank
         }
         projection.rankBroadcastSeconds[rank] +=
             residency->broadcastSeconds(bytes);
-        projection.rankKeys[rank].push_back(std::move(key));
     }
 }
 
@@ -294,7 +276,6 @@ RequestScheduler::projectServiceLocked(const ServingRequest& request)
                     ? std::max(1u, workload.spec.steps)
                     : 1.0;
             projection.rankBroadcastSeconds.assign(numRanks_, 0.0);
-            projection.rankKeys.assign(numRanks_, {});
             for (const auto& node : workload.nodes) {
                 projectColdStartLocked(node.plan, node.gemm.role,
                                        node.gemm.count / steps,
@@ -324,7 +305,6 @@ RequestScheduler::projectServiceLocked(const ServingRequest& request)
     }
     if (trackCold) {
         projection.rankBroadcastSeconds.assign(numRanks_, 0.0);
-        projection.rankKeys.assign(numRanks_, {});
         projectColdStartLocked(plan, "", 1.0, projection);
     }
     return projection;
@@ -504,24 +484,14 @@ RequestScheduler::submit(ServingRequest request)
 
     // Real execution: pin the request to its placement rank (gangs
     // shard across every rank, exactly as an unpinned submit would).
+    // The session acquires the request's table sets before submit()
+    // returns, so the next projection already sees this rank warm.
     SubmitOptions submitOptions;
     submitOptions.rank =
         best.rank == kAllRanks ? -1 : static_cast<int>(best.rank);
     Ticket ticket;
     ticket.decision = decision;
     ticket.isWorkload = request.isWorkload;
-
-    // Commit the placement's table sets so later projections (and
-    // placements) see this rank as warm while the request is in
-    // flight; wait() releases them once the real execution has
-    // acquired the sets and isResident() is authoritative.
-    if (best.rank != kAllRanks && !projection.rankKeys.empty()) {
-        for (const TableSetKey& key : projection.rankKeys[best.rank]) {
-            if (plannedSets_.insert(key).second) {
-                ticket.plannedKeys.push_back(key);
-            }
-        }
-    }
     ticket.sessionId =
         request.isWorkload
             ? session_.submit(std::move(request.workload), submitOptions)
@@ -541,7 +511,6 @@ RequestScheduler::wait(std::uint64_t id)
     ServingResult result;
     bool isWorkload = false;
     InferenceSession::RequestId sessionId = 0;
-    std::vector<TableSetKey> plannedKeys;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = tickets_.find(id);
@@ -564,19 +533,7 @@ RequestScheduler::wait(std::uint64_t id)
         result.sample = it->second.sample;
         isWorkload = it->second.isWorkload;
         sessionId = it->second.sessionId;
-        plannedKeys = std::move(it->second.plannedKeys);
         tickets_.erase(it);
-    }
-    if (!plannedKeys.empty()) {
-        // Hand authority over these sets back to the residency manager
-        // before blocking on execution (exception-safe: a failed
-        // execution must not leave stale "warm" markers).  Until the
-        // execution actually acquires them, projections err cold — the
-        // conservative direction for admission.
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const TableSetKey& key : plannedKeys) {
-            plannedSets_.erase(key);
-        }
     }
     try {
         if (isWorkload) {

@@ -18,10 +18,11 @@
  *
  *  - **Placement.**  Unsharded requests occupy one rank (a data-
  *    parallel replica); the scheduler picks the rank with the earliest
- *    projected completion, preferring ranks whose ResidencyManager (or
- *    planned admissions) already hold the request's LUT table sets —
- *    cold-start-aware placement.  Sharded workloads gang across every
- *    rank.
+ *    projected completion, preferring ranks whose ResidencyManager
+ *    already holds the request's LUT table sets — cold-start-aware
+ *    placement.  The session acquires an admitted request's sets before
+ *    its submit() returns, so the manager is current for the next
+ *    projection.  Sharded workloads gang across every rank.
  *
  *  - **Admission control.**  A request whose deadline cannot be met on
  *    any rank — projected queue delay + service exceeds the budget —
@@ -54,7 +55,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "serving/session.h"
@@ -121,19 +121,6 @@ struct ServingRequest {
     static ServingRequest workloadRequest(
         InferenceSession::CompiledWorkload workload,
         DeadlineClass lane = DeadlineClass::Interactive,
-        double deadlineSeconds = std::numeric_limits<double>::infinity());
-
-    /** Builds a prefill-lane workload request (token-engine prompt
-     * ingestion; the deadline is the stream's TTFT bound). */
-    static ServingRequest prefill(
-        InferenceSession::CompiledWorkload workload,
-        double deadlineSeconds = std::numeric_limits<double>::infinity());
-
-    /** Builds a decode-lane workload request (one token-engine decode
-     * step; the deadline is the batch's earliest per-token bound —
-     * decode outranks every other lane, see deadlineClassPriority()). */
-    static ServingRequest decodeStep(
-        InferenceSession::CompiledWorkload workload,
         double deadlineSeconds = std::numeric_limits<double>::infinity());
 };
 
@@ -265,10 +252,6 @@ class RequestScheduler
         InferenceSession::RequestId sessionId = 0;
         RequestSample sample;
         bool sequenced = false;
-        /** Table-set keys this admission added to plannedSets_;
-         * released at wait(), once the real execution has acquired
-         * them and ResidencyManager::isResident() is authoritative. */
-        std::vector<TableSetKey> plannedKeys;
     };
 
     struct ServiceProjection {
@@ -277,9 +260,6 @@ class RequestScheduler
         /** Broadcast seconds a cold rank would pay, per candidate rank
          * (empty when residency is off / request is sharded). */
         std::vector<double> rankBroadcastSeconds;
-        /** Residency keys the request's table sets would occupy, per
-         * rank (parallel to rankBroadcastSeconds; unused when empty). */
-        std::vector<std::vector<TableSetKey>> rankKeys;
     };
 
     /** Priority: lane, then deadline, then seq (Slo); seq (Fifo). */
@@ -301,8 +281,8 @@ class RequestScheduler
     /** Runs the real sequencer up to @p limit, recording samples. */
     void sequenceLocked(double limit);
     ServiceProjection projectServiceLocked(const ServingRequest& request);
-    /** Fills @p projection's per-rank broadcast seconds + keys for one
-     * plan's table set (skipping warm / planned / untracked sets). */
+    /** Adds one plan's table-set broadcast to @p projection's per-rank
+     * seconds (skipping ranks where it is resident, and untracked sets). */
     void projectColdStartLocked(const GemmPlan& plan,
                                 const std::string& scope,
                                 double instances,
@@ -325,14 +305,6 @@ class RequestScheduler
     std::vector<double> freeAt_;      ///< per-rank virtual availability
     std::vector<Entry> pending_;      ///< admitted, not yet started
     std::unordered_map<std::uint64_t, Ticket> tickets_;
-    /**
-     * Table sets planned resident by *in-flight* admitted placements:
-     * cold-start awareness for the window between admission and real
-     * execution.  Keys are released at wait(), after which
-     * ResidencyManager::isResident() is authoritative — so a set the
-     * manager later evicts is correctly re-projected as cold.
-     */
-    std::unordered_set<TableSetKey, TableSetKeyHash> plannedSets_;
     /** Memoized steady service seconds per GEMM plan key (a pure
      * function of the memoized plan; avoids re-running the timing
      * model on every submission of a repeated shape). */

@@ -137,20 +137,7 @@ struct SessionDrainScope {
 
 } // namespace
 
-double
-InferenceSession::CompiledWorkload::predictedGemmSeconds() const
-{
-    double seconds = 0;
-    for (const PlanNode& node : nodes) {
-        seconds += node.plan.predictedSeconds * node.gemm.count;
-    }
-    for (const ShardedGemm& node : shardedNodes) {
-        seconds += node.plan.predictedSeconds() * node.gemm.count;
-    }
-    return seconds;
-}
-
-/** One queued unit of work (a GEMM or a compiled workload). */
+/** One submitted request (a GEMM or a compiled workload). */
 struct InferenceSession::Request {
     RequestId id = 0;
     bool isWorkload = false;
@@ -160,6 +147,10 @@ struct InferenceSession::Request {
     DesignPoint design = DesignPoint::LoCaLut;
     PlanOverrides overrides;
     bool computeValues = false;
+    /** A whole GEMM's plan, looked up at submit. */
+    GemmPlan plan{DesignPoint::LoCaLut,
+                  QuantConfig{ValueCodec::signedBinary(),
+                              ValueCodec::signedBinary()}};
     GemmResult result;
 
     // Gang state: settle() cuts the plan and decides each shard's fault
@@ -179,6 +170,9 @@ struct InferenceSession::Request {
     // settled failover moves it to the rank that serves the request.
     unsigned homeRank = 0;
     FaultOutcome fault; ///< settled outcome of a whole request
+    /** Table broadcast acquired at submit; the worker folds it into the
+     * result (a default charge is a hit and folds in nothing). */
+    ResidencyCharge residency;
 
     bool done = false;
     bool claimed = false; ///< a waiter owns this request's result
@@ -323,27 +317,53 @@ InferenceSession::enqueue(std::unique_ptr<Request> request,
     const RequestId id = nextId_.fetch_add(1, std::memory_order_relaxed);
     raw->id = id;
     // A pinned request executes whole (unsharded) on its rank; an
-    // unpinned GEMM on a multi-rank session shards across ranks.  A
-    // failed settle is the request's outcome: it is never queued and
-    // wait() rethrows it.
+    // unpinned GEMM on a multi-rank session shards across ranks.  Once
+    // settle() has fixed the serving rank(s), the request's table sets
+    // are acquired here, in submission order, so the residency manager
+    // is current when submit() returns.  A workload request computes no
+    // values: its whole report settles here and it is never queued.  A
+    // failure is the request's outcome: it is never queued and wait()
+    // rethrows it.
     bool gang = !pinned && !raw->isWorkload && totalRanks() > 1;
     try {
         gang = settle(*raw, gang);
+        if (raw->isWorkload) {
+            raw->report = runAt(raw->workload, raw->homeRank);
+            chargeFaultPenalty(raw->report.timing, raw->fault);
+            raw->done = true;
+        } else if (gang) {
+            if (residency_ != nullptr) {
+                // Each shard's table set consumes its own rank's budget.
+                raw->residency = residency_->acquire(raw->shardPlan);
+            }
+        } else {
+            // Plans are memoized; identical shapes across requests hit
+            // the cache.
+            raw->plan = cache_.planFor(*backend_, raw->problem, raw->design,
+                                       raw->overrides);
+            if (residency_ != nullptr) {
+                raw->residency =
+                    residency_->acquire(raw->plan, "", 1.0, raw->homeRank);
+            }
+        }
     } catch (...) {
         raw->error = std::current_exception();
         raw->done = true;
     }
+    const bool queued = !raw->done;
     {
         std::unique_lock<std::mutex> lock(mutex_);
         LOCALUT_REQUIRE(!stopping_, "session is shutting down");
-        if (!raw->done) {
+        if (queued) {
             const unsigned rank = pinned ? raw->homeRank : pickRankLocked();
             rankQueues_[rank].push_back(
                 {raw, gang ? kFanOutTask : kWholeTask, {}});
         }
         requests_.emplace(id, std::move(request));
     }
-    queueCv_.notify_one();
+    if (queued) {
+        queueCv_.notify_one();
+    }
     return id;
 }
 
@@ -514,23 +534,28 @@ InferenceSession::compileWith(const WorkloadSpec& spec,
     return workload;
 }
 
+InferenceReport
+InferenceSession::steadyReport(const CompiledWorkload& workload) const
+{
+    return workload.sharded()
+               ? executeShardedWorkload(*backend_, workload.shardedNodes,
+                                        workload.quant, workload.hostOps)
+               : executeWorkload(*backend_, workload.nodes, workload.quant,
+                                 workload.hostOps);
+}
+
 WorkloadCostProjection
 InferenceSession::projectCost(const CompiledWorkload& workload) const
 {
-    const InferenceReport report =
-        workload.sharded()
-            ? executeShardedWorkload(*backend_, workload.shardedNodes,
-                                     workload.quant, workload.hostOps)
-            : executeWorkload(*backend_, workload.nodes, workload.quant,
-                              workload.hostOps);
+    const InferenceReport report = steadyReport(workload);
     return {report.gemmSeconds, report.hostOpSeconds,
             report.collectiveSeconds};
 }
 
 InferenceReport
-InferenceSession::run(const CompiledWorkload& workload) const
+InferenceSession::run(const CompiledWorkload& workload)
 {
-    return runAt(workload, /*homeRank=*/0);
+    return waitReport(submit(workload));
 }
 
 InferenceReport
@@ -554,14 +579,7 @@ InferenceSession::runAt(const CompiledWorkload& workload,
                     " ranks submitted to a session with ",
                     options_.numRanks,
                     " (recompile on this session to re-cut the shards)");
-    const ExecOptions nodeOptions = execOptions(/*computeValues=*/false);
-    InferenceReport report =
-        workload.sharded()
-            ? executeShardedWorkload(*backend_, workload.shardedNodes,
-                                     workload.quant, workload.hostOps,
-                                     nodeOptions)
-            : executeWorkload(*backend_, workload.nodes, workload.quant,
-                              workload.hostOps, nodeOptions);
+    InferenceReport report = steadyReport(workload);
     if (residency_ == nullptr) {
         return report;
     }
@@ -605,28 +623,18 @@ InferenceSession::execOptions(bool computeValues) const
 void
 InferenceSession::runWhole(Request& request)
 {
-    if (request.isWorkload) {
-        request.report = runAt(request.workload, request.homeRank);
-        chargeFaultPenalty(request.report.timing, request.fault);
-        return;
-    }
-    // Plans are memoized; identical shapes across requests hit the cache.
-    const GemmPlan plan = cache_.planFor(*backend_, request.problem,
-                                         request.design, request.overrides);
     ExecOptions options = execOptions(request.computeValues);
     // Prepared operands are memoized alongside the plan (keyed by the
     // plan key + weight fingerprint), so repeated requests against the
     // same weights skip packing and table construction entirely.
     const std::shared_ptr<const PreparedGemm> prepared =
-        cache_.operandFor(*backend_, request.problem, plan,
+        cache_.operandFor(*backend_, request.problem, request.plan,
                           request.computeValues, request.overrides);
     options.prepared = prepared.get();
-    request.result = backend_->execute(request.problem, plan, options);
-    if (residency_ != nullptr) {
-        residency_->acquire(plan, "", 1.0, request.homeRank)
-            .apply(request.result.timing, request.result.energy,
-                   &request.result.cost);
-    }
+    request.result =
+        backend_->execute(request.problem, request.plan, options);
+    request.residency.apply(request.result.timing, request.result.energy,
+                            &request.result.cost);
     chargeFaultPenalty(request.result.timing, request.fault);
 }
 
@@ -770,12 +778,9 @@ InferenceSession::runTask(const Task& task)
             request.result =
                 reduceShardResults(*backend_, request.shardPlan,
                                    std::move(request.shardResults));
-            if (residency_ != nullptr) {
-                // Each shard's table set consumes its own rank's budget.
-                residency_->acquire(request.shardPlan)
-                    .apply(request.result.timing, request.result.energy,
-                           &request.result.cost);
-            }
+            request.residency.apply(request.result.timing,
+                                    request.result.energy,
+                                    &request.result.cost);
         } catch (...) {
             request.error = std::current_exception();
         }

@@ -5,14 +5,14 @@
  * @file
  * The serving API: an InferenceSession binds a Backend to a PlanCache and
  * a worker pool, so callers compile a workload (or an individual GEMM)
- * once and then dispatch batched requests asynchronously:
+ * once and then submit requests against it:
  *
  *     InferenceSession session(makeBackend("upmem"));
  *     auto workload = session.compile(
  *         WorkloadSpec::decode(TransformerConfig::opt125m(), 32, 128, 16),
  *         QuantConfig::preset("W4A4"), DesignPoint::LoCaLut);
  *     auto id = session.submit(workload);
- *     // ... submit more requests; they execute on the worker pool ...
+ *     // ... submit more requests ...
  *     InferenceReport report = session.waitReport(id);
  *
  * Plans are memoized in the session's PlanCache keyed by (shape,
@@ -25,6 +25,13 @@
  * exactly as the synchronous API would execute it; requests are
  * independent, so results are deterministic regardless of completion
  * order.
+ *
+ * Every serving decision is made by submit(), on the submitting thread:
+ * the fault outcome, the rank cut, and the LUT table sets the request
+ * acquires from the ResidencyManager, so charges follow submission
+ * order whatever the worker timing.  Workers only execute GEMMs and fold
+ * the settled charges in.  A workload request computes no values, so
+ * its whole report settles in submit() and it never reaches a worker.
  *
  * Sharding: with SessionOptions::numRanks > 1 the session models that
  * many logical PIM ranks.  Submitted GEMMs are cut by a ShardPlan
@@ -137,9 +144,9 @@ struct SubmitOptions {
 /**
  * Compile-once / submit-many serving sessions on one backend.
  *
- * Thread-safety: all public methods are safe to call concurrently; the
- * execution itself runs on the session's worker pool (backends are
- * stateless and const, the PlanCache is internally locked).
+ * Thread-safety: all public methods are safe to call concurrently; GEMM
+ * execution runs on the session's worker pool (backends are stateless
+ * and const, the PlanCache is internally locked).
  */
 class InferenceSession
 {
@@ -170,10 +177,6 @@ class InferenceSession
 
         /** True when this workload was cut across ranks. */
         bool sharded() const { return !shardedNodes.empty(); }
-
-        /** Modeled seconds spent on the PIM GEMMs per request (sum of
-         * per-node predictions; for quick admission-control estimates). */
-        double predictedGemmSeconds() const;
     };
 
     /** Opens a session on @p backend under @p options. */
@@ -283,19 +286,22 @@ class InferenceSession
         const;
 
     /**
-     * Enqueues one compiled-workload execution; returns immediately.  A
-     * pinned rank in @p submitOptions executes the (necessarily
-     * unsharded) workload whole on that rank's queue and homes its LUT
-     * residency there; a rank outside [0, totalRanks()) fatals.
+     * Settles one compiled-workload execution on the calling thread: a
+     * workload is modeled cost only, so its report (fault penalty and
+     * table broadcasts included) is complete when this returns, and
+     * waitReport() hands it over.  A pinned rank in @p submitOptions
+     * homes the (necessarily unsharded) workload's LUT residency on that
+     * rank; a rank outside [0, totalRanks()) fatals.
      */
     RequestId submit(CompiledWorkload workload,
                      const SubmitOptions& submitOptions = {});
 
-    /** Blocks until workload request @p id completes (consuming it). */
+    /** Returns workload request @p id's report (consuming it); rethrows
+     * any error the request raised. */
     InferenceReport waitReport(RequestId id);
 
-    /** Executes a compiled workload synchronously on the calling thread. */
-    InferenceReport run(const CompiledWorkload& workload) const;
+    /** waitReport(submit(workload)): the report of one unpinned request. */
+    InferenceReport run(const CompiledWorkload& workload);
 
     // ------------------------------------------------------- control
     /** Blocks until every outstanding request has executed. */
@@ -308,11 +314,11 @@ class InferenceSession
     struct Request;
 
     /**
-     * One schedulable unit on a rank queue: a whole request (unsharded
-     * GEMM or compiled workload), the fan-out of a gang (queues one
-     * shard task per shard; the cut and every fault outcome were settled
-     * at submit), one shard of a gang, or a functional tile batch
-     * fanned out by an executing request (kTileTask; `tiles` set).
+     * One schedulable unit on a rank queue: a whole (unsharded) GEMM,
+     * the fan-out of a gang (queues one shard task per shard), one shard
+     * of a gang, or a functional tile batch fanned out by an executing
+     * request (kTileTask; `tiles` set).  The plan or cut, every fault
+     * outcome and the residency charge were settled at submit.
      */
     struct Task {
         Request* request = nullptr;
@@ -356,6 +362,11 @@ class InferenceSession
                                  DesignPoint design,
                                  const PlanOverrides& overrides,
                                  unsigned numRanks);
+    /** The broadcast-free report of @p workload: what projectCost()
+     * prices and what runAt() charges residency on top of. */
+    InferenceReport steadyReport(const CompiledWorkload& workload) const;
+    /** The report of @p workload served from @p homeRank, its table
+     * sets acquired in node order (the fault penalty comes on top). */
     InferenceReport runAt(const CompiledWorkload& workload,
                           unsigned homeRank) const;
     RequestId enqueue(std::unique_ptr<Request> request,
@@ -387,7 +398,7 @@ class InferenceSession
     PlanCache cache_;
     PoolTiles poolTiles_{this};
     /** Created when options_.residencyPolicy != Disabled; internally
-     * locked, so const execution paths share it across workers. */
+     * locked, so concurrent submitters take turns on it. */
     std::unique_ptr<ResidencyManager> residency_;
 
     mutable std::mutex mutex_;

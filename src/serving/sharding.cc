@@ -20,16 +20,6 @@ shardStrategyName(ShardStrategy strategy)
     LOCALUT_PANIC("invalid shard strategy");
 }
 
-double
-ShardPlan::predictedSeconds() const
-{
-    double slowest = 0;
-    for (const GemmShard& shard : shards) {
-        slowest = std::max(slowest, shard.plan.predictedSeconds);
-    }
-    return slowest + collectiveSeconds + hostReduceSeconds;
-}
-
 namespace {
 
 /** Output elements are int32 (integer configs) or fp32: 4 bytes both. */
@@ -330,18 +320,14 @@ executeSharded(const Backend& backend, const GemmProblem& problem,
 InferenceReport
 executeShardedWorkload(const Backend& backend,
                        const std::vector<ShardedGemm>& nodes,
-                       const QuantConfig& quant, double hostOps,
-                       const ExecOptions& options)
+                       const QuantConfig& quant, double hostOps)
 {
-    ExecOptions nodeOptions = options;
-    nodeOptions.computeValues = false; // workload nodes are shape-only
-    nodeOptions.prepared = nullptr;
     InferenceReport report;
     for (const ShardedGemm& node : nodes) {
         const GemmProblem problem = makeShapeOnlyProblem(
             node.gemm.m, node.gemm.k, node.gemm.n, quant);
-        const GemmResult r =
-            executeSharded(backend, problem, node.plan, nodeOptions);
+        const GemmResult r = executeSharded(backend, problem, node.plan,
+                                            /*computeValues=*/false);
         accumulate(report.timing, r.timing, node.gemm.count);
         accumulate(report.energy, r.energy, node.gemm.count);
         // The node's end-to-end time contains the collective and (for

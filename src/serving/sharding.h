@@ -95,10 +95,6 @@ struct ShardPlan {
     double collectiveJoules = 0;  ///< drain + link transfer energy
     double hostReduceOps = 0;     ///< RowParallel host partial-sum adds
     double hostReduceSeconds = 0; ///< modeled time of those adds
-
-    /** Modeled seconds: slowest shard (they run concurrently) +
-     * collective + the RowParallel host reduce. */
-    double predictedSeconds() const;
 };
 
 /**
@@ -164,16 +160,13 @@ struct ShardedGemm {
 
 /**
  * Sharded counterpart of executeWorkload(): executes every node's shards
- * (timing-only) plus @p hostOps host work and aggregates the report,
- * including each node's collective transfer.  @p options carries the
- * execution knobs (its computeValues is overridden to false: workload
- * nodes are shape-only).
+ * (timing-only: workload nodes are shape-only) plus @p hostOps host work
+ * and aggregates the report, including each node's collective transfer.
  */
 InferenceReport executeShardedWorkload(const Backend& backend,
                                        const std::vector<ShardedGemm>& nodes,
                                        const QuantConfig& quant,
-                                       double hostOps,
-                                       const ExecOptions& options = {});
+                                       double hostOps);
 
 } // namespace localut
 

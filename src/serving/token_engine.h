@@ -185,11 +185,10 @@ class TokenEngine
 {
   public:
     /**
-     * Binds the engine to @p session (which supplies the backend, the
-     * worker pool, and — when its residency policy is enabled — the
-     * MRAM budget KV and LUT state compete for).  @p telemetry, when
-     * given, receives per-lane admissions, TTFT / inter-token samples,
-     * and KV-residency gauges.
+     * Binds the engine to @p session (which supplies the backend and —
+     * when its residency policy is enabled — the MRAM budget KV and LUT
+     * state compete for).  @p telemetry, when given, receives per-lane
+     * admissions, TTFT / inter-token samples, and KV-residency gauges.
      */
     TokenEngine(InferenceSession& session,
                 const TokenEngineOptions& options = {},

@@ -148,8 +148,6 @@ TEST(FaultInjector, QuarantineAfterThresholdFailures)
     // Further failures do not double-count the quarantine.
     inj.recordFailure(2, threshold);
     EXPECT_EQ(inj.stats().quarantines, 1u);
-    // firstSchedulable wraps past the quarantined rank.
-    EXPECT_EQ(inj.firstSchedulable(2), 3u);
     const std::vector<unsigned> alive = inj.schedulableRanks();
     EXPECT_EQ(alive.size(), 7u);
     EXPECT_TRUE(std::find(alive.begin(), alive.end(), 2u) == alive.end());

@@ -372,6 +372,28 @@ TEST(ResidencySession, ReportColdStartPlusSteadyAccountsForTotal)
     EXPECT_DOUBLE_EQ(warm.steadySeconds(), cold.steadySeconds());
 }
 
+TEST(ResidencySession, SubmitAcquiresTablesBeforeWait)
+{
+    // The residency manager is current as soon as submit() returns: the
+    // table sets are acquired on the submitting thread, not when a
+    // worker gets round to executing the request.
+    SessionOptions on;
+    on.residencyPolicy = ResidencyPolicy::CostAware;
+    on.workers = 4;
+    InferenceSession session(makeBackend("upmem"), on);
+    const GemmProblem problem = makeRandomProblem(
+        768, 768, 8, QuantConfig::preset("W4A4"), 21);
+    const GemmPlan plan = session.plan(problem, DesignPoint::LoCaLut);
+    const TableSetKey key = tableSetKeyFor(plan, "", 1.0, 0);
+    ASSERT_FALSE(session.residency()->isResident(key));
+
+    const auto id = session.submit(problem, DesignPoint::LoCaLut);
+    EXPECT_TRUE(session.residency()->isResident(key));
+    EXPECT_EQ(session.residencyStats().misses, 1u);
+    EXPECT_GT(session.wait(id).timing.seconds.get("link.lut_broadcast"),
+              0.0);
+}
+
 TEST(ResidencyManager, PerRankHomePlacementAndConstQueries)
 {
     // Data-parallel replicas: the same plan acquired on two home ranks

@@ -204,13 +204,15 @@ TEST(Scheduler, DecodeLaneOutranksEveryOtherLane)
     const AdmissionDecision head = scheduler.submit(ServingRequest::gemm(
         smallProblem(), DesignPoint::LoCaLut, DeadlineClass::Batch, kInf,
         /*computeValues=*/false));
-    const AdmissionDecision pre =
-        scheduler.submit(ServingRequest::prefill(prefillGraph, kInf));
+    const AdmissionDecision pre = scheduler.submit(
+        ServingRequest::workloadRequest(prefillGraph, DeadlineClass::Prefill,
+                                        kInf));
     const AdmissionDecision inter = scheduler.submit(ServingRequest::gemm(
         smallProblem(), DesignPoint::LoCaLut, DeadlineClass::Interactive,
         kInf, /*computeValues=*/false));
-    const AdmissionDecision step =
-        scheduler.submit(ServingRequest::decodeStep(stepGraph, kInf));
+    const AdmissionDecision step = scheduler.submit(
+        ServingRequest::workloadRequest(stepGraph, DeadlineClass::Decode,
+                                        kInf));
     EXPECT_EQ(pre.lane, DeadlineClass::Prefill);
     EXPECT_EQ(step.lane, DeadlineClass::Decode);
 
@@ -346,6 +348,55 @@ TEST(Scheduler, EvictedTableSetsAreReprojectedCold)
     const ServingResult again = serve(s);
     EXPECT_GT(again.sample.lutBroadcastSeconds, 0.0);
     EXPECT_GE(session.residencyStats().rebroadcasts, 1u);
+}
+
+TEST(Scheduler, ColdStartProjectionMatchesChargeBeforeAnyWait)
+{
+    // Two admissions of one GEMM before any wait(): each projected
+    // broadcast must equal the broadcast its execution is charged,
+    // whatever the worker count.  When the budget holds the table set
+    // only the first request pays; one byte short, the set never
+    // becomes resident and both pay.
+    const GemmProblem s = makeRandomProblem(
+        768, 768, 8, QuantConfig::preset("W4A4"), 21);
+    const BackendPtr backend = makeBackend("upmem");
+    const std::uint64_t bytes =
+        tableSetBytes(backend->plan(s, DesignPoint::LoCaLut));
+    ASSERT_GT(bytes, 1u);
+
+    for (const unsigned workers : {1u, 4u, 8u}) {
+        for (const bool fits : {true, false}) {
+            SessionOptions sessionOptions;
+            sessionOptions.workers = workers;
+            sessionOptions.residencyPolicy = ResidencyPolicy::CostAware;
+            sessionOptions.mramBudgetBytes = fits ? bytes : bytes - 1;
+            InferenceSession session(backend, sessionOptions);
+            RequestScheduler scheduler(session);
+
+            std::vector<AdmissionDecision> decisions;
+            for (int i = 0; i < 2; ++i) {
+                decisions.push_back(scheduler.submit(ServingRequest::gemm(
+                    s, DesignPoint::LoCaLut, DeadlineClass::Batch, kInf,
+                    /*computeValues=*/false)));
+                ASSERT_TRUE(decisions.back().admitted());
+            }
+            for (std::size_t i = 0; i < decisions.size(); ++i) {
+                const ServingResult r = scheduler.wait(decisions[i].id);
+                const double charged =
+                    r.gemm.timing.seconds.get("link.lut_broadcast");
+                EXPECT_DOUBLE_EQ(r.sample.lutBroadcastSeconds, charged)
+                    << "workers " << workers << ", fits " << fits
+                    << ", request " << i;
+                if (i == 0 || !fits) {
+                    EXPECT_GT(charged, 0.0)
+                        << "workers " << workers << ", request " << i;
+                } else {
+                    EXPECT_DOUBLE_EQ(charged, 0.0)
+                        << "workers " << workers << ", request " << i;
+                }
+            }
+        }
+    }
 }
 
 TEST(Scheduler, ScheduledExecutionIsBitExactVsDirectSubmit)

@@ -118,7 +118,6 @@ TEST(InferenceSession, CompiledWorkloadMatchesTransformerRunner)
                         DesignPoint::LoCaLut);
     EXPECT_EQ(workload.nodes.size(), 4u); // qkv, out_proj, ffn_up, ffn_down
     EXPECT_GT(workload.hostOps, 0.0);
-    EXPECT_GT(workload.predictedGemmSeconds(), 0.0);
 
     const auto id = session.submit(workload);
     const InferenceReport viaSession = session.waitReport(id);

@@ -121,11 +121,7 @@ TEST(ShardPlan, RowParallelReducesBitExactly)
     ASSERT_EQ(plan.shards.size(), 4u);
     EXPECT_EQ(plan.shards.back().end, 96u); // K axis, not M
     EXPECT_GT(plan.hostReduceOps, 0.0);
-    // The prediction includes the host reduce (admission control must
-    // not under-estimate RowParallel workloads).
     EXPECT_GT(plan.hostReduceSeconds, 0.0);
-    EXPECT_GE(plan.predictedSeconds(),
-              plan.collectiveSeconds + plan.hostReduceSeconds);
 
     const GemmResult result = executeSharded(*backend, problem, plan);
     EXPECT_EQ(result.outInt, reference);
@@ -315,7 +311,6 @@ TEST(ShardedSession, WorkloadShardsEveryGemmNode)
     EXPECT_EQ(workload.shardedNodes.size(), 4u);
     EXPECT_EQ(workload.numRanks, 4u);
     EXPECT_TRUE(workload.nodes.empty());
-    EXPECT_GT(workload.predictedGemmSeconds(), 0.0);
     // QKV shards align to the attention head size (head-parallel).
     const ShardPlan& qkv = workload.shardedNodes.front().plan;
     for (const GemmShard& shard : qkv.shards) {
