@@ -22,8 +22,10 @@
 #endif
 #if defined(__GNUC__) || defined(__clang__)
 #define LOCALUT_RESTRICT __restrict__
+#define LOCALUT_NOINLINE __attribute__((noinline))
 #else
 #define LOCALUT_RESTRICT
+#define LOCALUT_NOINLINE
 #endif
 
 namespace localut {
@@ -428,12 +430,12 @@ prepareGemm(const GemmProblem& problem, const GemmPlan& plan)
 
 namespace {
 
-// Arena slot conventions.  Caller-thread (shared preparation) buffers
-// and tile-thread scratch use distinct slots per element type, so the
-// serial path can run both out of one arena.  The i32/f32 tile slots
-// are all live at once in the float streaming canonical sweep over a
-// virtual canonical LUT: accumulator, fused slices, decoded column,
-// window partials and the interleaved table (ExecArena::kSlots = 5).
+// Arena slot conventions.  A tile's prepared activations and its kernel
+// scratch use distinct slots per element type, so one tile arena holds
+// both.  The i32/f32 tile slots are all live at once in the float
+// streaming canonical sweep over a virtual canonical LUT: accumulator,
+// fused slices, decoded column, window partials and the interleaved
+// tables (ExecArena::kSlots = 5).
 constexpr unsigned kSlotActA = 0;    ///< u64: aIdx / msRank (column-major)
 constexpr unsigned kSlotPermRank = 0; ///< u32
 constexpr unsigned kSlotPerm = 0;     ///< u8
@@ -441,7 +443,7 @@ constexpr unsigned kSlotAcc = 0;      ///< i32/f32: [span x 8] accumulator
 constexpr unsigned kSlotFused = 1;    ///< i32/f32: fused slices / tables
 constexpr unsigned kSlotCol = 2;      ///< i32/f32: decoded column scratch
 constexpr unsigned kSlotBatch = 3;    ///< f32: per-window partial sums
-constexpr unsigned kSlotTable = 4;    ///< i32/f32: [rows x 8] interleave
+constexpr unsigned kSlotTable = 4;    ///< i32/f32: 4 x [rows x 8] interleave
 constexpr unsigned kSlotBuilt = 1;    ///< u8: fused-combo built flags
 
 /** One output tile: rows [m0, m1) x columns [n0, n1). */
@@ -462,13 +464,15 @@ constexpr std::size_t kMinColChunk = 16;
 /**
  * Work per tile below which a GEMM is not cut further, in MACs (tile
  * rows x tile columns x k): a GEMM gets at most m * n * k / kMinTileMacs
- * tiles.  On a 4-core Xeon, waking a parked TilePool(4), claiming a
- * batch and settling it costs 20-40 us beyond the tiles' own work, and
- * the blocked sweep runs W4A4 decode shapes (192..768 x 768 x 8) at
- * 5-7 MACs/ns on one thread, so a 2^20-MAC tile is 150-200 us of work
- * and the fan-out stays a small fraction of it.  A 192-row decode
- * shard slice (192 x 768 x 8, just over 2^20 MACs) runs as one tile on
- * the thread that issued it.
+ * tiles.  On a 4-vCPU Xeon, waking a parked TilePool(4), claiming a
+ * batch of empty tiles and settling it costs 22-33 us (p25-p50), and
+ * the blocked sweep runs W4A4 decode shapes (192..768 x 768 x 8 and
+ * 768 x 3072 x 8) at 3.3-5.4 MACs/ns on one thread (median of 21, or
+ * 2.3-3.3 when each accumulator pass added one group), so a 2^20-MAC
+ * tile is 190-320 us of work and the fan-out stays a small fraction of
+ * it.
+ * A 192-row decode shard slice (192 x 768 x 8, just over 2^20 MACs)
+ * runs as one tile on the thread that issued it.
  */
 constexpr std::size_t kMinTileMacs = std::size_t{1} << 20;
 
@@ -598,9 +602,11 @@ explicitReorder(std::uint64_t wIdx, const std::uint8_t* perm, unsigned p,
 // ----------------------------------------------- activation preparation
 
 /**
- * Column-major canonicalization of every activation group instance:
- * msRank/permRank/perm at [nn * groups + g].  Stable insertion argsort
- * + table-driven multiset rank, allocation-free.
+ * Column-major canonicalization of the activation group instances of a
+ * tile's columns: msRank/permRank/perm at [(nn - range.n0) * groups +
+ * g].  Stable insertion argsort + table-driven multiset rank,
+ * allocation-free.  Each tile prepares its own columns, so the pass
+ * runs on the tile threads (row tiles of one column range repeat it).
  */
 struct CanonicalActs {
     const std::uint64_t* msRank = nullptr;
@@ -609,11 +615,12 @@ struct CanonicalActs {
 };
 
 CanonicalActs
-prepCanonicalActs(const QuantizedMatrix& a, unsigned p, unsigned groups,
-                  const PreparedGemm& prep, ExecArena& arena)
+prepCanonicalActs(const QuantizedMatrix& a, const TileRange& range,
+                  unsigned p, unsigned groups, const PreparedGemm& prep,
+                  ExecArena& arena)
 {
-    const std::size_t n = a.cols;
-    const std::size_t instances = static_cast<std::size_t>(groups) * n;
+    const std::size_t instances =
+        static_cast<std::size_t>(groups) * (range.n1 - range.n0);
     std::uint64_t* msRank = arena.u64(kSlotActA, instances);
     std::uint32_t* permRank = arena.u32(kSlotPermRank, instances);
     std::uint8_t* perm = arena.u8(kSlotPerm, instances * p);
@@ -622,7 +629,7 @@ prepCanonicalActs(const QuantizedMatrix& a, unsigned p, unsigned groups,
 
     std::uint16_t codes[64];
     std::uint8_t order[64];
-    for (std::size_t nn = 0; nn < n; ++nn) {
+    for (std::size_t nn = range.n0; nn < range.n1; ++nn) {
         for (unsigned g = 0; g < groups; ++g) {
             for (unsigned i = 0; i < p; ++i) {
                 codes[i] =
@@ -654,7 +661,7 @@ prepCanonicalActs(const QuantizedMatrix& a, unsigned p, unsigned groups,
                 }
                 pr = pr * (p - i) + smaller;
             }
-            const std::size_t at = nn * groups + g;
+            const std::size_t at = (nn - range.n0) * groups + g;
             msRank[at] = ms;
             permRank[at] = pr;
             std::uint8_t* dst = perm + at * p;
@@ -666,23 +673,24 @@ prepCanonicalActs(const QuantizedMatrix& a, unsigned p, unsigned groups,
     return {msRank, permRank, perm};
 }
 
-/** Column-major packed activation indices aIdx[nn * groups + g]. */
+/** Column-major packed activation indices of a tile's columns,
+ * aIdx[(nn - range.n0) * groups + g]. */
 const std::uint64_t*
-prepPackedActs(const QuantizedMatrix& a, unsigned p, unsigned groups,
-               ExecArena& arena)
+prepPackedActs(const QuantizedMatrix& a, const TileRange& range,
+               unsigned p, unsigned groups, ExecArena& arena)
 {
-    const std::size_t n = a.cols;
-    std::uint64_t* aIdx =
-        arena.u64(kSlotActA, static_cast<std::size_t>(groups) * n);
+    std::uint64_t* aIdx = arena.u64(
+        kSlotActA,
+        static_cast<std::size_t>(groups) * (range.n1 - range.n0));
     const unsigned ba = a.codec.bits();
     std::uint16_t codes[64];
-    for (std::size_t nn = 0; nn < n; ++nn) {
+    for (std::size_t nn = range.n0; nn < range.n1; ++nn) {
         for (unsigned g = 0; g < groups; ++g) {
             for (unsigned i = 0; i < p; ++i) {
                 codes[i] =
                     actCodeAt(a, static_cast<std::size_t>(g) * p + i, nn);
             }
-            aIdx[nn * groups + g] = packCodes({codes, p}, ba);
+            aIdx[(nn - range.n0) * groups + g] = packCodes({codes, p}, ba);
         }
     }
     return aIdx;
@@ -692,20 +700,29 @@ prepPackedActs(const QuantizedMatrix& a, unsigned p, unsigned groups,
 //
 // The OP and canonical fused kernels share one column-blocked sweep
 // (blockedSweep): for each block of kColBlock output columns and each
-// group, the block's slices (one per column, `rows` entries each) are
-// interleaved into a rows x kColBlock table t[w * kColBlock + c], and
-// the tile's rows are walked once, loading each packed weight index
-// once and adding the kColBlock-wide table row t[w * kColBlock ..) into
-// a [span x kColBlock] accumulator.  The vectorized dimension is the
-// block's columns: independent output elements advanced in lockstep,
-// each still accumulating its groups in ascending order (and, under
-// float slice streaming, its per-window partial sums folded in stream
-// order), so results are bit-exact on integer AND float data.  A
-// partial last block is padded with zero columns that are never
-// written out.
+// block of kGroupBlock consecutive activation groups, the slices of
+// those columns and groups (`rows` entries each) are interleaved into
+// one rows x kColBlock table per group, t_j[w * kColBlock + c], and the
+// tile's rows are walked once: each kColBlock-wide accumulator row is
+// loaded once, the group block's table rows t_j[w_j * kColBlock ..)
+// (w_j the row's packed weight index in group j) are added to it in
+// ascending group order, and it is stored once.  The vectorized
+// dimension is the block's columns: independent output elements
+// advanced in lockstep, each still adding its groups one at a time in
+// ascending order (and, under float slice streaming, summing each
+// window into a zeroed partial that is folded in stream order; a group
+// block never crosses a window), so results are bit-exact on integer
+// AND float data.  A partial last column block is padded with zero
+// columns that are never written out.
 
 /** Output columns one sweep serves: one 32-byte accumulator row. */
 constexpr std::size_t kColBlock = 8;
+
+/** Activation groups one accumulator pass adds.  With GCC 12 on x86-64
+ * the pass runs 9 instructions per group at 4 and none on the stack;
+ * 2 groups take 11 per group, and 8 groups 9.5 with 12 stack accesses
+ * per row. */
+constexpr unsigned kGroupBlock = 4;
 
 /** Tile scratch of the kernel's element type (int32 or float). */
 template <typename T>
@@ -731,22 +748,78 @@ interleaveColumn(T* LOCALUT_RESTRICT table, const T* LOCALUT_RESTRICT slice,
     }
 }
 
-/** acc[i * kColBlock + c] += table[idx[i] * kColBlock + c] over rows
- * [0, span) and every column c of the block. */
-template <typename T, typename I>
-inline void
-accumulateRows(T* LOCALUT_RESTRICT acc, const T* LOCALUT_RESTRICT table,
-               const I* LOCALUT_RESTRICT idx, std::size_t span)
+/**
+ * One accumulator pass over rows [0, span) for a block of @p G groups:
+ * acc[i * kColBlock + c] += t_j[idx_j[i] * kColBlock + c] for j = 0, 1,
+ * .. G - 1 in that order, where t_j = tables + j * tableLen and idx_j =
+ * idx + j * stride.  Each accumulator row is loaded and stored once.
+ * Kept out of line and, where the compiler has them, over two 16-byte
+ * vector halves: that keeps the row in two registers, where an 8-wide
+ * local inlined into the sweep spilled to the stack.
+ */
+template <unsigned G, typename T, typename I>
+LOCALUT_NOINLINE void
+accumulateGroups(T* LOCALUT_RESTRICT acc, const T* LOCALUT_RESTRICT tables,
+                 std::size_t tableLen, const I* LOCALUT_RESTRICT idx,
+                 std::size_t stride, std::size_t span)
 {
     for (std::size_t i = 0; i < span; ++i) {
-        const T* LOCALUT_RESTRICT row =
-            table + static_cast<std::size_t>(idx[i]) * kColBlock;
-        T* LOCALUT_RESTRICT a = acc + i * kColBlock;
-        LOCALUT_OMP_SIMD
-        for (std::size_t c = 0; c < kColBlock; ++c) {
-            a[c] += row[c];
+        T* a = acc + i * kColBlock;
+        auto row = [&](unsigned j) {
+            return tables + j * tableLen +
+                   static_cast<std::size_t>(idx[j * stride + i]) * kColBlock;
+        };
+#if defined(__GNUC__) || defined(__clang__)
+        constexpr std::size_t kHalf = kColBlock / 2;
+        typedef T Half __attribute__((vector_size(kHalf * sizeof(T))));
+        Half lo, hi;
+        std::memcpy(&lo, a, sizeof lo);
+        std::memcpy(&hi, a + kHalf, sizeof hi);
+        for (unsigned j = 0; j < G; ++j) {
+            Half x, y;
+            std::memcpy(&x, row(j), sizeof x);
+            std::memcpy(&y, row(j) + kHalf, sizeof y);
+            lo += x;
+            hi += y;
         }
+        std::memcpy(a, &lo, sizeof lo);
+        std::memcpy(a + kHalf, &hi, sizeof hi);
+#else
+        for (unsigned j = 0; j < G; ++j) {
+            const T* LOCALUT_RESTRICT r = row(j);
+            LOCALUT_OMP_SIMD
+            for (std::size_t c = 0; c < kColBlock; ++c) {
+                a[c] += r[c];
+            }
+        }
+#endif
     }
+}
+
+/** accumulateGroups() for a block of @p count (1..kGroupBlock) groups:
+ * full blocks, and the tail of the groups or of a streaming window. */
+template <typename T, typename I>
+void
+accumulateBlock(unsigned count, T* acc, const T* tables,
+                std::size_t tableLen, const I* idx, std::size_t stride,
+                std::size_t span)
+{
+    static_assert(kGroupBlock == 4, "one case per block length");
+    switch (count) {
+      case 4:
+        accumulateGroups<4>(acc, tables, tableLen, idx, stride, span);
+        return;
+      case 3:
+        accumulateGroups<3>(acc, tables, tableLen, idx, stride, span);
+        return;
+      case 2:
+        accumulateGroups<2>(acc, tables, tableLen, idx, stride, span);
+        return;
+      case 1:
+        accumulateGroups<1>(acc, tables, tableLen, idx, stride, span);
+        return;
+    }
+    LOCALUT_PANIC("group block of ", count, " groups");
 }
 
 /** dst[i] = src[idx[i]] over [0, span) (fused-slice construction). */
@@ -791,7 +864,7 @@ withWeightIndices(const PreparedGemm& prep, const Fn& fn)
 /**
  * The column-blocked sweep over one tile: out(mm, nn) = sum over groups
  * g of slice(nn, g)[wIdxT(g, mm)], where @p fill(table, nn, g, c)
- * writes slice(nn, g) into column c of the interleaved table.
+ * writes slice(nn, g) into column c of an interleaved table.
  * @p window > 0 reproduces the float slice-streaming order: each window
  * of groups is summed into a zeroed partial, and the partials are
  * folded into the accumulator in window order; 0 adds every group
@@ -808,7 +881,7 @@ blockedSweep(const I* wIdxT, std::size_t m, unsigned groups,
     const std::size_t accLen = span * kColBlock;
     const std::size_t tableLen = static_cast<std::size_t>(rows) * kColBlock;
     T* acc = scratch<T>(arena, kSlotAcc, accLen);
-    T* table = scratch<T>(arena, kSlotTable, tableLen);
+    T* tables = scratch<T>(arena, kSlotTable, kGroupBlock * tableLen);
     T* accWindow =
         window > 0 ? scratch<T>(arena, kSlotBatch, accLen) : nullptr;
 
@@ -816,29 +889,30 @@ blockedSweep(const I* wIdxT, std::size_t m, unsigned groups,
         const std::size_t cols = std::min(kColBlock, range.n1 - b0);
         if (cols < kColBlock) {
             // Padding columns: the fills below never touch them.
-            std::fill(table, table + tableLen, T{});
+            std::fill(tables, tables + kGroupBlock * tableLen, T{});
         }
-        auto sweepGroup = [&](unsigned g, T* dst) {
-            for (std::size_t c = 0; c < cols; ++c) {
-                fill(table, b0 + c, g, c);
+        // Adds groups [g0, g1) into dst, kGroupBlock at a time.
+        auto sweepGroups = [&](unsigned g0, unsigned g1, T* dst) {
+            for (unsigned gb = g0; gb < g1; gb += kGroupBlock) {
+                const unsigned count = std::min(kGroupBlock, g1 - gb);
+                for (unsigned j = 0; j < count; ++j) {
+                    for (std::size_t c = 0; c < cols; ++c) {
+                        fill(tables + j * tableLen, b0 + c, gb + j, c);
+                    }
+                }
+                accumulateBlock(count, dst, tables, tableLen,
+                                wIdxT + static_cast<std::size_t>(gb) * m +
+                                    range.m0,
+                                m, span);
             }
-            accumulateRows(dst, table,
-                           wIdxT + static_cast<std::size_t>(g) * m +
-                               range.m0,
-                           span);
         };
         std::fill(acc, acc + accLen, T{});
         if (window == 0) {
-            for (unsigned g = 0; g < groups; ++g) {
-                sweepGroup(g, acc);
-            }
+            sweepGroups(0, groups, acc);
         } else {
             for (unsigned g0 = 0; g0 < groups; g0 += window) {
-                const unsigned gEnd = std::min(groups, g0 + window);
                 std::fill(accWindow, accWindow + accLen, T{});
-                for (unsigned g = g0; g < gEnd; ++g) {
-                    sweepGroup(g, accWindow);
-                }
+                sweepGroups(g0, std::min(groups, g0 + window), accWindow);
                 vectorAdd(acc, accWindow, accLen);
             }
         }
@@ -862,8 +936,9 @@ opKernel(const PreparedGemm& prep, const I* wIdxT,
     const unsigned groups = prep.groups;
     blockedSweep(wIdxT, prep.m, groups, rows, 0, n, range, arena, out,
                  [&](T* t, std::size_t nn, unsigned g, std::size_t c) {
-                     interleaveColumn(t, table + aIdx[nn * groups + g] * rows,
-                                      c, rows);
+                     interleaveColumn(
+                         t, table + aIdx[(nn - range.n0) * groups + g] * rows,
+                         c, rows);
                  });
 }
 
@@ -959,7 +1034,7 @@ canonicalFusedKernel(const PreparedGemm& prep, const I* wIdxT,
         [&](T* t, std::size_t nn, unsigned g, std::size_t c) {
             // Lookups hoisted out of the row sweep; each distinct combo
             // is built at most once per tile when memoizing.
-            const std::size_t at = nn * groups + g;
+            const std::size_t at = (nn - range.n0) * groups + g;
             T* slice = fused;
             if (memoize) {
                 const std::size_t combo = static_cast<std::size_t>(
@@ -1003,7 +1078,7 @@ canonicalDirectKernel(const PreparedGemm& prep, const I* wIdxT,
         prep.reorderLut != nullptr ? prep.reorderLut->data() : nullptr;
 
     auto entry = [&](unsigned g, std::size_t nn, std::size_t mm) {
-        const std::size_t at = nn * groups + g;
+        const std::size_t at = (nn - range.n0) * groups + g;
         const std::uint64_t wi = wIdxT[static_cast<std::size_t>(g) * m + mm];
         std::uint64_t reordered;
         if (mode == Mode::CanonExplicit) {
@@ -1222,8 +1297,6 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
         return;
       }
       case Mode::Op: {
-        const std::uint64_t* aIdx =
-            prepPackedActs(problem.a, prep->p, prep->groups, arena);
         const OperationPackedLut& lut = *prep->opLut;
         const T* table;
         if constexpr (kInt) {
@@ -1235,10 +1308,13 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
                         "operation-packed LUT has no entries for this "
                         "element type");
         runTiles(tiling, tiles, [&](std::size_t tile) {
+            const TileRange range = tiling.rangeOf(tile);
+            ExecArena& ta = tileArena(tiling, tiles, arena);
+            const std::uint64_t* aIdx =
+                prepPackedActs(problem.a, range, prep->p, prep->groups, ta);
             withWeightIndices(*prep, [&](const auto* wIdxT) {
-                opKernel<T>(*prep, wIdxT, aIdx, table, lut.rows(), n,
-                            tiling.rangeOf(tile),
-                            tileArena(tiling, tiles, arena), outData);
+                opKernel<T>(*prep, wIdxT, aIdx, table, lut.rows(), n, range,
+                            ta, outData);
             });
         });
         return;
@@ -1246,36 +1322,41 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
       case Mode::CanonExplicit:
       case Mode::CanonReorder:
       case Mode::CanonStream: {
-        const CanonicalActs acts = prepCanonicalActs(
-            problem.a, prep->p, prep->groups, *prep, arena);
         const unsigned batch = mode == Mode::CanonStream
                                    ? std::max(1u, prep->kSlices)
                                    : prep->groups;
-        if (useFusedSlices(prep->canonicalLut->rows(), m)) {
+        const bool fused = useFusedSlices(prep->canonicalLut->rows(), m);
+        Tiling canonTiling = tiling;
+        if (fused) {
             // Every row tile repeats each (block, group)'s rows x 8
-            // interleave; keep that under ~1/8 of the per-tile sweep
-            // (chunk rows x 8 adds), i.e. chunks of >= 8 x rows rows.
-            Tiling fusedTiling = tiling;
-            capRowTiles(fusedTiling,
+            // interleave.  On one thread of a 4-vCPU Xeon (W4A4
+            // LoCaLUT, fig09 and decode shapes), interleaving one table
+            // entry costs 0.6-1.0x what the accumulator pass spends on
+            // one row of one group (0.36-0.67x when the pass added one
+            // group at a time), so chunks of >= 16 x rows rows keep the
+            // repeated interleave under about half a tile's sweep.  On
+            // a TilePool(4), 768x3072x8 took 1.66-1.77 ms at this cap
+            // and 2.00-2.15 ms at 8 x rows (fastest of 31, three runs).
+            capRowTiles(canonTiling,
                         std::max<std::size_t>(
-                            1, m / (8 * prep->canonicalLut->rows())));
-            runTiles(fusedTiling, tiles, [&](std::size_t tile) {
-                withWeightIndices(*prep, [&](const auto* wIdxT) {
-                    canonicalFusedKernel<T, kInt>(
-                        *prep, wIdxT, acts, mode, batch, n,
-                        fusedTiling.rangeOf(tile),
-                        tileArena(fusedTiling, tiles, arena), outData);
-                });
-            });
-        } else {
-            runTiles(tiling, tiles, [&](std::size_t tile) {
-                withWeightIndices(*prep, [&](const auto* wIdxT) {
-                    canonicalDirectKernel<T, kInt>(
-                        *prep, wIdxT, acts, mode, batch, n,
-                        tiling.rangeOf(tile), outData);
-                });
-            });
+                            1, m / (16 * prep->canonicalLut->rows())));
         }
+        runTiles(canonTiling, tiles, [&](std::size_t tile) {
+            const TileRange range = canonTiling.rangeOf(tile);
+            ExecArena& ta = tileArena(canonTiling, tiles, arena);
+            const CanonicalActs acts = prepCanonicalActs(
+                problem.a, range, prep->p, prep->groups, *prep, ta);
+            withWeightIndices(*prep, [&](const auto* wIdxT) {
+                if (fused) {
+                    canonicalFusedKernel<T, kInt>(*prep, wIdxT, acts, mode,
+                                                  batch, n, range, ta,
+                                                  outData);
+                } else {
+                    canonicalDirectKernel<T, kInt>(*prep, wIdxT, acts, mode,
+                                                   batch, n, range, outData);
+                }
+            });
+        });
         return;
       }
     }

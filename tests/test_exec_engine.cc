@@ -6,6 +6,9 @@
  *    and float, serial and tile-parallel;
  *  - GEMMs above the per-tile work floor really cut into several tiles
  *    on a pool, and bit-equal to serial and reference output;
+ *  - the OP and LoCaLUT sweeps bit-equal to a scalar oracle built from
+ *    the LUT classes, on float data whose sums round differently in
+ *    every order;
  *  - the zero-allocation steady state: with a prepared operand, a warm
  *    arena, and a warm output vector, executing a GEMM performs ZERO
  *    heap allocations — asserted with a counting global allocator;
@@ -17,19 +20,30 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/bitops.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "kernels/exec_engine.h"
 #include "kernels/functional.h"
 #include "kernels/gemm.h"
+#include "lut/canonical_lut.h"
+#include "lut/canonicalizer.h"
+#include "lut/packed_lut.h"
+#include "lut/reordering_lut.h"
 #include "lut/table_cache.h"
 
 // ------------------------------------------------- counting allocator
@@ -382,15 +396,261 @@ TEST(ExecTiling, FloatStreamingTilesMatchSerialAndReference)
     }
 }
 
+// -------------------------------------------------- scalar sweep oracle
+
+/** @p rows x @p cols codes drawn uniformly from the codes of @p codec
+ * that decode to a number (to a non-negative one if @p nonNegative). */
+QuantizedMatrix
+uniformCodes(std::size_t rows, std::size_t cols, ValueCodec codec,
+             std::uint64_t seed, bool nonNegative = false)
+{
+    QuantizedMatrix x;
+    x.rows = rows;
+    x.cols = cols;
+    x.codec = codec;
+    x.codes.resize(rows * cols);
+    Rng rng(seed);
+    for (std::uint16_t& code : x.codes) {
+        float value = 0.0f;
+        do {
+            code = static_cast<std::uint16_t>(
+                rng.nextBounded(codec.cardinality()));
+            value = codec.decode(code);
+        } while (std::isnan(value) || (nonNegative && std::signbit(value)));
+    }
+    return x;
+}
+
+/** The LUT classes the oracle reads, built apart from the engine's
+ * table cache. */
+struct OracleTables {
+    explicit OracleTables(const LutShape& shape)
+        : op(shape), canon(shape), reorder(shape), canonicalizer(shape)
+    {}
+
+    OperationPackedLut op;
+    CanonicalLut canon;
+    ReorderingLut reorder;
+    ActivationCanonicalizer canonicalizer;
+};
+
+/**
+ * Scalar oracle of the LUT sweep: out(mm, nn) sums one table entry per
+ * activation group — the operation-packed entry at (packed weights,
+ * packed activations) for OP, else the canonical entry at the group's
+ * multiset rank and reordering-LUT row — in ascending group order.
+ * @p window > 0 sums each window of that many groups into a zeroed
+ * partial and folds the partials in window order (float slice
+ * streaming).  Codes past K pad with code 0, as the engine packs them.
+ */
+template <typename T>
+std::vector<T>
+lutSweepOracle(const GemmProblem& problem, const OracleTables& tables,
+               DesignPoint design, unsigned window)
+{
+    const QuantizedMatrix& w = problem.w;
+    const QuantizedMatrix& a = problem.a;
+    const std::size_t m = problem.m(), k = problem.k(), n = problem.n();
+    const unsigned p = tables.op.shape().p;
+    const unsigned groups = static_cast<unsigned>((k + p - 1) / p);
+    const bool op = design == DesignPoint::OpLut;
+    std::vector<std::uint16_t> codes(p);
+    auto groupCodes = [&](const QuantizedMatrix& x, std::size_t other,
+                          unsigned g, bool weights) {
+        for (unsigned i = 0; i < p; ++i) {
+            const std::size_t kk = std::size_t{g} * p + i;
+            codes[i] = kk >= k      ? std::uint16_t{0}
+                       : weights    ? x.at(other, kk)
+                                    : x.at(kk, other);
+        }
+        return std::span<const std::uint16_t>(codes);
+    };
+
+    std::vector<std::uint64_t> wIdx(m * groups);
+    for (std::size_t mm = 0; mm < m; ++mm) {
+        for (unsigned g = 0; g < groups; ++g) {
+            wIdx[mm * groups + g] =
+                packCodes(groupCodes(w, mm, g, true), w.codec.bits());
+        }
+    }
+    // Per (column, group): the table column, and for canonical tables
+    // the reordering-LUT column.
+    std::vector<std::uint64_t> column(n * groups);
+    std::vector<std::uint32_t> perm(n * groups);
+    for (std::size_t nn = 0; nn < n; ++nn) {
+        for (unsigned g = 0; g < groups; ++g) {
+            const auto acts = groupCodes(a, nn, g, false);
+            const std::size_t at = nn * groups + g;
+            if (op) {
+                column[at] = packCodes(acts, a.codec.bits());
+            } else {
+                const CanonicalGroup cg =
+                    tables.canonicalizer.canonicalize(acts);
+                column[at] = cg.multisetRank;
+                perm[at] = cg.permRank;
+            }
+        }
+    }
+    auto entry = [&](std::size_t mm, std::size_t nn, unsigned g) -> T {
+        const std::size_t at = nn * groups + g;
+        const std::uint64_t wi = wIdx[mm * groups + g];
+        const std::uint64_t row =
+            op ? wi : tables.reorder.lookup(perm[at], wi);
+        if constexpr (std::is_same_v<T, float>) {
+            return op ? tables.op.lookupFloat(row, column[at])
+                      : tables.canon.lookupFloat(column[at], row);
+        } else {
+            return op ? tables.op.lookupInt(row, column[at])
+                      : tables.canon.lookupInt(column[at], row);
+        }
+    };
+
+    std::vector<T> out(m * n);
+    for (std::size_t mm = 0; mm < m; ++mm) {
+        for (std::size_t nn = 0; nn < n; ++nn) {
+            T acc{};
+            if (window == 0) {
+                for (unsigned g = 0; g < groups; ++g) {
+                    acc += entry(mm, nn, g);
+                }
+            } else {
+                for (unsigned g0 = 0; g0 < groups; g0 += window) {
+                    T partial{};
+                    const unsigned gEnd = std::min(groups, g0 + window);
+                    for (unsigned g = g0; g < gEnd; ++g) {
+                        partial += entry(mm, nn, g);
+                    }
+                    acc += partial;
+                }
+            }
+            out[mm * n + nn] = acc;
+        }
+    }
+    return out;
+}
+
+/** The bit patterns of @p values (floats compared without ==). */
+template <typename T>
+std::vector<std::uint32_t>
+bitsOf(const std::vector<T>& values)
+{
+    static_assert(sizeof(T) == sizeof(std::uint32_t));
+    std::vector<std::uint32_t> bits(values.size());
+    std::memcpy(bits.data(), values.data(), values.size() * sizeof(T));
+    return bits;
+}
+
+template <typename T>
+void
+executeGemmAs(const GemmProblem& problem, const GemmPlan& plan,
+              const ExecOptions& options, std::vector<T>& out)
+{
+    if constexpr (std::is_same_v<T, float>) {
+        executeGemmFloat(problem, plan, options, out);
+    } else {
+        executeGemmInt(problem, plan, options, out);
+    }
+}
+
+/**
+ * OP and LoCaLUT (direct, and slice-streamed with kSlices 1, 3 and 5)
+ * on @p problem, serial and on @p tiles, each bit-equal to the scalar
+ * oracle.  OP tables are not streamed by slice window, so kSlices
+ * leaves their order alone; integer sums are order-free.
+ */
+template <typename T>
+void
+expectSweepMatchesOracle(const GemmProblem& problem,
+                         const OracleTables& tables, CountingTiles& tiles)
+{
+    struct Run {
+        DesignPoint design;
+        bool streaming;
+        unsigned kSlices;
+    };
+    const Run runs[] = {
+        {DesignPoint::OpLut, false, 1},  {DesignPoint::OpLut, true, 3},
+        {DesignPoint::OpLut, true, 5},   {DesignPoint::LoCaLut, false, 1},
+        {DesignPoint::LoCaLut, true, 1}, {DesignPoint::LoCaLut, true, 3},
+        {DesignPoint::LoCaLut, true, 5},
+    };
+    for (const Run& r : runs) {
+        SCOPED_TRACE(std::string(designPointName(r.design)) +
+                     (r.streaming ? " streaming kSlices=" +
+                                        std::to_string(r.kSlices)
+                                  : ""));
+        const bool windowed = std::is_same_v<T, float> &&
+                              r.design == DesignPoint::LoCaLut &&
+                              r.streaming;
+        const std::vector<std::uint32_t> expected =
+            bitsOf(lutSweepOracle<T>(problem, tables, r.design,
+                                     windowed ? r.kSlices : 0));
+        const GemmPlan plan = syntheticPlan(
+            problem, r.design, tables.op.shape().p, r.streaming,
+            r.kSlices);
+        const auto prepared = prepareGemm(problem, plan);
+        ExecOptions serial;
+        serial.prepared = prepared.get();
+        ExecOptions tiled = serial;
+        tiled.tiles = &tiles;
+        std::vector<T> out;
+        executeGemmAs(problem, plan, serial, out);
+        EXPECT_EQ(bitsOf(out), expected) << "serial";
+        tiles.take();
+        executeGemmAs(problem, plan, tiled, out);
+        EXPECT_EQ(bitsOf(out), expected) << "tiled";
+        const std::vector<std::size_t> cut = tiles.take();
+        ASSERT_EQ(cut.size(), 1u);
+        EXPECT_GT(cut[0], 1u);
+    }
+}
+
+TEST(ExecTiling, LutSweepMatchesScalarOracleBitForBit)
+{
+    // n = 19 = 8 * 2 + 3: the serial sweep ends in a partial column
+    // block, and the pool's two column tiles (10 and 9 columns) in
+    // blocks of 2 and 1.  K in {2000, 2001, 2003, 2006} at p = 2 gives
+    // 1000..1003 groups, every group count mod 4, two of them ending in
+    // a padded group.
+    constexpr std::size_t m = 64, n = 19;
+    constexpr unsigned p = 2;
+    // FP8 products are multiples of 2^-9, so float sums stay exact, in
+    // any order, below 2^15.  Non-negative FP8 activations against
+    // 2-bit weights (mean -0.5) drive the sums of ~1000 groups past it
+    // (to about -46k), where every order rounds differently.
+    const QuantConfig fp8 = QuantConfig::fpPreset(2, 8);
+    const QuantConfig w4a4 = QuantConfig::preset("W4A4");
+    const OracleTables fp8Tables(LutShape(fp8, p));
+    const OracleTables w4a4Tables(LutShape(w4a4, p));
+    CountingTiles tiles;
+    for (const std::size_t k : {2000, 2001, 2003, 2006}) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        GemmProblem problem;
+        problem.w = uniformCodes(m, k, fp8.weightCodec, 0x5eed + k);
+        problem.a = uniformCodes(k, n, fp8.actCodec, 0xac75 + k, true);
+        // Regrouping the sums into slice windows moves output bits.
+        EXPECT_NE(bitsOf(lutSweepOracle<float>(
+                      problem, fp8Tables, DesignPoint::LoCaLut, 0)),
+                  bitsOf(lutSweepOracle<float>(
+                      problem, fp8Tables, DesignPoint::LoCaLut, 3)));
+        expectSweepMatchesOracle<float>(problem, fp8Tables, tiles);
+
+        problem.w = uniformCodes(m, k, w4a4.weightCodec, 0x5eed + k);
+        problem.a = uniformCodes(k, n, w4a4.actCodec, 0xac75 + k);
+        expectSweepMatchesOracle<std::int32_t>(problem, w4a4Tables,
+                                               tiles);
+    }
+}
+
 TEST(ExecTiling, NarrowOutputsCutRows)
 {
     // n < 8: a single partial column block, so only row cuts feed the
-    // pool (the fused kernel allows them once m >= 16 x weight rows).
+    // pool (the fused kernel allows them once m >= 32 x weight rows).
     const QuantConfig cfg = QuantConfig::preset("W4A4");
     const TiledCase cases[] = {
         {cfg, DesignPoint::OpLut, 2, false, 1, 640, 768, 5},
         {cfg, DesignPoint::LoCaLut, 1, false, 1, 640, 768, 5},
-        {cfg, DesignPoint::LoCaLut, 2, true, 4, 4096, 192, 3},
+        {cfg, DesignPoint::LoCaLut, 2, true, 4, 8192, 192, 3},
     };
     CountingTiles tiles;
     for (const TiledCase& c : cases) {
