@@ -43,8 +43,7 @@ main(int argc, char** argv)
         InferenceSession session(makeBackend("upmem"), options);
         const auto workload =
             session.compile(spec, cfg, DesignPoint::LoCaLut);
-        const InferenceReport report =
-            session.waitReport(session.submit(workload));
+        const InferenceReport report = session.run(workload);
         if (ranks == 1) {
             baseline = report.timing.total;
         }

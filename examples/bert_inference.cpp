@@ -2,12 +2,11 @@
  * @file
  * End-to-end BERT-base inference through the serving API (paper Fig. 8
  * execution flow): compile the prefill workload once per configuration,
- * submit all configurations as batched asynchronous requests, and print
- * the phase breakdown that corresponds to the paper's Fig. 16(a).
+ * run each through one session, and print the phase breakdown that
+ * corresponds to the paper's Fig. 16(a).
  */
 
 #include <cstdio>
-#include <vector>
 
 #include "localut.h"
 
@@ -27,34 +26,26 @@ main()
                 seq);
     const WorkloadSpec prefill = WorkloadSpec::prefill(model, batch, seq);
 
-    // One session serves every configuration; submit the NaivePIM and
-    // LoCaLUT variants of all four presets in one batch.
+    // One session serves every configuration: run the NaivePIM and
+    // LoCaLUT variants of all four presets.
     InferenceSession session(makeBackend("upmem"));
-    const std::vector<const char*> presets = {"W1A3", "W1A4", "W2A2",
-                                              "W4A4"};
-    std::vector<InferenceSession::RequestId> naiveIds, localutIds;
-    for (const char* preset : presets) {
+    for (const char* preset : {"W1A3", "W1A4", "W2A2", "W4A4"}) {
         const QuantConfig config = QuantConfig::preset(preset);
-        naiveIds.push_back(session.submit(
-            session.compile(prefill, config, DesignPoint::NaivePim)));
-        localutIds.push_back(session.submit(
-            session.compile(prefill, config, DesignPoint::LoCaLut)));
-    }
-    for (std::size_t i = 0; i < presets.size(); ++i) {
-        const InferenceReport rn = session.waitReport(naiveIds[i]);
-        const InferenceReport rl = session.waitReport(localutIds[i]);
+        const InferenceReport rn = session.run(
+            session.compile(prefill, config, DesignPoint::NaivePim));
+        const InferenceReport rl = session.run(
+            session.compile(prefill, config, DesignPoint::LoCaLut));
         std::printf("%s: NaivePIM %7.2f ms | LoCaLUT %7.2f ms | "
                     "speedup %.2fx | energy %.1f J -> %.1f J\n",
-                    presets[i], rn.timing.total * 1e3,
+                    preset, rn.timing.total * 1e3,
                     rl.timing.total * 1e3,
                     rn.timing.total / rl.timing.total, rn.energy.total,
                     rl.energy.total);
     }
 
     // Phase breakdown for W1A3 (the paper's Fig. 16a categories).
-    const auto id = session.submit(session.compile(
+    const InferenceReport report = session.run(session.compile(
         prefill, QuantConfig::preset("W1A3"), DesignPoint::LoCaLut));
-    const InferenceReport report = session.waitReport(id);
     std::printf("\nW1A3 phase breakdown (total %.2f ms):\n",
                 report.timing.total * 1e3);
     for (const auto& [name, seconds] : report.timing.seconds.items()) {

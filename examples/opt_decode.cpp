@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <vector>
 
 #include "localut.h"
 
@@ -44,33 +43,27 @@ main()
                     plan.gM, plan.gN);
     }
 
-    // Compile the phases once, then submit every decode length as an
-    // asynchronous batched request; the session's workers overlap them.
-    const auto prefillWork =
-        session.compile(WorkloadSpec::prefill(model, batch, prompt), config,
-                        DesignPoint::LoCaLut);
-
-    const std::vector<unsigned> outputLengths = {4, 8, 16, 32};
-    std::vector<InferenceSession::RequestId> localutIds, opIds;
-    for (unsigned out : outputLengths) {
-        localutIds.push_back(session.submit(
-            session.compile(WorkloadSpec::decode(model, batch, prompt, out),
-                            config, DesignPoint::LoCaLut)));
-        opIds.push_back(session.submit(
-            session.compile(WorkloadSpec::decode(model, batch, prompt, out),
-                            config, DesignPoint::OpLut)));
-    }
-    const auto prefillId = session.submit(prefillWork);
-    const double pre = session.waitReport(prefillId).timing.total;
+    // Compile each phase once and run it: a workload is modeled cost
+    // only, so run() returns its report on the calling thread.
+    const double pre =
+        session
+            .run(session.compile(WorkloadSpec::prefill(model, batch, prompt),
+                                 config, DesignPoint::LoCaLut))
+            .timing.total;
 
     std::printf("\n%-14s %-12s %-12s %-12s %s\n", "output tokens",
                 "prefill", "decode", "total", "decode speedup vs OP");
-    for (std::size_t i = 0; i < outputLengths.size(); ++i) {
-        const double dec = session.waitReport(localutIds[i]).timing.total;
-        const double decOp = session.waitReport(opIds[i]).timing.total;
-        std::printf("%-14u %9.2f ms %9.2f ms %9.2f ms   %.2fx\n",
-                    outputLengths[i], pre * 1e3, dec * 1e3,
-                    (pre + dec) * 1e3, decOp / dec);
+    for (const unsigned out : {4u, 8u, 16u, 32u}) {
+        const WorkloadSpec decode =
+            WorkloadSpec::decode(model, batch, prompt, out);
+        const double dec =
+            session.run(session.compile(decode, config, DesignPoint::LoCaLut))
+                .timing.total;
+        const double decOp =
+            session.run(session.compile(decode, config, DesignPoint::OpLut))
+                .timing.total;
+        std::printf("%-14u %9.2f ms %9.2f ms %9.2f ms   %.2fx\n", out,
+                    pre * 1e3, dec * 1e3, (pre + dec) * 1e3, decOp / dec);
     }
 
     // The decode shapes repeat across requests, so after the first
@@ -131,8 +124,7 @@ main()
         const auto work =
             sharded.compile(WorkloadSpec::decode(model, batch, prompt, 8),
                             config, DesignPoint::LoCaLut);
-        const InferenceReport report =
-            sharded.waitReport(sharded.submit(work));
+        const InferenceReport report = sharded.run(work);
         if (ranks == 1) {
             unshardedDecode = report.timing.total;
         }
@@ -167,8 +159,7 @@ main()
         DesignPoint::LoCaLut);
     double coldStep = 0, warmStep = 0;
     for (unsigned step = 0; step < 8; ++step) {
-        const InferenceReport r =
-            warmSession.waitReport(warmSession.submit(oneStep));
+        const InferenceReport r = warmSession.run(oneStep);
         if (step == 0) {
             coldStep = r.timing.total;
             std::printf("  step 1 (cold): %8.3f ms  (table broadcast "

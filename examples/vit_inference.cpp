@@ -31,12 +31,16 @@ main()
         std::printf("%s backend:\n", backendName);
         for (const char* preset : {"W2A2", "W4A4"}) {
             const QuantConfig config = QuantConfig::preset(preset);
-            const auto naiveId = session.submit(
-                session.compile(prefill, config, DesignPoint::NaivePim));
-            const auto localutId = session.submit(
-                session.compile(prefill, config, DesignPoint::LoCaLut));
-            const double tn = session.waitReport(naiveId).timing.total;
-            const double tl = session.waitReport(localutId).timing.total;
+            const double tn =
+                session
+                    .run(session.compile(prefill, config,
+                                         DesignPoint::NaivePim))
+                    .timing.total;
+            const double tl =
+                session
+                    .run(session.compile(prefill, config,
+                                         DesignPoint::LoCaLut))
+                    .timing.total;
             std::printf("  %s: MAC baseline %7.2f ms | LoCaLUT %7.2f ms "
                         "| %.2fx\n",
                         preset, tn * 1e3, tl * 1e3, tn / tl);

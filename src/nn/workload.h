@@ -92,6 +92,9 @@ struct InferenceReport {
      * (serving/residency.h); 0 when every table set was already resident
      * (steady state) or residency is disabled. */
     double lutBroadcastSeconds = 0;
+    /** Rank that served the request (InferenceSession::run(), after any
+     * fault failover); 0 for single-rank execution. */
+    unsigned rank = 0;
 
     /** True when this request paid any first-touch table broadcast. */
     bool coldStart() const { return lutBroadcastSeconds > 0; }

@@ -479,25 +479,34 @@ RequestScheduler::submit(ServingRequest request)
     decision.projectedServiceSeconds = best.service;
     decision.projectedStartSeconds = bestStart;
     decision.projectedCompletionSeconds = bestCompletion;
-    telemetry_->recordAdmission(decision.lane,
-                                AdmissionOutcome::Admitted);
 
     // Real execution: pin the request to its placement rank (gangs
     // shard across every rank, exactly as an unpinned submit would).
-    // The session acquires the request's table sets before submit()
-    // returns, so the next projection already sees this rank warm.
+    // The session acquires the request's table sets before this
+    // returns, so the next projection already sees this rank warm.  A
+    // workload runs here, and is sequenced by the broadcast it was
+    // charged; a workload the session rejects throws to the caller.
     SubmitOptions submitOptions;
     submitOptions.rank =
         best.rank == kAllRanks ? -1 : static_cast<int>(best.rank);
     Ticket ticket;
     ticket.decision = decision;
     ticket.isWorkload = request.isWorkload;
-    ticket.sessionId =
-        request.isWorkload
-            ? session_.submit(std::move(request.workload), submitOptions)
-            : session_.submit(std::move(request.problem), request.design,
-                              request.computeValues, request.overrides,
-                              submitOptions);
+    if (request.isWorkload) {
+        try {
+            ticket.report = session_.run(request.workload, submitOptions);
+            best.broadcastSeconds = ticket.report.lutBroadcastSeconds;
+            best.service = projection.steadySeconds + best.broadcastSeconds;
+        } catch (const FaultShedError&) {
+            ticket.faultShed = true;
+        }
+    } else {
+        ticket.sessionId = session_.submit(
+            std::move(request.problem), request.design,
+            request.computeValues, request.overrides, submitOptions);
+    }
+    telemetry_->recordAdmission(decision.lane,
+                                AdmissionOutcome::Admitted);
     tickets_.emplace(decision.id, std::move(ticket));
     pending_.push_back(best);
     sequenceLocked(clock_);
@@ -509,8 +518,7 @@ ServingResult
 RequestScheduler::wait(std::uint64_t id)
 {
     ServingResult result;
-    bool isWorkload = false;
-    InferenceSession::RequestId sessionId = 0;
+    Ticket ticket;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = tickets_.find(id);
@@ -529,19 +537,22 @@ RequestScheduler::wait(std::uint64_t id)
             LOCALUT_ASSERT(it != tickets_.end() && it->second.sequenced,
                            "waited ticket did not sequence");
         }
-        result.decision = it->second.decision;
-        result.sample = it->second.sample;
-        isWorkload = it->second.isWorkload;
-        sessionId = it->second.sessionId;
+        ticket = std::move(it->second);
         tickets_.erase(it);
     }
-    try {
-        if (isWorkload) {
-            result.report = session_.waitReport(sessionId);
-        } else {
-            result.gemm = session_.wait(sessionId);
+    result.decision = ticket.decision;
+    result.sample = ticket.sample;
+    bool faultShed = ticket.faultShed;
+    if (ticket.isWorkload) {
+        result.report = std::move(ticket.report);
+    } else {
+        try {
+            result.gemm = session_.wait(ticket.sessionId);
+        } catch (const FaultShedError&) {
+            faultShed = true;
         }
-    } catch (const FaultShedError&) {
+    }
+    if (faultShed) {
         // Admitted, then shed by faults during execution (dead home
         // rank with failover off, retries exhausted, ...): the ticket
         // resolves with a terminal ShedFault verdict instead of

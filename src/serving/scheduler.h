@@ -42,10 +42,12 @@
  *    arrival); a decision is only finalized once the clock guarantees
  *    no earlier arrival can still show up.
  *
- * Execution is real: every admitted request is submitted to the
- * InferenceSession (pinned to its placement rank), values are bit-exact
- * with a direct submit() — the scheduler never touches them — and
- * wait() returns the session's result next to the virtual-time
+ * Execution is real: every admitted request goes to the
+ * InferenceSession pinned to its placement rank — a GEMM through
+ * submit(), a workload through run() inside submit(), after which it is
+ * sequenced by the table broadcast it was actually charged.  Values are
+ * bit-exact with a direct submit() — the scheduler never touches them —
+ * and wait() returns the session's result next to the virtual-time
  * RequestSample.  Telemetry (serving/telemetry.h) collects admission
  * counters and per-lane latency/queue-delay/service histograms.
  */
@@ -209,8 +211,11 @@ class RequestScheduler
     /**
      * Admission control: projects the request onto every candidate
      * rank, sheds or rejects per the policy, and on admission places
-     * the request (virtual time) and submits it to the session (real
-     * execution).  Returns immediately.
+     * the request (virtual time) and hands it to the session (real
+     * execution).  An admitted GEMM is submitted and this returns
+     * immediately; an admitted workload (modeled cost only) runs before
+     * this returns, and one the session rejects — compiled for another
+     * backend, say — throws here.
      */
     AdmissionDecision submit(ServingRequest request);
 
@@ -238,7 +243,9 @@ class RequestScheduler
         DeadlineClass lane = DeadlineClass::Interactive;
         double arrival = 0;
         double deadline = 0; ///< absolute; +inf when none
-        double service = 0;  ///< steady seconds + projected broadcast
+        /** Steady seconds + broadcast: projected for a GEMM, charged for
+         * a workload (which ran at admission). */
+        double service = 0;
         unsigned rank = 0;   ///< placement; kAllRanks = gang
         std::uint64_t seq = 0; ///< admission order (FIFO + tie-break)
         double collectiveSeconds = 0;
@@ -249,7 +256,9 @@ class RequestScheduler
     struct Ticket {
         AdmissionDecision decision;
         bool isWorkload = false;
-        InferenceSession::RequestId sessionId = 0;
+        InferenceSession::RequestId sessionId = 0; ///< GEMM request
+        InferenceReport report; ///< workload report, settled at submit
+        bool faultShed = false; ///< the workload was shed by faults
         RequestSample sample;
         bool sequenced = false;
     };

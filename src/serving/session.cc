@@ -137,12 +137,11 @@ struct SessionDrainScope {
 
 } // namespace
 
-/** One submitted request (a GEMM or a compiled workload). */
+/** One submitted GEMM request. */
 struct InferenceSession::Request {
     RequestId id = 0;
-    bool isWorkload = false;
 
-    // GEMM request inputs / output.
+    // Inputs / output.
     GemmProblem problem;
     DesignPoint design = DesignPoint::LoCaLut;
     PlanOverrides overrides;
@@ -160,10 +159,6 @@ struct InferenceSession::Request {
     std::vector<FaultOutcome> shardFaults;
     std::vector<GemmResult> shardResults;
     unsigned remainingShards = 0; ///< guarded by the session mutex
-
-    // Workload request input / output.
-    CompiledWorkload workload;
-    InferenceReport report;
 
     // Residency home rank: 0 unless the submission pinned a rank
     // (SubmitOptions::rank — the scheduler's placement decision); a
@@ -258,7 +253,8 @@ InferenceSession::shardPlan(const GemmProblem& problem, DesignPoint design,
                             const PlanOverrides& overrides,
                             std::size_t align)
 {
-    const ShardSpec spec{options_.numRanks, options_.shardStrategy, align};
+    const ShardSpec spec{options_.numRanks, ShardStrategy::ColumnParallel,
+                         align};
     return cache_.shardPlanFor(*backend_, problem, design, spec, overrides);
 }
 
@@ -301,37 +297,37 @@ InferenceSession::popTaskLocked(unsigned preferredRank)
     LOCALUT_PANIC("popTaskLocked on empty queues");
 }
 
+unsigned
+InferenceSession::homeRankFor(const SubmitOptions& submitOptions) const
+{
+    if (submitOptions.rank < 0) {
+        return 0;
+    }
+    LOCALUT_REQUIRE(static_cast<unsigned>(submitOptions.rank) < totalRanks(),
+                    "request pinned to rank ", submitOptions.rank,
+                    " of a session with ", totalRanks(), " ranks");
+    return static_cast<unsigned>(submitOptions.rank);
+}
+
 InferenceSession::RequestId
 InferenceSession::enqueue(std::unique_ptr<Request> request,
                           const SubmitOptions& submitOptions)
 {
     Request* raw = request.get();
     const bool pinned = submitOptions.rank >= 0;
-    if (pinned) {
-        LOCALUT_REQUIRE(static_cast<unsigned>(submitOptions.rank) <
-                            totalRanks(),
-                        "request pinned to rank ", submitOptions.rank,
-                        " of a session with ", totalRanks(), " ranks");
-        raw->homeRank = static_cast<unsigned>(submitOptions.rank);
-    }
+    raw->homeRank = homeRankFor(submitOptions);
     const RequestId id = nextId_.fetch_add(1, std::memory_order_relaxed);
     raw->id = id;
     // A pinned request executes whole (unsharded) on its rank; an
     // unpinned GEMM on a multi-rank session shards across ranks.  Once
     // settle() has fixed the serving rank(s), the request's table sets
     // are acquired here, in submission order, so the residency manager
-    // is current when submit() returns.  A workload request computes no
-    // values: its whole report settles here and it is never queued.  A
-    // failure is the request's outcome: it is never queued and wait()
-    // rethrows it.
-    bool gang = !pinned && !raw->isWorkload && totalRanks() > 1;
+    // is current when submit() returns.  A failure is the request's
+    // outcome: it is never queued and wait() rethrows it.
+    bool gang = !pinned && totalRanks() > 1;
     try {
         gang = settle(*raw, gang);
-        if (raw->isWorkload) {
-            raw->report = runAt(raw->workload, raw->homeRank);
-            chargeFaultPenalty(raw->report.timing, raw->fault);
-            raw->done = true;
-        } else if (gang) {
+        if (gang) {
             if (residency_ != nullptr) {
                 // Each shard's table set consumes its own rank's budget.
                 raw->residency = residency_->acquire(raw->shardPlan);
@@ -372,7 +368,7 @@ InferenceSession::settle(Request& request, bool gang)
 {
     FaultInjector* const inj = options_.faultInjector;
     const FaultPolicy& policy = options_.faultPolicy;
-    ShardSpec spec{options_.numRanks, options_.shardStrategy, 1};
+    ShardSpec spec{options_.numRanks, ShardStrategy::ColumnParallel, 1};
     std::vector<unsigned> survivors;
     bool reshard = false;
     if (gang && inj != nullptr) {
@@ -399,7 +395,7 @@ InferenceSession::settle(Request& request, bool gang)
             // One survivor leaves nothing to cut: serve the request
             // whole on it (bit-exact by the numRanks = 1 equivalence).
             spec = ShardSpec{static_cast<unsigned>(survivors.size()),
-                             options_.shardStrategy, 1};
+                             ShardStrategy::ColumnParallel, 1};
             if (survivors.size() == 1) {
                 request.homeRank = survivors.front();
                 gang = false;
@@ -461,24 +457,10 @@ InferenceSession::submit(GemmProblem problem, DesignPoint design,
     // a shard slices it or a kernel packs it.
     requireOperandShapes(problem);
     auto request = std::make_unique<Request>();
-    request->isWorkload = false;
     request->problem = std::move(problem);
     request->design = design;
     request->overrides = overrides;
     request->computeValues = computeValues;
-    return enqueue(std::move(request), submitOptions);
-}
-
-InferenceSession::RequestId
-InferenceSession::submit(CompiledWorkload workload,
-                         const SubmitOptions& submitOptions)
-{
-    LOCALUT_REQUIRE(submitOptions.rank < 0 || !workload.sharded(),
-                    "a sharded workload spans every rank and cannot be "
-                    "pinned to one (compileUnsharded() it instead)");
-    auto request = std::make_unique<Request>();
-    request->isWorkload = true;
-    request->workload = std::move(workload);
     return enqueue(std::move(request), submitOptions);
 }
 
@@ -519,7 +501,7 @@ InferenceSession::compileWith(const WorkloadSpec& spec,
             // Tensor-parallel column cut across every rank, aligned to
             // the GEMM's row grouping — attention heads for QKV
             // (head-parallel), 1 elsewhere.
-            const ShardSpec shard{numRanks, options_.shardStrategy,
+            const ShardSpec shard{numRanks, ShardStrategy::ColumnParallel,
                                   gemm.rowAlign};
             workload.shardedNodes.push_back(
                 {gemm, cache_.shardPlanFor(*backend_, problem, design,
@@ -553,9 +535,25 @@ InferenceSession::projectCost(const CompiledWorkload& workload) const
 }
 
 InferenceReport
-InferenceSession::run(const CompiledWorkload& workload)
+InferenceSession::run(const CompiledWorkload& workload,
+                      const SubmitOptions& submitOptions)
 {
-    return waitReport(submit(workload));
+    LOCALUT_REQUIRE(submitOptions.rank < 0 || !workload.sharded(),
+                    "a sharded workload spans every rank and cannot be "
+                    "pinned to one (compileUnsharded() it instead)");
+    unsigned rank = homeRankFor(submitOptions);
+    const RequestId id = nextId_.fetch_add(1, std::memory_order_relaxed);
+    // Fault outcomes hash on the request id, drawn from the same counter
+    // as GEMM requests; a failover moves the residency home with it.
+    FaultOutcome fault;
+    if (options_.faultInjector != nullptr) {
+        fault = resolveWholeFaults(*options_.faultInjector,
+                                   options_.faultPolicy, id, rank);
+    }
+    InferenceReport report = runAt(workload, rank);
+    chargeFaultPenalty(report.timing, fault);
+    report.rank = rank;
+    return report;
 }
 
 InferenceReport
@@ -808,49 +806,33 @@ InferenceSession::workerLoop(unsigned workerIndex)
     }
 }
 
-std::unique_ptr<InferenceSession::Request>
-InferenceSession::take(RequestId id, bool wantWorkload)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = requests_.find(id);
-    LOCALUT_REQUIRE(it != requests_.end(),
-                    "unknown (or already waited-on) request id ", id);
-    Request* request = it->second.get();
-    LOCALUT_REQUIRE(!request->claimed,
-                    "request ", id, " already has a waiter");
-    LOCALUT_REQUIRE(request->isWorkload == wantWorkload,
-                    wantWorkload ? "waitReport() on a GEMM request"
-                                 : "wait() on a workload request");
-    // The claim keeps concurrent waiters out; the pointer stays valid
-    // across the wait (node-based map), but `it` may not (rehash on
-    // concurrent submits), so re-find before erasing.
-    request->claimed = true;
-    doneCv_.wait(lock, [request] { return request->done; });
-    auto again = requests_.find(id);
-    LOCALUT_ASSERT(again != requests_.end(), "claimed request vanished");
-    std::unique_ptr<Request> owned = std::move(again->second);
-    requests_.erase(again);
-    return owned;
-}
-
 GemmResult
 InferenceSession::wait(RequestId id)
 {
-    std::unique_ptr<Request> request = take(id, /*wantWorkload=*/false);
+    std::unique_ptr<Request> request;
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        auto it = requests_.find(id);
+        LOCALUT_REQUIRE(it != requests_.end(),
+                        "unknown (or already waited-on) request id ", id);
+        Request* raw = it->second.get();
+        LOCALUT_REQUIRE(!raw->claimed,
+                        "request ", id, " already has a waiter");
+        // The claim keeps concurrent waiters out; the pointer stays valid
+        // across the wait (node-based map), but `it` may not (rehash on
+        // concurrent submits), so re-find before erasing.
+        raw->claimed = true;
+        doneCv_.wait(lock, [raw] { return raw->done; });
+        auto again = requests_.find(id);
+        LOCALUT_ASSERT(again != requests_.end(),
+                       "claimed request vanished");
+        request = std::move(again->second);
+        requests_.erase(again);
+    }
     if (request->error) {
         std::rethrow_exception(request->error);
     }
     return std::move(request->result);
-}
-
-InferenceReport
-InferenceSession::waitReport(RequestId id)
-{
-    std::unique_ptr<Request> request = take(id, /*wantWorkload=*/true);
-    if (request->error) {
-        std::rethrow_exception(request->error);
-    }
-    return request->report;
 }
 
 void

@@ -11,9 +11,7 @@
  *     auto workload = session.compile(
  *         WorkloadSpec::decode(TransformerConfig::opt125m(), 32, 128, 16),
  *         QuantConfig::preset("W4A4"), DesignPoint::LoCaLut);
- *     auto id = session.submit(workload);
- *     // ... submit more requests ...
- *     InferenceReport report = session.waitReport(id);
+ *     InferenceReport report = session.run(workload);
  *
  * Plans are memoized in the session's PlanCache keyed by (shape,
  * QuantConfig, DesignPoint, overrides, shard config, backend), so
@@ -21,17 +19,16 @@
  * paying planner cost.  Value-computing GEMMs also fetch their prepared
  * operands (packed weights and LUT tables, kernels/exec_engine.h) from
  * the same cache, so repeated requests against the same weights stop
- * re-packing them.  Every GemmProblem/workload submitted is executed
- * exactly as the synchronous API would execute it; requests are
- * independent, so results are deterministic regardless of completion
- * order.
+ * re-packing them.  Every GemmProblem/workload is executed exactly as
+ * the synchronous API would execute it; requests are independent, so
+ * results are deterministic regardless of completion order.
  *
- * Every serving decision is made by submit(), on the submitting thread:
- * the fault outcome, the rank cut, and the LUT table sets the request
- * acquires from the ResidencyManager, so charges follow submission
- * order whatever the worker timing.  Workers only execute GEMMs and fold
- * the settled charges in.  A workload request computes no values, so
- * its whole report settles in submit() and it never reaches a worker.
+ * Every serving decision is made on the calling thread: the fault
+ * outcome, the rank cut, and the LUT table sets the request acquires
+ * from the ResidencyManager, so charges follow submission order
+ * whatever the worker timing.  Workers only execute submitted GEMMs and
+ * fold the settled charges in.  A workload computes no values, so run()
+ * settles its whole report and returns it; it never reaches a worker.
  *
  * Sharding: with SessionOptions::numRanks > 1 the session models that
  * many logical PIM ranks.  Submitted GEMMs are cut by a ShardPlan
@@ -81,8 +78,6 @@ struct SessionOptions {
      * bit-exact with 1.
      */
     unsigned numRanks = 1;
-    /** How GEMMs are cut across ranks when numRanks > 1. */
-    ShardStrategy shardStrategy = ShardStrategy::ColumnParallel;
     /**
      * LUT residency tracking (serving/residency.h).  Disabled (the
      * default) reproduces the pre-residency cost model: tables are never
@@ -101,10 +96,10 @@ struct SessionOptions {
      */
     std::uint64_t mramBudgetBytes = 0;
     /**
-     * Deterministic fault injector (serving/fault.h) that submit()
-     * consults to settle each request's fault outcome before queueing
-     * it; shared with the scheduler and token engine so all layers see
-     * one health registry.  nullptr (the
+     * Deterministic fault injector (serving/fault.h) that submit() and
+     * run() consult to settle each request's fault outcome before
+     * executing it; shared with the scheduler and token engine so all
+     * layers see one health registry.  nullptr (the
      * default) serves fault-free with zero overhead.  Not owned: the
      * injector must outlive the session, must track numRanks ranks, and
      * its scheduled faults must not fire after the
@@ -113,9 +108,9 @@ struct SessionOptions {
      * transient execute failures retry under `faultPolicy` with capped
      * exponential virtual-time backoff, dead/quarantined ranks re-home
      * or re-shard work (failover) or shed it (FaultShedError surfaces
-     * at wait()), and all retry/backoff cost is charged as modeled
-     * seconds into the request's TimingReport — never a wall-clock
-     * sleep.
+     * at wait(), or from run()), and all retry/backoff cost is charged
+     * as modeled seconds into the request's TimingReport — never a
+     * wall-clock sleep.
      */
     FaultInjector* faultInjector = nullptr;
     /** Retry / quarantine / failover policy; used only with an injector. */
@@ -124,9 +119,9 @@ struct SessionOptions {
 
 /**
  * Per-submission knobs (the defaults reproduce the un-hinted API).
- * The SLO-aware scheduler (serving/scheduler.h) is the main caller:
- * its placement decisions pin requests to the rank its virtual-time
- * model chose.
+ * The SLO-aware scheduler (serving/scheduler.h) and the token engine
+ * (serving/token_engine.h) are the main callers: their placement
+ * decisions pin requests to the rank they chose.
  */
 struct SubmitOptions {
     /**
@@ -280,28 +275,23 @@ class InferenceSession
     /**
      * Steady-state per-request cost of @p workload on this session's
      * backend — the admission-control projection (exactly what run()
-     * reports, minus residency broadcasts).
+     * reports, minus residency broadcasts and fault penalties).
      */
     WorkloadCostProjection projectCost(const CompiledWorkload& workload)
         const;
 
     /**
-     * Settles one compiled-workload execution on the calling thread: a
-     * workload is modeled cost only, so its report (fault penalty and
-     * table broadcasts included) is complete when this returns, and
-     * waitReport() hands it over.  A pinned rank in @p submitOptions
-     * homes the (necessarily unsharded) workload's LUT residency on that
-     * rank; a rank outside [0, totalRanks()) fatals.
+     * Runs one compiled-workload request on the calling thread and
+     * returns its report: a workload is modeled cost only, so the fault
+     * outcome, the table broadcasts and the report all settle here.  A
+     * pinned rank in @p submitOptions homes the (necessarily unsharded)
+     * workload's LUT residency on that rank; a rank outside
+     * [0, totalRanks()) fatals.  InferenceReport::rank names the rank
+     * that served the request, after any failover.  Throws
+     * FaultShedError when faults leave no rank to serve it.
      */
-    RequestId submit(CompiledWorkload workload,
-                     const SubmitOptions& submitOptions = {});
-
-    /** Returns workload request @p id's report (consuming it); rethrows
-     * any error the request raised. */
-    InferenceReport waitReport(RequestId id);
-
-    /** waitReport(submit(workload)): the report of one unpinned request. */
-    InferenceReport run(const CompiledWorkload& workload);
+    InferenceReport run(const CompiledWorkload& workload,
+                        const SubmitOptions& submitOptions = {});
 
     // ------------------------------------------------------- control
     /** Blocks until every outstanding request has executed. */
@@ -369,6 +359,9 @@ class InferenceSession
      * sets acquired in node order (the fault penalty comes on top). */
     InferenceReport runAt(const CompiledWorkload& workload,
                           unsigned homeRank) const;
+    /** The rank @p submitOptions pins (0 when unpinned); fatals on a
+     * rank outside [0, totalRanks()). */
+    unsigned homeRankFor(const SubmitOptions& submitOptions) const;
     RequestId enqueue(std::unique_ptr<Request> request,
                       const SubmitOptions& submitOptions);
     /**
@@ -391,7 +384,6 @@ class InferenceSession
      * is looked up per call site). */
     ExecOptions execOptions(bool computeValues) const;
     void finishRequest(Request& request);
-    std::unique_ptr<Request> take(RequestId id, bool wantWorkload);
 
     BackendPtr backend_;
     SessionOptions options_;

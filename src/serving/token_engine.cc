@@ -205,7 +205,8 @@ TokenEngine::recordKvGauges()
 }
 
 bool
-TokenEngine::admitPrefill(RankState& rank, std::vector<Stream>& streams)
+TokenEngine::admitPrefill(RankState& rank, std::vector<RankState>& ranks,
+                          std::vector<Stream>& streams)
 {
     if (rank.pending.empty()) {
         return false;
@@ -243,13 +244,10 @@ TokenEngine::admitPrefill(RankState& rank, std::vector<Stream>& streams)
         telemetry_->recordAdmission(DeadlineClass::Prefill,
                                     AdmissionOutcome::Admitted);
     }
-    const InferenceSession::CompiledWorkload& graph =
-        prefillGraph(stream.req.promptLen);
-    const InferenceSession::RequestId id = session_.submit(
-        graph, SubmitOptions{static_cast<int>(rank.rank)});
     InferenceReport report;
     try {
-        report = session_.waitReport(id);
+        report = session_.run(prefillGraph(stream.req.promptLen),
+                              SubmitOptions{static_cast<int>(rank.rank)});
     } catch (const FaultShedError&) {
         // The prefill could not land on any live rank (the injector
         // already counted the shed): fault-shed the stream.
@@ -260,19 +258,24 @@ TokenEngine::admitPrefill(RankState& rank, std::vector<Stream>& streams)
         finishStream(stream, StreamStatus::ShedFault, now);
         return true;
     }
+    // The stream lives where its prefill ran (a fault failover in the
+    // session may have moved it off the pinned rank).
+    RankState& served = ranks[report.rank];
+    stream.result.rank = served.rank;
     double serviceSeconds = report.timing.total;
 
     KvCharge kv;
     if (ResidencyManager* residency = session_.residency()) {
         kv = residency->acquireKv(
-            stream.result.id, rank.rank, options_.model.layers,
+            stream.result.id, served.rank, options_.model.layers,
             options_.model.kvBytesPerTokenPerLayer(options_.kvBitsPerValue),
             stream.req.promptLen);
         serviceSeconds += kv.seconds();
     }
 
-    const double end = now + serviceSeconds;
-    rank.freeAt = end;
+    const double start = std::max(now, served.freeAt);
+    const double end = start + serviceSeconds;
+    served.freeAt = end;
     stream.result.firstTokenSeconds = end;
     stream.result.ttftMet = end <= stream.ttftDeadline();
     stream.deadlineBase = std::isfinite(stream.req.ttftDeadlineSeconds)
@@ -285,9 +288,9 @@ TokenEngine::admitPrefill(RankState& rank, std::vector<Stream>& streams)
 
     StepTrace trace;
     trace.decode = false;
-    trace.rank = rank.rank;
+    trace.rank = served.rank;
     trace.streams = 1;
-    trace.startSeconds = now;
+    trace.startSeconds = start;
     trace.endSeconds = end;
     trace.lutBroadcastSeconds = report.lutBroadcastSeconds;
     trace.kvSeconds = kv.seconds();
@@ -305,12 +308,13 @@ TokenEngine::admitPrefill(RankState& rank, std::vector<Stream>& streams)
         finishStream(stream, StreamStatus::ShedCapacity, end);
         return true;
     }
-    rank.active.push_back(&stream - streams.data());
+    served.active.push_back(&stream - streams.data());
     return true;
 }
 
 void
-TokenEngine::runDecodeStep(RankState& rank, std::vector<Stream>& streams)
+TokenEngine::runDecodeStep(RankState& rank, std::vector<RankState>& ranks,
+                           std::vector<Stream>& streams)
 {
     const double now = rank.freeAt;
     const auto batch = static_cast<unsigned>(rank.active.size());
@@ -327,11 +331,10 @@ TokenEngine::runDecodeStep(RankState& rank, std::vector<Stream>& streams)
         step.hostOps += workloadHostOps(WorkloadSpec::decodeStep(
             options_.model, 1, stream.req.promptLen + stream.step));
     }
-    const InferenceSession::RequestId id = session_.submit(
-        std::move(step), SubmitOptions{static_cast<int>(rank.rank)});
     InferenceReport report;
     try {
-        report = session_.waitReport(id);
+        report = session_.run(step,
+                              SubmitOptions{static_cast<int>(rank.rank)});
     } catch (const FaultShedError&) {
         // The batched step could not land on any live rank: fault-shed
         // every stream it was serving.
@@ -345,17 +348,29 @@ TokenEngine::runDecodeStep(RankState& rank, std::vector<Stream>& streams)
         rank.active.clear();
         return;
     }
+    // The batch moves with the step to the rank that served it.  Its KV
+    // is discarded there (free), so the new rank pays the full context.
+    RankState& served = ranks[report.rank];
+    ResidencyManager* residency = session_.residency();
+    if (&served != &rank) {
+        for (const std::size_t s : rank.active) {
+            streams[s].result.rank = served.rank;
+            if (residency != nullptr) {
+                residency->releaseKv(streams[s].result.id);
+            }
+        }
+    }
     double serviceSeconds = report.timing.total;
 
     double kvSeconds = 0;
     std::vector<std::size_t> capacityShed;
-    if (ResidencyManager* residency = session_.residency()) {
+    if (residency != nullptr) {
         const std::uint64_t perToken =
             options_.model.kvBytesPerTokenPerLayer(options_.kvBitsPerValue);
         for (const std::size_t s : rank.active) {
             Stream& stream = streams[s];
             const KvCharge kv = residency->acquireKv(
-                stream.result.id, rank.rank, options_.model.layers,
+                stream.result.id, served.rank, options_.model.layers,
                 perToken, stream.req.promptLen + stream.step + 1);
             if (kv.shed) {
                 capacityShed.push_back(s);
@@ -366,8 +381,9 @@ TokenEngine::runDecodeStep(RankState& rank, std::vector<Stream>& streams)
         serviceSeconds += kvSeconds;
     }
 
-    const double end = now + serviceSeconds;
-    rank.freeAt = end;
+    const double start = std::max(now, served.freeAt);
+    const double end = start + serviceSeconds;
+    served.freeAt = end;
 
     for (const std::size_t s : capacityShed) {
         if (telemetry_ != nullptr) {
@@ -408,14 +424,16 @@ TokenEngine::runDecodeStep(RankState& rank, std::vector<Stream>& streams)
             survivors.push_back(s);
         }
     }
-    rank.active = std::move(survivors);
+    rank.active.clear();
+    served.active.insert(served.active.end(), survivors.begin(),
+                         survivors.end());
 
     StepTrace trace;
     trace.decode = true;
-    trace.rank = rank.rank;
+    trace.rank = served.rank;
     trace.streams = batch;
     trace.tier = tier;
-    trace.startSeconds = now;
+    trace.startSeconds = start;
     trace.endSeconds = end;
     trace.lutBroadcastSeconds = report.lutBroadcastSeconds;
     trace.kvSeconds = kvSeconds;
@@ -435,12 +453,10 @@ TokenEngine::runLocked(std::vector<Stream>& streams)
     }
 
     // Quarantined and dead ranks take no *new* placements.  A stream
-    // already on a rank that becomes quarantined stays assigned to it
-    // here: the engine keeps charging its KV and clock to that rank.
-    // Its pinned steps do not run there, though: the session's settle()
-    // fails each one over to a schedulable rank (whose LUT residency it
-    // then charges) and does not tell the engine, so StreamResult::rank
-    // and StepTrace::rank name the quarantined rank.
+    // already on a rank that becomes quarantined or dies is moved by its
+    // next step: the session's settle() fails the pinned step over to a
+    // schedulable rank, and the step's streams, KV and clock follow the
+    // rank InferenceReport::rank names.
     const auto placeable = [&](const RankState& rank) {
         return injector == nullptr || injector->schedulable(rank.rank);
     };
@@ -510,62 +526,6 @@ TokenEngine::runLocked(std::vector<Stream>& streams)
         const double now = rank.freeAt;
         if (injector != nullptr) {
             injector->advanceTo(now);
-            if (injector->health(rank.rank) == RankHealth::Dead) {
-                // Evacuate a dead rank: re-home its streams onto the
-                // least-loaded surviving rank (their KV was displaced by
-                // the rank-loss listener and refills on next touch), or
-                // shed them when no survivor remains.
-                RankState* target = nullptr;
-                for (RankState& other : ranks) {
-                    if (&other == &rank || !placeable(other)) {
-                        continue;
-                    }
-                    if (target == nullptr ||
-                        std::make_tuple(other.pending.size() +
-                                            other.active.size(),
-                                        other.freeAt, other.rank) <
-                            std::make_tuple(target->pending.size() +
-                                                target->active.size(),
-                                            target->freeAt,
-                                            target->rank)) {
-                        target = &other;
-                    }
-                }
-                const auto evacuate = [&](std::vector<std::size_t>& from) {
-                    for (const std::size_t s : from) {
-                        Stream& stream = streams[s];
-                        if (target == nullptr) {
-                            injector->noteShedFault();
-                            if (telemetry_ != nullptr) {
-                                telemetry_->recordAdmission(
-                                    DeadlineClass::Decode,
-                                    AdmissionOutcome::ShedFault);
-                            }
-                            finishStream(stream, StreamStatus::ShedFault,
-                                         now);
-                        } else {
-                            injector->noteFailover();
-                            stream.result.rank = target->rank;
-                        }
-                    }
-                };
-                evacuate(rank.pending);
-                evacuate(rank.active);
-                if (target != nullptr) {
-                    target->pending.insert(target->pending.end(),
-                                           rank.pending.begin(),
-                                           rank.pending.end());
-                    target->active.insert(target->active.end(),
-                                          rank.active.begin(),
-                                          rank.active.end());
-                    // Migration cannot land before the death was
-                    // observed; the survivor inherits that lower bound.
-                    target->freeAt = std::max(target->freeAt, now);
-                }
-                rank.pending.clear();
-                rank.active.clear();
-                continue;
-            }
         }
         if (options_.policy == SchedulerPolicy::Slo) {
             // Shed pass: anything already past its next bound cannot be
@@ -604,13 +564,17 @@ TokenEngine::runLocked(std::vector<Stream>& streams)
                 continue;
             }
         }
-        if (!admitPrefill(rank, streams) && !rank.active.empty()) {
-            runDecodeStep(rank, streams);
+        if (!admitPrefill(rank, ranks, streams) && !rank.active.empty()) {
+            runDecodeStep(rank, ranks, streams);
         }
     }
 
     for (const RankState& rank : ranks) {
         rankFreeAt_[rank.rank] = rank.freeAt;
+    }
+    if (telemetry_ != nullptr && injector != nullptr) {
+        telemetry_->recordFaults(injector->stats(),
+                                 injector->capacityRatio());
     }
 }
 

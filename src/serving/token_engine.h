@@ -26,7 +26,9 @@
  *    power-of-two *tier*, so the step's LUT table-set identity is
  *    stable across steps and positions: steady-state decode pays zero
  *    LUT rebroadcast (the paper's capacity-for-computation tradeoff,
- *    operationalized at serving time).
+ *    operationalized at serving time).  Every step runs through
+ *    InferenceSession::run() pinned to its rank; when a fault fails it
+ *    over, the step's streams, KV and clock follow the rank that ran it.
  *  - Each step charges the stream's KV-cache growth through
  *    ResidencyManager::acquireKv(): KV bytes grow by one token per
  *    step and compete with LUT table sets for the same per-rank MRAM
@@ -94,7 +96,9 @@ const char* streamStatusName(StreamStatus status);
 struct StreamResult {
     std::uint64_t id = 0;          ///< engine stream id (submit order)
     StreamStatus status = StreamStatus::Completed; ///< terminal state
-    unsigned rank = 0;             ///< replica rank the stream lived on
+    /** Replica rank the stream lives on: where its last step ran,
+     * after any fault failover. */
+    unsigned rank = 0;
     double arrivalSeconds = 0;     ///< virtual arrival
     /** First-token (prefill completion) virtual time; < 0 when the
      * stream was shed before prefilling. */
@@ -129,8 +133,8 @@ struct StreamResult {
  * decode step. */
 struct StepTrace {
     bool decode = false;       ///< false = prefill admission
-    /** Rank the engine charged the step to.  A fault failover in the
-     * session can run it elsewhere (see TokenEngine::runLocked). */
+    /** Rank that ran the step (after any fault failover in the
+     * session); its clock, KV and streams are charged there. */
     unsigned rank = 0;
     unsigned streams = 0;      ///< streams served (1 for prefill)
     unsigned tier = 0;         ///< GEMM batch tier (decode; 0 otherwise)
@@ -224,8 +228,12 @@ class TokenEngine
     prefillGraph(unsigned promptLen);
     double projectSeconds(const InferenceSession::CompiledWorkload& graph);
     void runLocked(std::vector<Stream>& streams);
-    bool admitPrefill(RankState& rank, std::vector<Stream>& streams);
-    void runDecodeStep(RankState& rank, std::vector<Stream>& streams);
+    /** Each step runs pinned to @p rank; its streams, KV and clock move
+     * to whichever of @p ranks served it. */
+    bool admitPrefill(RankState& rank, std::vector<RankState>& ranks,
+                      std::vector<Stream>& streams);
+    void runDecodeStep(RankState& rank, std::vector<RankState>& ranks,
+                       std::vector<Stream>& streams);
     void finishStream(Stream& stream, StreamStatus status, double now);
     void recordKvGauges();
 

@@ -822,5 +822,41 @@ TEST(TokenEngineFault, MidTraceRankDeathMigratesStreamsToSurvivor)
     EXPECT_EQ(injector.health(0), RankHealth::Dead);
 }
 
+TEST(TokenEngineFault, StepsChargeTheRankThatRanThem)
+{
+    // Every attempt on rank 0 fails, so the stream's prefill fails over
+    // to rank 1.  The stream, its KV, its clock and every later step
+    // follow it there: one failover, not one per step, and the table
+    // sets the steps acquired sit on the rank the engine reports.
+    FaultPlan plan;
+    plan.transientExecute(1.0, /*rank=*/0);
+    FaultInjector injector(plan, 2);
+    SessionOptions options;
+    options.numRanks = 2;
+    options.residencyPolicy = ResidencyPolicy::CostAware;
+    options.faultInjector = &injector;
+    InferenceSession session(makeBackend("upmem"), options);
+    Telemetry telemetry;
+    TokenEngine engine(session, faultEngineOptions(), &telemetry);
+
+    TokenRequest request;
+    request.promptLen = 16;
+    request.decodeSteps = 4;
+    engine.submit(request);
+    const std::vector<StreamResult> results = engine.run();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, StreamStatus::Completed);
+    EXPECT_EQ(results[0].rank, 1u);
+    const std::vector<StepTrace> traces = engine.stepTraces();
+    ASSERT_EQ(traces.size(), 5u); // one prefill + four decode steps
+    for (const StepTrace& trace : traces) {
+        EXPECT_EQ(trace.rank, 1u);
+    }
+    EXPECT_EQ(injector.stats().failovers, 1u);
+    EXPECT_EQ(session.residency()->lutBytes(0), 0u);
+    EXPECT_GT(session.residency()->lutBytes(1), 0u);
+    EXPECT_EQ(telemetry.snapshot().faults.failovers, 1u);
+}
+
 } // namespace
 } // namespace localut

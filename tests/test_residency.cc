@@ -250,10 +250,8 @@ TEST(ResidencySession, RepeatedDecodePaysBroadcastOncePerLayer)
         WorkloadSpec::decode(model, 32, 128, 8), cfg,
         DesignPoint::LoCaLut);
 
-    const InferenceReport first =
-        session.waitReport(session.submit(workload));
-    const InferenceReport second =
-        session.waitReport(session.submit(workload));
+    const InferenceReport first = session.run(workload);
+    const InferenceReport second = session.run(workload);
 
     // Cold start pays one broadcast per (layer, projection) table set —
     // the decode loop itself does NOT multiply it by the step count.
@@ -295,8 +293,7 @@ TEST(ResidencySession, Fig10PerStepDecodeColdStepStrictlyAboveSteady)
 
     std::vector<double> stepSeconds;
     for (unsigned s = 0; s < 32; ++s) {
-        stepSeconds.push_back(
-            session.waitReport(session.submit(step)).timing.total);
+        stepSeconds.push_back(session.run(step).timing.total);
     }
     for (unsigned s = 1; s < 32; ++s) {
         EXPECT_LT(stepSeconds[s], stepSeconds[0]) << "step " << s;
@@ -355,8 +352,7 @@ TEST(ResidencySession, ReportColdStartPlusSteadyAccountsForTotal)
         WorkloadSpec::decode(TransformerConfig::opt125m(), 32, 128, 4),
         QuantConfig::preset("W4A4"), DesignPoint::LoCaLut);
 
-    const InferenceReport cold =
-        session.waitReport(session.submit(workload));
+    const InferenceReport cold = session.run(workload);
     ASSERT_TRUE(cold.coldStart());
     EXPECT_GT(cold.collectiveSeconds, 0.0);
     EXPECT_NEAR(cold.lutBroadcastSeconds + cold.steadySeconds(),
@@ -365,8 +361,7 @@ TEST(ResidencySession, ReportColdStartPlusSteadyAccountsForTotal)
                     cold.collectiveSeconds + cold.lutBroadcastSeconds,
                 cold.timing.total, cold.timing.total * 1e-9);
 
-    const InferenceReport warm =
-        session.waitReport(session.submit(workload));
+    const InferenceReport warm = session.run(workload);
     EXPECT_FALSE(warm.coldStart());
     EXPECT_DOUBLE_EQ(warm.steadySeconds(), warm.timing.total);
     EXPECT_DOUBLE_EQ(warm.steadySeconds(), cold.steadySeconds());

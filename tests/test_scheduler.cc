@@ -3,8 +3,9 @@
  * RequestScheduler tests: admission-control edge cases (idle wakeup,
  * impossible deadlines, saturation), lane priority + EDF ordering in
  * virtual time, cold-start-aware placement against the residency
- * manager, bit-exactness of scheduled execution vs direct submit(), and
- * a concurrent submit/collect stress (run under TSan in CI).
+ * manager, workloads sequenced by the broadcast they were charged,
+ * bit-exactness of scheduled execution vs direct submit(), and a
+ * concurrent submit/collect stress (run under TSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -394,6 +395,52 @@ TEST(Scheduler, ColdStartProjectionMatchesChargeBeforeAnyWait)
                     EXPECT_DOUBLE_EQ(charged, 0.0)
                         << "workers " << workers << ", request " << i;
                 }
+            }
+        }
+    }
+}
+
+TEST(Scheduler, SelfEvictingWorkloadIsSequencedByItsCharge)
+{
+    // A workload runs at admission and is sequenced by the broadcast it
+    // was charged.  With a budget that holds only the qkv table set, an
+    // OPT-125M decode step evicts part of itself on every run and pays
+    // more than its per-node projection; a 4-rank gang is projected
+    // with no broadcast at all yet pays its cold start.
+    const WorkloadSpec spec =
+        WorkloadSpec::decodeStep(TransformerConfig::opt125m(), 8, 64);
+    const QuantConfig quant = QuantConfig::preset("W4A4");
+    struct Case {
+        unsigned ranks;
+        std::uint64_t mramBudgetBytes; ///< 0 = backend default
+    };
+    for (const Case c : {Case{1, 19584}, Case{4, 0}}) {
+        SessionOptions sessionOptions;
+        sessionOptions.numRanks = c.ranks;
+        sessionOptions.residencyPolicy = ResidencyPolicy::CostAware;
+        sessionOptions.mramBudgetBytes = c.mramBudgetBytes;
+        InferenceSession session(makeBackend("upmem"), sessionOptions);
+        RequestScheduler scheduler(session);
+        const auto workload =
+            c.ranks == 1
+                ? session.compileUnsharded(spec, quant, DesignPoint::LoCaLut)
+                : session.compile(spec, quant, DesignPoint::LoCaLut);
+        ASSERT_EQ(workload.sharded(), c.ranks > 1);
+        const double steady = session.projectCost(workload).totalSeconds();
+        for (int i = 0; i < 3; ++i) {
+            const AdmissionDecision d = scheduler.submit(
+                ServingRequest::workloadRequest(workload,
+                                                DeadlineClass::Batch));
+            ASSERT_TRUE(d.admitted());
+            const ServingResult r = scheduler.wait(d.id);
+            const double charged = r.report.lutBroadcastSeconds;
+            EXPECT_DOUBLE_EQ(r.sample.lutBroadcastSeconds, charged)
+                << "ranks " << c.ranks << ", request " << i;
+            EXPECT_DOUBLE_EQ(r.sample.serviceSeconds, steady + charged)
+                << "ranks " << c.ranks << ", request " << i;
+            if (i == 0 || c.ranks == 1) {
+                EXPECT_GT(charged, 0.0)
+                    << "ranks " << c.ranks << ", request " << i;
             }
         }
     }

@@ -119,8 +119,7 @@ TEST(InferenceSession, CompiledWorkloadMatchesTransformerRunner)
     EXPECT_EQ(workload.nodes.size(), 4u); // qkv, out_proj, ffn_up, ffn_down
     EXPECT_GT(workload.hostOps, 0.0);
 
-    const auto id = session.submit(workload);
-    const InferenceReport viaSession = session.waitReport(id);
+    const InferenceReport viaSession = session.run(workload);
 
     const TransformerRunner runner(backend, cfg, DesignPoint::LoCaLut);
     const InferenceReport viaRunner = runner.decode(model, 8, 64, 4);
@@ -150,10 +149,8 @@ TEST(InferenceSession, DecodeStepsReuseCachedPlans)
     EXPECT_EQ(session.planCacheStats().misses, missesAfterFirst);
     EXPECT_GT(session.planCacheStats().hits, 0u);
 
-    const auto idFirst = session.submit(first);
-    const auto idSecond = session.submit(second);
-    EXPECT_GT(session.waitReport(idFirst).timing.total, 0.0);
-    EXPECT_GT(session.waitReport(idSecond).timing.total, 0.0);
+    EXPECT_GT(session.run(first).timing.total, 0.0);
+    EXPECT_GT(session.run(second).timing.total, 0.0);
 }
 
 TEST(InferenceSession, RunsOnEveryRegisteredBackend)
@@ -164,8 +161,7 @@ TEST(InferenceSession, RunsOnEveryRegisteredBackend)
         InferenceSession session{std::string(name)};
         const auto workload = session.compile(
             WorkloadSpec::prefill(model, 4, 32), cfg, DesignPoint::LoCaLut);
-        const auto id = session.submit(workload);
-        const InferenceReport report = session.waitReport(id);
+        const InferenceReport report = session.run(workload);
         EXPECT_GT(report.timing.total, 0.0) << name;
         EXPECT_GT(report.energy.total, 0.0) << name;
         EXPECT_GT(report.gemmSeconds, 0.0) << name;
@@ -181,8 +177,6 @@ TEST(InferenceSession, RejectsWorkloadCompiledOnAnotherBackend)
         WorkloadSpec::prefill(TransformerConfig::bertBase(), 2, 16),
         QuantConfig::preset("W1A3"), DesignPoint::LoCaLut);
     EXPECT_THROW(host.run(workload), std::runtime_error);
-    const auto id = host.submit(workload);
-    EXPECT_THROW(host.waitReport(id), std::runtime_error);
 }
 
 TEST(InferenceSession, WorkerErrorsSurfaceAtWait)
@@ -326,12 +320,11 @@ TEST(MalformedInput, SessionRejectsItAtSubmitOrWait)
                                 SubmitOptions{9}),
                  FatalError);
     EXPECT_THROW(
-        session.submit(session.compileUnsharded(
-                           WorkloadSpec::prefill(TransformerConfig::bertBase(),
-                                                 1, 16),
-                           QuantConfig::preset("W4A4"),
-                           DesignPoint::LoCaLut),
-                       SubmitOptions{4}),
+        session.run(session.compileUnsharded(
+                        WorkloadSpec::prefill(TransformerConfig::bertBase(),
+                                              1, 16),
+                        QuantConfig::preset("W4A4"), DesignPoint::LoCaLut),
+                    SubmitOptions{4}),
         FatalError);
 
     // The session still serves well-formed work on every rank.

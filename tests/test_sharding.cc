@@ -317,7 +317,7 @@ TEST(ShardedSession, WorkloadShardsEveryGemmNode)
         EXPECT_EQ(shard.begin % model.headDim(), 0u);
     }
 
-    const InferenceReport report = session.waitReport(session.submit(workload));
+    const InferenceReport report = session.run(workload);
     EXPECT_GT(report.timing.total, 0.0);
     EXPECT_GT(report.collectiveSeconds, 0.0);
     // The report shares partition the total: the collective is not
@@ -337,15 +337,13 @@ TEST(ShardedSession, Fig10OptDecodeFasterAtFourRanks)
 
     InferenceSession plain(makeBackend("upmem"));
     const InferenceReport unsharded =
-        plain.waitReport(plain.submit(
-            plain.compile(spec, cfg, DesignPoint::LoCaLut)));
+        plain.run(plain.compile(spec, cfg, DesignPoint::LoCaLut));
 
     SessionOptions options;
     options.numRanks = 4;
     InferenceSession session(makeBackend("upmem"), options);
     const InferenceReport sharded =
-        session.waitReport(session.submit(
-            session.compile(spec, cfg, DesignPoint::LoCaLut)));
+        session.run(session.compile(spec, cfg, DesignPoint::LoCaLut));
 
     EXPECT_LT(sharded.timing.total, unsharded.timing.total);
     EXPECT_GT(sharded.collectiveSeconds, 0.0);
