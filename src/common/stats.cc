@@ -31,7 +31,7 @@ mean(std::span<const double> values)
 }
 
 void
-Breakdown::add(const std::string& name, double value)
+Breakdown::add(std::string_view name, double value)
 {
     for (auto& [key, val] : items_) {
         if (key == name) {
@@ -39,11 +39,11 @@ Breakdown::add(const std::string& name, double value)
             return;
         }
     }
-    items_.emplace_back(name, value);
+    items_.emplace_back(std::string(name), value);
 }
 
 double
-Breakdown::get(const std::string& name) const
+Breakdown::get(std::string_view name) const
 {
     for (const auto& [key, val] : items_) {
         if (key == name) {
@@ -64,7 +64,7 @@ Breakdown::total() const
 }
 
 double
-Breakdown::fraction(const std::string& name) const
+Breakdown::fraction(std::string_view name) const
 {
     const double t = total();
     return t == 0.0 ? 0.0 : get(name) / t;

@@ -10,6 +10,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,16 +30,16 @@ class Breakdown
 {
   public:
     /** Adds @p value to component @p name (creating it if new). */
-    void add(const std::string& name, double value);
+    void add(std::string_view name, double value);
 
     /** Value of component @p name (0 when absent). */
-    double get(const std::string& name) const;
+    double get(std::string_view name) const;
 
     /** Sum over all components. */
     double total() const;
 
     /** Fraction of total() in component @p name (0 when total is 0). */
-    double fraction(const std::string& name) const;
+    double fraction(std::string_view name) const;
 
     /** Merges all components of @p other into this. */
     void merge(const Breakdown& other);

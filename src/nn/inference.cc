@@ -49,8 +49,9 @@ TransformerRunner::run(const WorkloadSpec& spec) const
         nodes.push_back(
             {gemm, cache_.planFor(*backend_, problem, design_, overrides_)});
     }
-    return executeWorkload(*backend_, nodes, quant_,
-                           workloadHostOps(spec));
+    InferenceReport report = priceWorkloadGemms(*backend_, nodes, quant_);
+    chargeWorkloadHostOps(*backend_, workloadHostOps(spec), report);
+    return report;
 }
 
 InferenceReport

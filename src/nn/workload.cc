@@ -136,9 +136,9 @@ workloadHostOps(const WorkloadSpec& spec)
 }
 
 InferenceReport
-executeWorkload(const Backend& backend,
-                const std::vector<PlannedGemm>& nodes,
-                const QuantConfig& quant, double hostOps)
+priceWorkloadGemms(const Backend& backend,
+                   const std::vector<PlannedGemm>& nodes,
+                   const QuantConfig& quant)
 {
     InferenceReport report;
     for (const PlannedGemm& node : nodes) {
@@ -150,13 +150,19 @@ executeWorkload(const Backend& backend,
         accumulate(report.energy, r.energy, node.gemm.count);
         report.gemmSeconds += r.timing.total * node.gemm.count;
     }
+    return report;
+}
+
+void
+chargeWorkloadHostOps(const Backend& backend, double hostOps,
+                      InferenceReport& report)
+{
     TimingReport hostTiming;
     EnergyReport hostEnergy;
     backend.chargeHostOps(hostOps, hostTiming, hostEnergy);
     accumulate(report.timing, hostTiming);
     accumulate(report.energy, hostEnergy);
     report.hostOpSeconds += hostTiming.total;
-    return report;
 }
 
 } // namespace localut

@@ -117,10 +117,11 @@ struct PlannedGemm {
  * Modeled steady-state cost of serving one request of a compiled
  * workload — the per-request projection the SLO scheduler's admission
  * control runs against (serving/scheduler.h).
- * InferenceSession::projectCost() reads the three shares from the report
- * of executeWorkload() / executeShardedWorkload(), so projection and
- * "measurement" agree exactly; cold-start LUT broadcasts are *not*
- * included (the scheduler adds them per placement rank).
+ * InferenceSession::projectCost() reads the GEMM and collective shares
+ * from the GEMM share compile() priced, and adds the host-op charge to
+ * its host share, so projection and run() agree exactly; cold-start LUT
+ * broadcasts are *not* included (the scheduler adds them per placement
+ * rank).
  */
 struct WorkloadCostProjection {
     double gemmSeconds = 0;       ///< PIM GEMM share
@@ -135,14 +136,23 @@ struct WorkloadCostProjection {
 };
 
 /**
- * Executes planned GEMMs (timing-only: workload nodes are shape-only)
- * plus @p hostOps host work on @p backend and aggregates the report.
- * The single execution path behind both TransformerRunner and
- * InferenceSession workloads.
+ * The GEMM share of a workload report: every planned GEMM priced on
+ * @p backend (timing-only: workload nodes are shape-only) and
+ * accumulated in node order into an empty report, with no host ops.
+ * InferenceSession prices it once, at compile; TransformerRunner on
+ * every run.  chargeWorkloadHostOps() completes the report.
  */
-InferenceReport executeWorkload(const Backend& backend,
-                                const std::vector<PlannedGemm>& nodes,
-                                const QuantConfig& quant, double hostOps);
+InferenceReport priceWorkloadGemms(const Backend& backend,
+                                   const std::vector<PlannedGemm>& nodes,
+                                   const QuantConfig& quant);
+
+/**
+ * Charges @p hostOps scalar-equivalent host operations on @p backend
+ * into @p report's timing, energy and host share: the host-op tail of
+ * every workload report, added after its GEMM share.
+ */
+void chargeWorkloadHostOps(const Backend& backend, double hostOps,
+                           InferenceReport& report);
 
 } // namespace localut
 

@@ -10,10 +10,10 @@
  * *virtual-time* model of the session's ranks:
  *
  *  - **Projection.**  Service time comes from the PlanCache-memoized
- *    plans of the request (InferenceSession::projectCost(); timing-only
- *    execution of the same chargeCosts() accounting real execution
- *    reports), so admission projections and modeled service can never
- *    diverge.  With LUT residency enabled, the projection adds the
+ *    plans of the request (InferenceSession::projectCost(), which reads
+ *    a workload's GEMM share priced at compile; timing-only execution
+ *    of the same chargeCosts() accounting real execution reports), so
+ *    admission projections and modeled service can never diverge.  With LUT residency enabled, the projection adds the
  *    host -> PIM table broadcast a cold rank would pay.
  *
  *  - **Placement.**  Unsharded requests occupy one rank (a data-

@@ -114,6 +114,17 @@ chargeFaultPenalty(TimingReport& timing, const FaultOutcome& fault)
     }
 }
 
+/** The GEMM share compile() priced into @p workload; fatals on a
+ * workload no session compiled. */
+const InferenceReport&
+gemmShareOf(const InferenceSession::CompiledWorkload& workload)
+{
+    LOCALUT_REQUIRE(workload.gemmShare != nullptr,
+                    "workload was not compiled: it has no priced GEMM "
+                    "share (build it with InferenceSession::compile())");
+    return *workload.gemmShare;
+}
+
 /**
  * The session whose tile batch this thread is currently draining (null
  * when not inside a tile).  A tile closure that re-enters
@@ -513,25 +524,24 @@ InferenceSession::compileWith(const WorkloadSpec& spec,
         }
     }
     workload.hostOps = workloadHostOps(spec);
+    // A node's modeled cost depends only on its plan, so the graph is
+    // priced once here; run() and projectCost() read the share.
+    workload.gemmShare = std::make_shared<const InferenceReport>(
+        numRanks > 1 ? priceShardedWorkloadGemms(
+                           *backend_, workload.shardedNodes, quant)
+                     : priceWorkloadGemms(*backend_, workload.nodes, quant));
     return workload;
-}
-
-InferenceReport
-InferenceSession::steadyReport(const CompiledWorkload& workload) const
-{
-    return workload.sharded()
-               ? executeShardedWorkload(*backend_, workload.shardedNodes,
-                                        workload.quant, workload.hostOps)
-               : executeWorkload(*backend_, workload.nodes, workload.quant,
-                                 workload.hostOps);
 }
 
 WorkloadCostProjection
 InferenceSession::projectCost(const CompiledWorkload& workload) const
 {
-    const InferenceReport report = steadyReport(workload);
-    return {report.gemmSeconds, report.hostOpSeconds,
-            report.collectiveSeconds};
+    const InferenceReport& share = gemmShareOf(workload);
+    TimingReport hostTiming;
+    EnergyReport hostEnergy;
+    backend_->chargeHostOps(workload.hostOps, hostTiming, hostEnergy);
+    return {share.gemmSeconds, share.hostOpSeconds + hostTiming.total,
+            share.collectiveSeconds};
 }
 
 InferenceReport
@@ -560,6 +570,7 @@ InferenceReport
 InferenceSession::runAt(const CompiledWorkload& workload,
                         unsigned homeRank) const
 {
+    const InferenceReport& share = gemmShareOf(workload);
     // Plans only make sense on the device model that produced them.
     LOCALUT_REQUIRE(workload.backendName == backend_->name() &&
                         workload.backendFingerprint ==
@@ -577,7 +588,10 @@ InferenceSession::runAt(const CompiledWorkload& workload,
                     " ranks submitted to a session with ",
                     options_.numRanks,
                     " (recompile on this session to re-cut the shards)");
-    InferenceReport report = steadyReport(workload);
+    // The broadcast-free report: the share priced at compile, then the
+    // host ops after it, as a fresh pricing would accumulate them.
+    InferenceReport report = share;
+    chargeWorkloadHostOps(*backend_, workload.hostOps, report);
     if (residency_ == nullptr) {
         return report;
     }

@@ -152,7 +152,8 @@ class InferenceSession
     /** A planned GEMM node of a compiled workload. */
     using PlanNode = PlannedGemm;
 
-    /** A workload compiled into a plan graph (backend-specific). */
+    /** A workload compiled into a plan graph (backend-specific), with
+     * its GEMM share priced once at compile. */
     struct CompiledWorkload {
         WorkloadSpec spec;           ///< the phase this graph executes
         QuantConfig quant{ValueCodec::signedBinary(),
@@ -164,7 +165,20 @@ class InferenceSession
          * session compiles with numRanks > 1. */
         std::vector<ShardedGemm> shardedNodes;
         unsigned numRanks = 1;       ///< ranks the cut was for
-        double hostOps = 0;          ///< non-GEMM host work (scalar ops)
+        /** Non-GEMM host work (scalar ops); run() and projectCost()
+         * charge it on every call, so a copy may change it. */
+        double hostOps = 0;
+        /**
+         * The graph's GEMM share, priced at compile: every node's
+         * timing and energy accumulated in node order into an empty
+         * report (GEMM, collective and shard-reduce seconds; no host
+         * ops).  run() copies it and charges hostOps on top;
+         * projectCost() reads it.  Const and shared, so copying the
+         * workload costs a refcount bump, and editing `nodes` after
+         * compile does not re-price them.  Null on a workload no
+         * session compiled, which run() and projectCost() reject.
+         */
+        std::shared_ptr<const InferenceReport> gemmShare;
         /** Identity of the backend that compiled the plans; a session
          * refuses to execute another backend's workload. */
         std::string backendName;
@@ -253,7 +267,9 @@ class InferenceSession
     /**
      * Compiles one workload phase into a plan graph: every distinct GEMM
      * shape is planned once (through the cache) and bound to its repeat
-     * count; the non-GEMM host work is pre-aggregated.
+     * count, the nodes are priced once into the workload's gemmShare,
+     * and the non-GEMM host work is pre-aggregated.  run() and
+     * projectCost() read that share, so they price no GEMM again.
      */
     CompiledWorkload compile(const WorkloadSpec& spec,
                              const QuantConfig& quant, DesignPoint design,
@@ -275,7 +291,10 @@ class InferenceSession
     /**
      * Steady-state per-request cost of @p workload on this session's
      * backend — the admission-control projection (exactly what run()
-     * reports, minus residency broadcasts and fault penalties).
+     * reports, minus residency broadcasts and fault penalties).  The
+     * GEMM and collective shares come from the workload's compile-time
+     * gemmShare; the host share adds the charge of its hostOps.  Fatals
+     * on a workload no session compiled.
      */
     WorkloadCostProjection projectCost(const CompiledWorkload& workload)
         const;
@@ -287,8 +306,11 @@ class InferenceSession
      * pinned rank in @p submitOptions homes the (necessarily unsharded)
      * workload's LUT residency on that rank; a rank outside
      * [0, totalRanks()) fatals.  InferenceReport::rank names the rank
-     * that served the request, after any failover.  Throws
-     * FaultShedError when faults leave no rank to serve it.
+     * that served the request, after any failover.  The steady report
+     * is the workload's compile-time gemmShare plus the charge of its
+     * hostOps; no GEMM is priced here.  Fatals on a workload no session
+     * compiled.  Throws FaultShedError when faults leave no rank to
+     * serve it.
      */
     InferenceReport run(const CompiledWorkload& workload,
                         const SubmitOptions& submitOptions = {});
@@ -352,11 +374,9 @@ class InferenceSession
                                  DesignPoint design,
                                  const PlanOverrides& overrides,
                                  unsigned numRanks);
-    /** The broadcast-free report of @p workload: what projectCost()
-     * prices and what runAt() charges residency on top of. */
-    InferenceReport steadyReport(const CompiledWorkload& workload) const;
-    /** The report of @p workload served from @p homeRank, its table
-     * sets acquired in node order (the fault penalty comes on top). */
+    /** The report of @p workload served from @p homeRank: its
+     * gemmShare plus its hostOps, then its table sets acquired in node
+     * order (the fault penalty comes on top). */
     InferenceReport runAt(const CompiledWorkload& workload,
                           unsigned homeRank) const;
     /** The rank @p submitOptions pins (0 when unpinned); fatals on a

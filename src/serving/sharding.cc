@@ -29,8 +29,8 @@ constexpr double kOutBytes = 4.0;
  * Charges the RowParallel host partial-sum reduce of @p plan.  The one
  * derivation shared by planning (ShardPlan::hostReduceSeconds),
  * reduceShardResults() (which folds it into the result), and
- * executeShardedWorkload() (which classifies the same seconds into the
- * report's host share).
+ * priceShardedWorkloadGemms() (which classifies the same seconds into
+ * the report's host share).
  */
 void
 chargeHostReduce(const Backend& backend, const ShardPlan& plan,
@@ -318,9 +318,9 @@ executeSharded(const Backend& backend, const GemmProblem& problem,
 }
 
 InferenceReport
-executeShardedWorkload(const Backend& backend,
-                       const std::vector<ShardedGemm>& nodes,
-                       const QuantConfig& quant, double hostOps)
+priceShardedWorkloadGemms(const Backend& backend,
+                          const std::vector<ShardedGemm>& nodes,
+                          const QuantConfig& quant)
 {
     InferenceReport report;
     for (const ShardedGemm& node : nodes) {
@@ -348,12 +348,6 @@ executeShardedWorkload(const Backend& backend,
         report.collectiveSeconds +=
             node.plan.collectiveSeconds * node.gemm.count;
     }
-    TimingReport hostTiming;
-    EnergyReport hostEnergy;
-    backend.chargeHostOps(hostOps, hostTiming, hostEnergy);
-    accumulate(report.timing, hostTiming);
-    accumulate(report.energy, hostEnergy);
-    report.hostOpSeconds += hostTiming.total;
     return report;
 }
 

@@ -159,14 +159,16 @@ struct ShardedGemm {
 };
 
 /**
- * Sharded counterpart of executeWorkload(): executes every node's shards
- * (timing-only: workload nodes are shape-only) plus @p hostOps host work
- * and aggregates the report, including each node's collective transfer.
+ * Sharded counterpart of priceWorkloadGemms(): prices every node's
+ * shards (timing-only: workload nodes are shape-only) in node order into
+ * an empty report, with no host ops, splitting each node's time into its
+ * GEMM, collective and RowParallel host-reduce shares.
+ * chargeWorkloadHostOps() completes the report.
  */
-InferenceReport executeShardedWorkload(const Backend& backend,
-                                       const std::vector<ShardedGemm>& nodes,
-                                       const QuantConfig& quant,
-                                       double hostOps);
+InferenceReport
+priceShardedWorkloadGemms(const Backend& backend,
+                          const std::vector<ShardedGemm>& nodes,
+                          const QuantConfig& quant);
 
 } // namespace localut
 

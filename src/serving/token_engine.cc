@@ -322,7 +322,8 @@ TokenEngine::runDecodeStep(RankState& rank, std::vector<RankState>& ranks,
     const InferenceSession::CompiledWorkload& graph = decodeGraph(tier);
 
     // The step's GEMMs run at the padded tier batch (stable table-set
-    // identity); the host attention work is the exact per-position sum
+    // identity) and keep the GEMM share the graph was priced with at
+    // compile; the host attention work is the exact per-position sum
     // over the streams actually served.
     InferenceSession::CompiledWorkload step = graph;
     step.hostOps = 0;
@@ -348,14 +349,21 @@ TokenEngine::runDecodeStep(RankState& rank, std::vector<RankState>& ranks,
         rank.active.clear();
         return;
     }
-    // The batch moves with the step to the rank that served it.  Its KV
-    // is discarded there (free), so the new rank pays the full context.
+    // The batch moves with the step to the rank that served it, and the
+    // new rank pays the full context.  A live old rank (transient
+    // failover, quarantine) discards its KV (free), so the new rank
+    // admits it afresh; a dead one already displaced it
+    // (ResidencyManager::invalidateRank), so the new rank refills it.
     RankState& served = ranks[report.rank];
     ResidencyManager* residency = session_.residency();
     if (&served != &rank) {
+        const FaultInjector* injector = session_.options().faultInjector;
+        const bool oldRankDead =
+            injector != nullptr &&
+            injector->health(rank.rank) == RankHealth::Dead;
         for (const std::size_t s : rank.active) {
             streams[s].result.rank = served.rank;
-            if (residency != nullptr) {
+            if (residency != nullptr && !oldRankDead) {
                 residency->releaseKv(streams[s].result.id);
             }
         }

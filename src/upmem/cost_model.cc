@@ -159,9 +159,11 @@ KernelCost::merge(const KernelCost& other)
 void
 accumulate(TimingReport& into, const TimingReport& part, double scale)
 {
-    Breakdown scaled = part.seconds;
-    scaled.scale(scale);
-    into.seconds.merge(scaled);
+    // One multiply and one add per component, in item order: the
+    // rounding the golden costs and benchmark digests are frozen with.
+    for (const auto& [name, seconds] : part.seconds.items()) {
+        into.seconds.add(name, seconds * scale);
+    }
     into.dpuSeconds += part.dpuSeconds * scale;
     into.hostSeconds += part.hostSeconds * scale;
     into.linkSeconds += part.linkSeconds * scale;
@@ -171,9 +173,9 @@ accumulate(TimingReport& into, const TimingReport& part, double scale)
 void
 accumulate(EnergyReport& into, const EnergyReport& part, double scale)
 {
-    Breakdown scaled = part.joules;
-    scaled.scale(scale);
-    into.joules.merge(scaled);
+    for (const auto& [name, joules] : part.joules.items()) {
+        into.joules.add(name, joules * scale);
+    }
     into.total += part.total * scale;
 }
 

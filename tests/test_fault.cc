@@ -797,29 +797,45 @@ TEST(TokenEngineFault, MidTraceRankDeathMigratesStreamsToSurvivor)
     }
     ASSERT_GT(makespan, 0.0);
 
-    FaultPlan plan;
-    plan.rankDeath(0, makespan / 2);
-    FaultInjector injector(plan, 2);
-    SessionOptions options;
-    options.numRanks = 2;
-    options.faultInjector = &injector;
-    InferenceSession session(makeBackend("upmem"), options);
-    TokenEngine engine(session, faultEngineOptions());
-    makeTrace(engine);
-    unsigned migratedToSurvivor = 0;
-    for (const StreamResult& result : engine.run()) {
-        EXPECT_EQ(result.status, StreamStatus::Completed);
-        EXPECT_EQ(result.tokensEmitted(), 6u);
-        if (result.completionSeconds > makespan / 2) {
-            EXPECT_EQ(result.rank, 1u);
+    // The same death with KV residency tracked: the dead rank's streams
+    // are displaced, and the survivor refills their whole context.
+    for (const ResidencyPolicy policy :
+         {ResidencyPolicy::Disabled, ResidencyPolicy::CostAware}) {
+        SCOPED_TRACE(policy == ResidencyPolicy::Disabled ? "no residency"
+                                                         : "cost-aware");
+        FaultPlan plan;
+        plan.rankDeath(0, makespan / 2);
+        FaultInjector injector(plan, 2);
+        SessionOptions options;
+        options.numRanks = 2;
+        options.residencyPolicy = policy;
+        options.faultInjector = &injector;
+        InferenceSession session(makeBackend("upmem"), options);
+        TokenEngine engine(session, faultEngineOptions());
+        makeTrace(engine);
+        unsigned migratedToSurvivor = 0;
+        for (const StreamResult& result : engine.run()) {
+            EXPECT_EQ(result.status, StreamStatus::Completed);
+            EXPECT_EQ(result.tokensEmitted(), 6u);
+            if (result.completionSeconds > makespan / 2) {
+                EXPECT_EQ(result.rank, 1u);
+            }
+            migratedToSurvivor += result.rank == 1 ? 1 : 0;
         }
-        migratedToSurvivor += result.rank == 1 ? 1 : 0;
+        // Rank 0's streams were re-homed, not shed.
+        EXPECT_GE(injector.stats().failovers, 1u);
+        EXPECT_EQ(injector.stats().shedFault, 0u);
+        EXPECT_GE(migratedToSurvivor, 2u);
+        EXPECT_EQ(injector.health(0), RankHealth::Dead);
+        if (policy == ResidencyPolicy::CostAware) {
+            // Each displaced stream counts one refill on the survivor,
+            // moving the same bytes a fresh admission would.
+            const ResidencyStats stats = session.residencyStats();
+            EXPECT_EQ(stats.kvDisplaced, 2u);
+            EXPECT_EQ(stats.kvRefills, stats.kvDisplaced);
+            EXPECT_NEAR(stats.kvMovedSeconds, 4.200832e-04, 1e-12);
+        }
     }
-    // Rank 0's streams were re-homed, not shed.
-    EXPECT_GE(injector.stats().failovers, 1u);
-    EXPECT_EQ(injector.stats().shedFault, 0u);
-    EXPECT_GE(migratedToSurvivor, 2u);
-    EXPECT_EQ(injector.health(0), RankHealth::Dead);
 }
 
 TEST(TokenEngineFault, StepsChargeTheRankThatRanThem)

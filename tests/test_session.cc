@@ -106,8 +106,28 @@ TEST(InferenceSession, BatchedSubmissionsAllComplete)
     EXPECT_EQ(session.pendingRequests(), 0u);
 }
 
+/** Every field of two reports is the same double, and every timing and
+ * energy component has the same name, value and position. */
+void
+expectSameReport(const InferenceReport& a, const InferenceReport& b)
+{
+    EXPECT_EQ(a.timing.total, b.timing.total);
+    EXPECT_EQ(a.timing.dpuSeconds, b.timing.dpuSeconds);
+    EXPECT_EQ(a.timing.hostSeconds, b.timing.hostSeconds);
+    EXPECT_EQ(a.timing.linkSeconds, b.timing.linkSeconds);
+    EXPECT_EQ(a.timing.seconds.items(), b.timing.seconds.items());
+    EXPECT_EQ(a.energy.total, b.energy.total);
+    EXPECT_EQ(a.energy.joules.items(), b.energy.joules.items());
+    EXPECT_EQ(a.gemmSeconds, b.gemmSeconds);
+    EXPECT_EQ(a.hostOpSeconds, b.hostOpSeconds);
+    EXPECT_EQ(a.collectiveSeconds, b.collectiveSeconds);
+    EXPECT_EQ(a.lutBroadcastSeconds, b.lutBroadcastSeconds);
+}
+
 TEST(InferenceSession, CompiledWorkloadMatchesTransformerRunner)
 {
+    // run() reads the GEMM share compile() priced; it must be bit for
+    // bit what pricing the graph afresh on every call gives.
     const BackendPtr backend = makeBackend("upmem");
     const TransformerConfig model = TransformerConfig::opt125m();
     const QuantConfig cfg = QuantConfig::preset("W4A4");
@@ -123,11 +143,42 @@ TEST(InferenceSession, CompiledWorkloadMatchesTransformerRunner)
 
     const TransformerRunner runner(backend, cfg, DesignPoint::LoCaLut);
     const InferenceReport viaRunner = runner.decode(model, 8, 64, 4);
+    expectSameReport(viaSession, viaRunner);
 
-    EXPECT_DOUBLE_EQ(viaSession.timing.total, viaRunner.timing.total);
-    EXPECT_DOUBLE_EQ(viaSession.energy.total, viaRunner.energy.total);
-    EXPECT_DOUBLE_EQ(viaSession.gemmSeconds, viaRunner.gemmSeconds);
-    EXPECT_DOUBLE_EQ(viaSession.hostOpSeconds, viaRunner.hostOpSeconds);
+    // A copy with its own hostOps, as the token engine makes per step,
+    // keeps the graph's GEMM share and charges only its own host work.
+    auto step = workload;
+    step.hostOps = 0.5 * workload.hostOps;
+    EXPECT_EQ(step.gemmShare, workload.gemmShare);
+    InferenceReport fresh = priceWorkloadGemms(*backend, step.nodes, cfg);
+    chargeWorkloadHostOps(*backend, step.hostOps, fresh);
+    expectSameReport(session.run(step), fresh);
+    expectSameReport(session.run(workload), viaRunner);
+
+    // A 4-rank compile against a fresh pricing of its sharded nodes.
+    SessionOptions options;
+    options.numRanks = 4;
+    InferenceSession sharded(backend, options);
+    const auto cut = sharded.compile(WorkloadSpec::decode(model, 8, 64, 4),
+                                     cfg, DesignPoint::LoCaLut);
+    ASSERT_TRUE(cut.sharded());
+    InferenceReport freshCut =
+        priceShardedWorkloadGemms(*backend, cut.shardedNodes, cfg);
+    chargeWorkloadHostOps(*backend, cut.hostOps, freshCut);
+    EXPECT_GT(freshCut.collectiveSeconds, 0.0);
+    expectSameReport(sharded.run(cut), freshCut);
+    const WorkloadCostProjection projected = sharded.projectCost(cut);
+    EXPECT_EQ(projected.gemmSeconds, freshCut.gemmSeconds);
+    EXPECT_EQ(projected.hostOpSeconds, freshCut.hostOpSeconds);
+    EXPECT_EQ(projected.collectiveSeconds, freshCut.collectiveSeconds);
+}
+
+TEST(InferenceSession, RejectsWorkloadItNeverCompiled)
+{
+    InferenceSession session(makeBackend("upmem"));
+    const InferenceSession::CompiledWorkload uncompiled;
+    EXPECT_THROW(session.run(uncompiled), FatalError);
+    EXPECT_THROW(session.projectCost(uncompiled), FatalError);
 }
 
 TEST(InferenceSession, DecodeStepsReuseCachedPlans)

@@ -4,16 +4,20 @@
  * whole-workload decode on every backend, steady-state decode pays zero
  * LUT rebroadcast while KV bytes grow monotonically, MRAM pressure
  * degrades from LUT eviction to KV shed, per-token SLO shedding, a
- * deadline-met goodput win for continuous batching under overload, and
- * thread-safety of engines sharing one session.
+ * deadline-met goodput win for continuous batching under overload,
+ * thread-safety of engines sharing one session, and decode steps that
+ * price no GEMM after their graph is compiled.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.h"
@@ -333,6 +337,85 @@ TEST(TokenEngine, EnginesSharingASessionAreThreadSafe)
                   .lanes[static_cast<std::size_t>(DeadlineClass::Decode)]
                   .tokens,
               2u * 4u * 4u);
+}
+
+/** Forwards every call to a wrapped backend and counts execute(). */
+class CountingBackend final : public Backend
+{
+  public:
+    explicit CountingBackend(BackendPtr inner) : inner_(std::move(inner)) {}
+
+    using Backend::execute;
+
+    const BackendCapabilities& capabilities() const override
+    {
+        return inner_->capabilities();
+    }
+    GemmPlan plan(const GemmProblem& problem, DesignPoint design,
+                  const PlanOverrides& overrides) const override
+    {
+        return inner_->plan(problem, design, overrides);
+    }
+    KernelCost chargeCosts(const GemmPlan& plan) const override
+    {
+        return inner_->chargeCosts(plan);
+    }
+    GemmResult execute(const GemmProblem& problem, const GemmPlan& plan,
+                       const ExecOptions& options) const override
+    {
+        ++executes_;
+        return inner_->execute(problem, plan, options);
+    }
+    void chargeHostOps(double ops, TimingReport& timing,
+                       EnergyReport& energy) const override
+    {
+        inner_->chargeHostOps(ops, timing, energy);
+    }
+    CollectiveLinkProfile collectiveProfile() const override
+    {
+        return inner_->collectiveProfile();
+    }
+    MemoryProfile memoryProfile() const override
+    {
+        return inner_->memoryProfile();
+    }
+    std::uint64_t configFingerprint() const override
+    {
+        return inner_->configFingerprint();
+    }
+
+    /** execute() calls so far. */
+    unsigned executes() const { return executes_.load(); }
+
+  private:
+    BackendPtr inner_;
+    mutable std::atomic<unsigned> executes_{0};
+};
+
+TEST(TokenEngine, StepsDoNotRepriceTheirGraph)
+{
+    // A graph's GEMMs are priced when the engine compiles it; a decode
+    // step only charges its host ops.  So ten times the steps must not
+    // cost a single further backend execution.
+    const auto executesFor = [](unsigned decodeSteps) {
+        const auto backend =
+            std::make_shared<CountingBackend>(makeBackend("upmem"));
+        SessionOptions options;
+        options.residencyPolicy = ResidencyPolicy::CostAware;
+        InferenceSession session(backend, options);
+        TokenEngine engine(session, smallEngineOptions());
+        TokenRequest request;
+        request.promptLen = 16;
+        request.decodeSteps = decodeSteps;
+        engine.submit(request);
+        const std::vector<StreamResult> results = engine.run();
+        EXPECT_EQ(results.at(0).status, StreamStatus::Completed);
+        EXPECT_EQ(results.at(0).tokensEmitted(), decodeSteps);
+        return backend->executes();
+    };
+    const unsigned few = executesFor(5);
+    EXPECT_GT(few, 0u); // compiling priced the graphs
+    EXPECT_EQ(executesFor(50), few);
 }
 
 TEST(TokenEngine, AbsoluteDeadlineScheduleAnchorsAtTtftBound)
