@@ -112,8 +112,8 @@ main()
 
     // Tensor-parallel rank sharding: a session with numRanks > 1 cuts
     // every GEMM column-parallel across that many logical PIM ranks
-    // (head-aligned for QKV), executes the shards concurrently on
-    // per-rank work queues, and charges the all-gather explicitly —
+    // (head-aligned for QKV), executes the shards concurrently as one
+    // tile batch, and charges the all-gather explicitly —
     // bit-exact with the unsharded path, faster end to end.
     std::printf("\nsharded decode (8 output tokens) vs ranks:\n");
     double unshardedDecode = 0;

@@ -36,11 +36,4 @@ ReorderingLut::ReorderingLut(const LutShape& shape,
     }
 }
 
-std::uint64_t
-ReorderingLut::sliceBytes() const
-{
-    return rows_ * bytesForBits(static_cast<std::uint64_t>(shape_.bw()) *
-                                shape_.p);
-}
-
 } // namespace localut

@@ -29,9 +29,6 @@ class ReorderingLut
     std::uint64_t rows() const { return rows_; }
     std::uint64_t cols() const { return cols_; }
 
-    /** Bytes of one column slice at the modeled entry width. */
-    std::uint64_t sliceBytes() const;
-
     /** Canonically-reordered packed weight vector. */
     std::uint32_t
     lookup(std::uint32_t permRank, std::uint64_t wIdx) const

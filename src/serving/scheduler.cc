@@ -484,8 +484,9 @@ RequestScheduler::submit(ServingRequest request)
     // shard across every rank, exactly as an unpinned submit would).
     // The session acquires the request's table sets before this
     // returns, so the next projection already sees this rank warm.  A
-    // workload runs here, and is sequenced by the broadcast it was
-    // charged; a workload the session rejects throws to the caller.
+    // workload runs here, and is sequenced by its settled outcome: on
+    // the rank that served it, for the total it was charged.  A
+    // workload the session rejects throws to the caller.
     SubmitOptions submitOptions;
     submitOptions.rank =
         best.rank == kAllRanks ? -1 : static_cast<int>(best.rank);
@@ -495,8 +496,11 @@ RequestScheduler::submit(ServingRequest request)
     if (request.isWorkload) {
         try {
             ticket.report = session_.run(request.workload, submitOptions);
+            if (best.rank != kAllRanks) {
+                best.rank = ticket.report.rank; // after any failover
+            }
             best.broadcastSeconds = ticket.report.lutBroadcastSeconds;
-            best.service = projection.steadySeconds + best.broadcastSeconds;
+            best.service = ticket.report.timing.total;
         } catch (const FaultShedError&) {
             ticket.faultShed = true;
         }

@@ -243,10 +243,12 @@ class RequestScheduler
         DeadlineClass lane = DeadlineClass::Interactive;
         double arrival = 0;
         double deadline = 0; ///< absolute; +inf when none
-        /** Steady seconds + broadcast: projected for a GEMM, charged for
-         * a workload (which ran at admission). */
+        /** Steady seconds + broadcast projected for a GEMM; for a
+         * workload (which ran at admission), its report's total. */
         double service = 0;
-        unsigned rank = 0;   ///< placement; kAllRanks = gang
+        /** Placement (a whole workload's serving rank); kAllRanks =
+         * gang. */
+        unsigned rank = 0;
         std::uint64_t seq = 0; ///< admission order (FIFO + tie-break)
         double collectiveSeconds = 0;
         double broadcastSeconds = 0;

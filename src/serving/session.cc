@@ -131,7 +131,8 @@ gemmShareOf(const InferenceSession::CompiledWorkload& workload)
  * runTileBatch() on the same session must drain inline: re-submitting
  * from inside a tile would have this thread compete with (and wait on)
  * the batch it is itself a tile of.  Mirrors the TilePool nested-run
- * guard in common/parallel.cc.
+ * guard in common/parallel.cc.  A gang's shards clear the marker, so
+ * their GEMMs fan tiles out (runGang()).
  */
 thread_local const InferenceSession* tlDrainingSession = nullptr;
 
@@ -163,13 +164,12 @@ struct InferenceSession::Request {
                               ValueCodec::signedBinary()}};
     GemmResult result;
 
-    // Gang state: settle() cuts the plan and decides each shard's fault
-    // outcome, the fan-out task queues one shard task per rank, and the
-    // last shard to finish reduces.
+    // Gang state (no shards on a whole request): settle() cuts the plan
+    // and decides each shard's fault outcome; runGang() runs the shards
+    // as one tile batch and reduces them.
     ShardPlan shardPlan;
     std::vector<FaultOutcome> shardFaults;
     std::vector<GemmResult> shardResults;
-    unsigned remainingShards = 0; ///< guarded by the session mutex
 
     // Residency home rank: 0 unless the submission pinned a rank
     // (SubmitOptions::rank — the scheduler's placement decision); a
@@ -214,7 +214,6 @@ InferenceSession::InferenceSession(BackendPtr backend,
                 });
         }
     }
-    rankQueues_.resize(ranks);
     unsigned workers = options_.workers;
     if (workers == 0) {
         const unsigned base = std::max(
@@ -225,7 +224,7 @@ InferenceSession::InferenceSession(BackendPtr backend,
     }
     workers_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i) {
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
     }
 }
 
@@ -259,55 +258,6 @@ InferenceSession::plan(const GemmProblem& problem, DesignPoint design,
     return cache_.planFor(*backend_, problem, design, overrides);
 }
 
-ShardPlan
-InferenceSession::shardPlan(const GemmProblem& problem, DesignPoint design,
-                            const PlanOverrides& overrides,
-                            std::size_t align)
-{
-    const ShardSpec spec{options_.numRanks, ShardStrategy::ColumnParallel,
-                         align};
-    return cache_.shardPlanFor(*backend_, problem, design, spec, overrides);
-}
-
-bool
-InferenceSession::anyQueuedLocked() const
-{
-    return std::any_of(rankQueues_.begin(), rankQueues_.end(),
-                       [](const auto& queue) { return !queue.empty(); });
-}
-
-unsigned
-InferenceSession::pickRankLocked()
-{
-    // Continuous batching: park the task on the least-loaded rank queue,
-    // rotating the starting rank so equally-loaded ranks share work.
-    const unsigned ranks = static_cast<unsigned>(rankQueues_.size());
-    const unsigned start = nextRank_++ % ranks;
-    unsigned best = start;
-    for (unsigned i = 1; i < ranks; ++i) {
-        const unsigned rank = (start + i) % ranks;
-        if (rankQueues_[rank].size() < rankQueues_[best].size()) {
-            best = rank;
-        }
-    }
-    return best;
-}
-
-InferenceSession::Task
-InferenceSession::popTaskLocked(unsigned preferredRank)
-{
-    const unsigned ranks = static_cast<unsigned>(rankQueues_.size());
-    for (unsigned i = 0; i < ranks; ++i) {
-        auto& queue = rankQueues_[(preferredRank + i) % ranks];
-        if (!queue.empty()) {
-            const Task task = queue.front();
-            queue.pop_front();
-            return task;
-        }
-    }
-    LOCALUT_PANIC("popTaskLocked on empty queues");
-}
-
 unsigned
 InferenceSession::homeRankFor(const SubmitOptions& submitOptions) const
 {
@@ -325,7 +275,6 @@ InferenceSession::enqueue(std::unique_ptr<Request> request,
                           const SubmitOptions& submitOptions)
 {
     Request* raw = request.get();
-    const bool pinned = submitOptions.rank >= 0;
     raw->homeRank = homeRankFor(submitOptions);
     const RequestId id = nextId_.fetch_add(1, std::memory_order_relaxed);
     raw->id = id;
@@ -335,7 +284,7 @@ InferenceSession::enqueue(std::unique_ptr<Request> request,
     // are acquired here, in submission order, so the residency manager
     // is current when submit() returns.  A failure is the request's
     // outcome: it is never queued and wait() rethrows it.
-    bool gang = !pinned && totalRanks() > 1;
+    bool gang = submitOptions.rank < 0 && totalRanks() > 1;
     try {
         gang = settle(*raw, gang);
         if (gang) {
@@ -362,9 +311,7 @@ InferenceSession::enqueue(std::unique_ptr<Request> request,
         std::unique_lock<std::mutex> lock(mutex_);
         LOCALUT_REQUIRE(!stopping_, "session is shutting down");
         if (queued) {
-            const unsigned rank = pinned ? raw->homeRank : pickRankLocked();
-            rankQueues_[rank].push_back(
-                {raw, gang ? kFanOutTask : kWholeTask, {}});
+            queue_.push_back({raw, {}});
         }
         requests_.emplace(id, std::move(request));
     }
@@ -651,6 +598,28 @@ InferenceSession::runWhole(Request& request)
 }
 
 void
+InferenceSession::runGang(Request& request)
+{
+    // The gang's worker fans its shards out as a tile batch; fanning out
+    // from the submitting thread instead measured slower on closed-loop
+    // decode.  The batch rethrows the lowest-index shard's error, and
+    // the reduce runs in shard-index order, so neither depends on which
+    // thread ran which shard.  Each shard clears the nested-drain marker
+    // so its own tiles fan out too.  Those tiles run under the marker
+    // and start no batch, so a thread waiting on a shard waits only on
+    // leaf tiles that running threads hold.
+    const std::function<void(std::size_t)> shard = [&](std::size_t i) {
+        SessionDrainScope scope(nullptr);
+        runShard(request, static_cast<unsigned>(i));
+    };
+    runTileBatch(request.shardPlan.shards.size(), shard);
+    request.result = reduceShardResults(*backend_, request.shardPlan,
+                                        std::move(request.shardResults));
+    request.residency.apply(request.result.timing, request.result.energy,
+                            &request.result.cost);
+}
+
+void
 InferenceSession::runShard(Request& request, unsigned shardIndex)
 {
     const GemmProblem slice =
@@ -697,25 +666,17 @@ InferenceSession::runTileBatch(std::size_t tiles,
     batch->claimChunk = claimChunkFor(tiles, workerCount() + 1);
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        // Front of every rank queue: an idle worker's next pop helps
-        // finish the GEMM someone is already executing.  A stale claim
-        // task (batch already exhausted) is popped and dropped.
-        for (auto& queue : rankQueues_) {
-            queue.push_front(Task{nullptr, kTileTask, batch});
-        }
+        // One claim per worker at the front of the queue: an idle
+        // worker's next pop helps finish the GEMM someone is already
+        // executing.  A stale claim (batch already exhausted) is popped
+        // and dropped.
+        queue_.insert(queue_.begin(), workerCount(), Task{nullptr, batch});
     }
     queueCv_.notify_all();
-    // Participate: the submitting thread claims tiles too, so the batch
-    // completes even if every worker is busy elsewhere.
-    bool last;
-    {
-        SessionDrainScope scope(this);
-        last = batch->drain();
-    }
-    if (last) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        doneCv_.notify_all();
-    }
+    // Participate: the calling thread claims every tile no other thread
+    // has, so it then waits only on tiles that running threads hold, and
+    // the batch completes even if every worker is busy elsewhere.
+    drainTiles(*batch);
     {
         std::unique_lock<std::mutex> lock(mutex_);
         doneCv_.wait(lock, [&batch] { return batch->settled(); });
@@ -724,96 +685,50 @@ InferenceSession::runTileBatch(std::size_t tiles,
 }
 
 void
+InferenceSession::drainTiles(TileBatch& batch)
+{
+    bool last;
+    {
+        SessionDrainScope scope(this);
+        last = batch.drain();
+    }
+    if (last) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        doneCv_.notify_all();
+    }
+}
+
+void
 InferenceSession::runTask(const Task& task)
 {
-    if (task.shard == kTileTask) {
-        bool last;
-        {
-            SessionDrainScope scope(this);
-            last = task.tiles->drain();
-        }
-        if (last) {
-            std::unique_lock<std::mutex> lock(mutex_);
-            doneCv_.notify_all();
-        }
+    if (task.tiles != nullptr) {
+        drainTiles(*task.tiles);
         return;
     }
     Request& request = *task.request;
-    if (task.shard == kFanOutTask) {
-        // Queue one task per shard on its rank.  This runs on a worker
-        // rather than in submit(): fanning out from the submitting
-        // thread measured slower on closed-loop decode.
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            request.remainingShards =
-                static_cast<unsigned>(request.shardPlan.shards.size());
-            for (unsigned i = 0; i < request.remainingShards; ++i) {
-                rankQueues_[request.shardPlan.shards[i].rank % totalRanks()]
-                    .push_back({&request, static_cast<int>(i), {}});
-            }
-        }
-        queueCv_.notify_all();
-        return;
-    }
-    if (task.shard == kWholeTask) {
-        try {
-            runWhole(request);
-        } catch (...) {
-            request.error = std::current_exception();
-        }
-        finishRequest(request);
-        return;
-    }
-    // One shard of a sharded GEMM.  The last shard to finish reduces in
-    // shard-index order, so the result is deterministic regardless of
-    // which workers ran which shards in what order.
     try {
-        runShard(request, static_cast<unsigned>(task.shard));
+        if (request.shardPlan.shards.empty()) {
+            runWhole(request);
+        } else {
+            runGang(request);
+        }
     } catch (...) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (!request.error) {
-            request.error = std::current_exception();
-        }
-    }
-    bool last = false;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        LOCALUT_ASSERT(request.remainingShards > 0,
-                       "shard finished after its request completed");
-        last = --request.remainingShards == 0;
-    }
-    if (!last) {
-        return;
-    }
-    if (!request.error) {
-        try {
-            request.result =
-                reduceShardResults(*backend_, request.shardPlan,
-                                   std::move(request.shardResults));
-            request.residency.apply(request.result.timing,
-                                    request.result.energy,
-                                    &request.result.cost);
-        } catch (...) {
-            request.error = std::current_exception();
-        }
+        request.error = std::current_exception();
     }
     finishRequest(request);
 }
 
 void
-InferenceSession::workerLoop(unsigned workerIndex)
+InferenceSession::workerLoop()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        queueCv_.wait(
-            lock, [this] { return stopping_ || anyQueuedLocked(); });
-        if (!anyQueuedLocked()) {
-            if (stopping_) {
-                return;
-            }
-            continue;
+        queueCv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+        if (queue_.empty()) {
+            return; // stopping, and nothing is left to run
         }
-        const Task task = popTaskLocked(workerIndex);
+        const Task task = std::move(queue_.front());
+        queue_.pop_front();
         lock.unlock();
         runTask(task);
         lock.lock();
@@ -853,10 +768,10 @@ void
 InferenceSession::drain()
 {
     std::unique_lock<std::mutex> lock(mutex_);
+    // Only the requests decide: a claim still queued belongs to a
+    // running request or to a batch that has already settled, and
+    // popping a stale claim wakes no one.
     doneCv_.wait(lock, [this] {
-        if (anyQueuedLocked()) {
-            return false;
-        }
         return std::all_of(requests_.begin(), requests_.end(),
                            [](const auto& kv) { return kv.second->done; });
     });

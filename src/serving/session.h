@@ -30,14 +30,18 @@
  * fold the settled charges in.  A workload computes no values, so run()
  * settles its whole report and returns it; it never reaches a worker.
  *
+ * Workers share one FIFO work queue.  Since every modeled number is
+ * settled at submit, which worker runs a task changes no output, so no
+ * queue belongs to a rank.
+ *
  * Sharding: with SessionOptions::numRanks > 1 the session models that
- * many logical PIM ranks.  Submitted GEMMs are cut by a ShardPlan
- * (serving/sharding.h) and their shards execute concurrently — the
- * scheduler packs queued work into per-rank work queues (continuous
- * batching) instead of dispatching one request at a time — with a
- * deterministic reduction, so results stay bit-exact with numRanks = 1.
- * Compiled workloads shard every GEMM node the same way (column-parallel
- * for FFN/QKV, head-aligned — i.e. head-parallel — for QKV).
+ * many logical PIM ranks.  An unpinned GEMM is cut by a ShardPlan
+ * (serving/sharding.h) into a gang, one shard per rank.  The worker
+ * that pops the gang runs its shards as one tile batch that idle
+ * workers help finish, then reduces them in shard-index order, so
+ * results stay bit-exact with numRanks = 1.  Compiled workloads shard
+ * every GEMM node the same way (column-parallel for FFN/QKV,
+ * head-aligned — i.e. head-parallel — for QKV).
  */
 
 #include <atomic>
@@ -73,8 +77,8 @@ struct SessionOptions {
     unsigned workers = 0;
     /**
      * Logical PIM ranks behind the host link (num_ranks).  1 executes
-     * exactly as before; > 1 shards every GEMM across the ranks and
-     * executes the shards concurrently on per-rank work queues,
+     * exactly as before; > 1 shards every unpinned GEMM across the
+     * ranks and executes the shards concurrently as one tile batch,
      * bit-exact with 1.
      */
     unsigned numRanks = 1;
@@ -125,12 +129,13 @@ struct SessionOptions {
  */
 struct SubmitOptions {
     /**
-     * Rank queue (and residency home rank) this request is pinned to;
-     * -1 lets the session pick (continuous batching) and — for GEMMs on
-     * a numRanks > 1 session — shard the GEMM across the ranks.  A
-     * pinned request executes *whole* (unsharded) on that rank: the
-     * data-parallel serving regime, where each rank is a replica
-     * serving complete requests.  A pinned rank must be below
+     * Rank this request is pinned to: its residency home, and the first
+     * rank its fault outcome is settled on.  -1 leaves it unpinned,
+     * which homes it on rank 0 and — for GEMMs on a numRanks > 1
+     * session — shards the GEMM across the ranks.  A pinned request
+     * executes *whole* (unsharded) on that rank: the data-parallel
+     * serving regime, where each rank is a replica serving complete
+     * requests.  A pinned rank must be below
      * InferenceSession::totalRanks().
      */
     int rank = -1;
@@ -207,25 +212,14 @@ class InferenceSession
     const Backend& backend() const { return *backend_; }
     /** The options the session was opened with. */
     const SessionOptions& options() const { return options_; }
-    /** Ranks the session models (one work queue each). */
-    unsigned totalRanks() const
-    {
-        return static_cast<unsigned>(rankQueues_.size());
-    }
-    /** Worker threads serving the rank queues. */
+    /** Ranks the session models. */
+    unsigned totalRanks() const { return options_.numRanks; }
+    /** Worker threads serving the work queue. */
     unsigned workerCount() const;
 
     /** Plans one GEMM through the session cache (memoized). */
     GemmPlan plan(const GemmProblem& problem, DesignPoint design,
                   const PlanOverrides& overrides = {});
-
-    /**
-     * Cuts and plans one GEMM across the session's ranks (memoized);
-     * @p align forces shard boundaries onto multiples (head-parallel).
-     */
-    ShardPlan shardPlan(const GemmProblem& problem, DesignPoint design,
-                        const PlanOverrides& overrides = {},
-                        std::size_t align = 1);
 
     /** Hit/miss counters of the session's PlanCache. */
     PlanCache::Stats planCacheStats() const { return cache_.stats(); }
@@ -244,9 +238,9 @@ class InferenceSession
     /**
      * Enqueues one GEMM without executing it.  @p computeValues runs
      * the functional pass (false = cost accounting only).  A pinned
-     * rank in @p submitOptions executes the GEMM whole (unsharded) on
-     * that rank's queue and homes its LUT residency there; an unpinned
-     * GEMM on a multi-rank session is cut across the ranks here.
+     * rank in @p submitOptions executes the GEMM whole (unsharded) and
+     * homes its LUT residency on that rank; an unpinned GEMM on a
+     * multi-rank session is cut across the ranks here.
      * Malformed input fatals here, before any work is queued:
      * materialized codes whose count is not rows x cols, or a pinned
      * rank outside [0, totalRanks()).
@@ -279,7 +273,7 @@ class InferenceSession
      * compile() without the rank cut, regardless of the session's
      * numRanks: every GEMM is planned whole.  The resulting workload is
      * valid on any session of this backend — it occupies a single rank
-     * queue per request, which is how the SLO scheduler serves whole
+     * per request, which is how the SLO scheduler serves whole
      * requests data-parallel across ranks (one replica per rank)
      * instead of tensor-parallel across all of them.
      */
@@ -326,28 +320,27 @@ class InferenceSession
     struct Request;
 
     /**
-     * One schedulable unit on a rank queue: a whole (unsharded) GEMM,
-     * the fan-out of a gang (queues one shard task per shard), one shard
-     * of a gang, or a functional tile batch fanned out by an executing
-     * request (kTileTask; `tiles` set).  The plan or cut, every fault
-     * outcome and the residency charge were settled at submit.
+     * One entry of the work queue: a submitted GEMM (`request` set; a
+     * whole GEMM, or a gang whose shards run as a tile batch), or a
+     * claim on a tile batch an executing request fanned out (`tiles`
+     * set).  The plan or cut, every fault outcome and the residency
+     * charge were settled at submit.
      */
     struct Task {
         Request* request = nullptr;
-        int shard = kWholeTask; ///< kWholeTask/kFanOutTask/kTileTask/index
         std::shared_ptr<TileBatch> tiles;
     };
-    static constexpr int kWholeTask = -1;
-    static constexpr int kFanOutTask = -2;
-    static constexpr int kTileTask = -3;
 
     /**
      * TileExecutor over this session's worker pool: run() parks one
-     * claim task per rank queue (at the front — tiles finish the GEMM
-     * someone is already executing), participates in the batch on the
-     * calling thread, and blocks until it settles.  Whole-batch
-     * completion is what bounds the wait, so a submitter with no free
-     * workers still finishes on its own.
+     * claim per worker at the front of the work queue (tiles finish the
+     * GEMM someone is already executing), participates in the batch on
+     * the calling thread, and blocks until it settles.  The caller
+     * claims every tile no other thread has, so it waits only on tiles
+     * that running threads hold: it finishes even with no free worker.
+     * A gang's shards run as such a batch on the worker that popped the
+     * gang.  A batch started inside a tile drains inline, except a
+     * shard's own tiles, which fan out.
      */
     class PoolTiles final : public TileExecutor
     {
@@ -391,15 +384,18 @@ class InferenceSession
      * shed or a failed cut.
      */
     bool settle(Request& request, bool gang);
-    bool anyQueuedLocked() const;
-    unsigned pickRankLocked();
-    Task popTaskLocked(unsigned preferredRank);
-    void workerLoop(unsigned workerIndex);
+    void workerLoop();
     void runTask(const Task& task);
-    void runShard(Request& request, unsigned shardIndex);
     void runWhole(Request& request);
+    /** Runs a gang's shards as one tile batch, then reduces them in
+     * shard-index order and applies the residency charge. */
+    void runGang(Request& request);
+    void runShard(Request& request, unsigned shardIndex);
     void runTileBatch(std::size_t tiles,
                       const std::function<void(std::size_t)>& fn);
+    /** Claims and runs tiles of @p batch until none is left unclaimed;
+     * wakes the waiters if this call retired the last tile. */
+    void drainTiles(TileBatch& batch);
     /** Execution options for one request (tiles; the prepared operand
      * is looked up per call site). */
     ExecOptions execOptions(bool computeValues) const;
@@ -416,12 +412,9 @@ class InferenceSession
     mutable std::mutex mutex_;
     std::condition_variable queueCv_; ///< wakes workers
     std::condition_variable doneCv_;  ///< wakes waiters
-    /** Per-rank work queues; the scheduler packs queued requests into
-     * them (continuous batching) and sharded GEMMs fan one shard task
-     * onto each rank's queue.  Workers prefer their own rank's queue and
-     * steal from the others when it runs dry. */
-    std::vector<std::deque<Task>> rankQueues_;
-    unsigned nextRank_ = 0; ///< rotates whole-task placement on ties
+    /** The work queue: submitted GEMMs join at the back, tile claims at
+     * the front, and workers pop the front. */
+    std::deque<Task> queue_;
     std::unordered_map<RequestId, std::unique_ptr<Request>> requests_;
     std::atomic<RequestId> nextId_{1}; ///< drawn before settle, unlocked
     bool stopping_ = false;

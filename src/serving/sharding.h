@@ -130,8 +130,8 @@ GemmResult reduceShardResults(const Backend& backend, const ShardPlan& plan,
 
 /**
  * Executes every shard on the calling thread and reduces.  The
- * InferenceSession's per-rank work queues provide the concurrent path;
- * this is the sequential reference both must match bit-exactly.
+ * InferenceSession runs the shards concurrently as one tile batch; this
+ * is the sequential reference it must match bit-exactly.
  */
 GemmResult executeSharded(const Backend& backend,
                           const GemmProblem& problem, const ShardPlan& plan,

@@ -50,7 +50,10 @@
 //
 // Binary-wide operator new/delete replacement counting this thread's
 // allocations.  Only deltas around a measured region are asserted, so
-// gtest's own allocations elsewhere are harmless.
+// gtest's own allocations elsewhere are harmless.  The set is complete:
+// the nothrow forms are replaced too, so every allocation the library
+// makes through them (std::stable_sort's buffer, for one) is freed by
+// the matching replaced delete rather than mixing allocators.
 
 namespace {
 
@@ -78,6 +81,18 @@ countedAlignedAlloc(std::size_t size, std::align_val_t align)
     throw std::bad_alloc();
 }
 
+/** The nothrow forms' failure path: null instead of std::bad_alloc. */
+template <typename Alloc>
+void*
+orNull(Alloc alloc) noexcept
+{
+    try {
+        return alloc();
+    } catch (const std::bad_alloc&) {
+        return nullptr;
+    }
+}
+
 } // namespace
 
 void*
@@ -102,6 +117,32 @@ void*
 operator new[](std::size_t size, std::align_val_t align)
 {
     return countedAlignedAlloc(size, align);
+}
+
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    return orNull([size] { return countedAlloc(size); });
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t&) noexcept
+{
+    return orNull([size] { return countedAlloc(size); });
+}
+
+void*
+operator new(std::size_t size, std::align_val_t align,
+             const std::nothrow_t&) noexcept
+{
+    return orNull([=] { return countedAlignedAlloc(size, align); });
+}
+
+void*
+operator new[](std::size_t size, std::align_val_t align,
+               const std::nothrow_t&) noexcept
+{
+    return orNull([=] { return countedAlignedAlloc(size, align); });
 }
 
 void
@@ -148,6 +189,30 @@ operator delete(void* p, std::size_t, std::align_val_t) noexcept
 
 void
 operator delete[](void* p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept
 {
     std::free(p);
 }

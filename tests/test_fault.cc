@@ -583,6 +583,43 @@ TEST(SchedulerFault, AcceptanceDeathAndTransientsServeBitExact)
               std::string::npos);
 }
 
+TEST(SchedulerFault, FailedOverWorkloadIsSequencedWhereItRan)
+{
+    // Rank 0 fails every attempt, so a workload placed there fails over
+    // to rank 1 and pays retries and backoff.  The scheduler sequences
+    // it on rank 1 for the seconds it was charged, so the next workload
+    // served on rank 1 starts when it completes.
+    FaultPlan plan;
+    plan.transientExecute(1.0, 0);
+    FaultInjector injector(plan, 2);
+    SessionOptions sessionOptions;
+    sessionOptions.numRanks = 2;
+    sessionOptions.residencyPolicy = ResidencyPolicy::CostAware;
+    sessionOptions.faultInjector = &injector;
+    InferenceSession session(makeBackend("upmem"), sessionOptions);
+    RequestScheduler scheduler(session, SchedulerOptions{});
+    const auto workload = session.compileUnsharded(
+        WorkloadSpec::decodeStep(TransformerConfig::opt125m(), 8, 128),
+        QuantConfig::preset("W4A4"), DesignPoint::LoCaLut);
+
+    std::vector<std::uint64_t> ids;
+    for (unsigned i = 0; i < 2; ++i) {
+        ServingRequest request = ServingRequest::workloadRequest(workload);
+        request.arrivalSeconds = 0.0;
+        ids.push_back(scheduler.submit(std::move(request)).id);
+    }
+    const ServingResult first = scheduler.wait(ids[0]);
+    const ServingResult second = scheduler.wait(ids[1]);
+    ASSERT_EQ(first.decision.outcome, AdmissionOutcome::Admitted);
+    ASSERT_EQ(second.decision.outcome, AdmissionOutcome::Admitted);
+    EXPECT_EQ(first.decision.rank, 0u);
+    EXPECT_EQ(first.report.rank, 1u);
+    EXPECT_GT(first.report.timing.seconds.get("fault.retry"), 0.0);
+    EXPECT_EQ(first.sample.serviceSeconds, first.report.timing.total);
+    EXPECT_EQ(second.report.rank, 1u);
+    EXPECT_EQ(second.sample.startSeconds, first.report.timing.total);
+}
+
 /** bench_fault_sweep's smoke trace: a pool of four 512x512x8 GEMMs and
  * 48 Poisson arrivals at half the healthy 2x4 capacity. */
 struct SweepTrace {

@@ -4,17 +4,23 @@
  * alignment / head-parallel boundaries, degenerate axes), bit-exact
  * parity of sharded vs unsharded execution for both strategies, the
  * collective cost model (non-negative, monotone, absent at one rank),
- * the sharded InferenceSession path (per-rank queues, deterministic
- * reduction), and the ISSUE acceptance criterion: the fig10 OPT decode
- * workload is faster sharded across 4 ranks than unsharded.
+ * the sharded InferenceSession path (shards run as one tile batch,
+ * deterministic reduction and error), and the acceptance criterion of
+ * sharding: the fig10 OPT decode workload is faster sharded across 4
+ * ranks than unsharded.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/backend.h"
+#include "common/logging.h"
 #include "nn/inference.h"
 #include "serving/plan_cache.h"
 #include "serving/session.h"
@@ -410,12 +416,96 @@ TEST(ShardedSession, ErrorsInShardedRequestsSurfaceAtWait)
     const GemmProblem problem = makeShapeOnlyProblem(
         64, 64, 8, QuantConfig::preset("W1A3"));
     // bankpim cannot plan LTC; the plan stage fails and must surface at
-    // wait() without wedging the rank queues.
+    // wait() without wedging the work queue.
     const auto bad = session.submit(problem, DesignPoint::Ltc);
     EXPECT_THROW(session.wait(bad), std::runtime_error);
 
     const auto ok = session.submit(problem, DesignPoint::LoCaLut);
     EXPECT_GT(session.wait(ok).timing.total, 0.0);
+}
+
+/** A gang whose shards 1 and 3 both fail: wait() rethrows shard 1's
+ * error every time, whichever shard's thread fails first. */
+TEST(ShardedSession, FailingShardsReportTheLowestShardsError)
+{
+    const BackendPtr backend = makeBackend("upmem");
+    GemmProblem problem =
+        makeRandomProblem(256, 128, 8, QuantConfig::preset("W4A4"), 61);
+    ShardSpec spec;
+    spec.numRanks = 4;
+    const ShardPlan plan =
+        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, spec);
+    ASSERT_EQ(plan.shards.size(), 4u);
+    // A weight code past the 4-bit codec's 16 symbols fails the
+    // kernel's range check, which names the slice's largest code.
+    problem.w.codes[plan.shards[1].begin * problem.w.cols] = 17;
+    problem.w.codes[plan.shards[3].begin * problem.w.cols] = 20;
+
+    SessionOptions options;
+    options.numRanks = 4;
+    InferenceSession session(backend, options);
+    for (unsigned i = 0; i < 20; ++i) {
+        const auto id = session.submit(problem, DesignPoint::LoCaLut,
+                                       /*computeValues=*/true);
+        try {
+            session.wait(id);
+            ADD_FAILURE() << "submit " << i << " did not fail";
+        } catch (const FatalError& error) {
+            EXPECT_NE(std::string(error.what()).find("code 17"),
+                      std::string::npos)
+                << "submit " << i << ": " << error.what();
+        }
+    }
+    EXPECT_EQ(session.pendingRequests(), 0u);
+}
+
+/** A worker waiting on its own gang's batch claims every shard no
+ * other thread holds, so gangs complete with fewer workers than
+ * shards: four submitters each submit six gangs to a 4-rank session,
+ * and every result must be bit-exact. */
+TEST(ShardedSession, ConcurrentGangsCompleteOnFewerWorkersThanShards)
+{
+    constexpr unsigned kSubmitters = 4;
+    constexpr unsigned kGangs = 6;
+    const QuantConfig cfg = QuantConfig::preset("W4A4");
+    std::vector<GemmProblem> problems;
+    std::vector<std::vector<std::int32_t>> refs;
+    for (unsigned i = 0; i < 4; ++i) {
+        problems.push_back(
+            makeRandomProblem(512, 512, 32, cfg, /*seed=*/700 + i));
+        refs.push_back(referenceGemmInt(problems.back().w, problems.back().a));
+    }
+    for (const unsigned workers : {1u, 2u}) {
+        SessionOptions options;
+        options.numRanks = 4;
+        options.workers = workers;
+        InferenceSession session(makeBackend("upmem"), options);
+        ASSERT_EQ(session.workerCount(), workers);
+        std::atomic<unsigned> exact{0};
+        std::vector<std::thread> submitters;
+        for (unsigned t = 0; t < kSubmitters; ++t) {
+            submitters.emplace_back([&, t] {
+                std::vector<InferenceSession::RequestId> ids;
+                for (unsigned g = 0; g < kGangs; ++g) {
+                    ids.push_back(session.submit(
+                        problems[(t + g) % problems.size()],
+                        DesignPoint::LoCaLut, /*computeValues=*/true));
+                }
+                for (unsigned g = 0; g < kGangs; ++g) {
+                    if (session.wait(ids[g]).outInt ==
+                        refs[(t + g) % refs.size()]) {
+                        ++exact;
+                    }
+                }
+            });
+        }
+        for (std::thread& submitter : submitters) {
+            submitter.join();
+        }
+        EXPECT_EQ(exact.load(), kSubmitters * kGangs)
+            << workers << " workers";
+        EXPECT_EQ(session.pendingRequests(), 0u);
+    }
 }
 
 } // namespace
