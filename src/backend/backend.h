@@ -191,6 +191,9 @@ class Backend
      * backends with the same name() but different configurations (e.g.
      * a custom-rank UpmemBackend) must fingerprint differently: the
      * PlanCache keys plans by (name, fingerprint) so they never alias.
+     * A backend's configuration is fixed for its life, and every
+     * workload run and plan lookup reads this, so the built-in backends
+     * hash it once, in their constructors.
      */
     virtual std::uint64_t configFingerprint() const = 0;
 

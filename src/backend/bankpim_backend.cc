@@ -16,6 +16,20 @@ BankPimBackend::BankPimBackend(const BankPimConfig& config) : model_(config)
     caps_.honorsOverrides = false; // packing is fixed by the LUT units
     caps_.parallelUnits = config.totalBanks();
     caps_.designPoints = {DesignPoint::NaivePim, DesignPoint::LoCaLut};
+    const BankPimConfig& cfg = model_.config();
+    fingerprint_ = FingerprintBuilder()
+                       .add(std::uint64_t{cfg.channels})
+                       .add(std::uint64_t{cfg.banksPerChannel})
+                       .add(std::uint64_t{cfg.simdLanes})
+                       .add(std::uint64_t{cfg.lutUnits})
+                       .add(std::uint64_t{cfg.lutUnitBytes})
+                       .add(cfg.lutUtilization)
+                       .add(cfg.bankLutFraction)
+                       .add(std::uint64_t{cfg.bankBytes})
+                       .add(cfg.dram.tCkNs)
+                       .add(std::uint64_t{cfg.dram.rowBytes})
+                       .add(std::uint64_t{cfg.dram.burstBytes})
+                       .value();
 }
 
 const BackendCapabilities&
@@ -86,25 +100,6 @@ BankPimBackend::memoryProfile() const
     profile.broadcastGBs = link.hostToPimGBs;
     profile.broadcastLatencyUs = link.launchLatencyUs;
     return profile;
-}
-
-std::uint64_t
-BankPimBackend::configFingerprint() const
-{
-    const BankPimConfig& cfg = model_.config();
-    return FingerprintBuilder()
-        .add(std::uint64_t{cfg.channels})
-        .add(std::uint64_t{cfg.banksPerChannel})
-        .add(std::uint64_t{cfg.simdLanes})
-        .add(std::uint64_t{cfg.lutUnits})
-        .add(std::uint64_t{cfg.lutUnitBytes})
-        .add(cfg.lutUtilization)
-        .add(cfg.bankLutFraction)
-        .add(std::uint64_t{cfg.bankBytes})
-        .add(cfg.dram.tCkNs)
-        .add(std::uint64_t{cfg.dram.rowBytes})
-        .add(std::uint64_t{cfg.dram.burstBytes})
-        .value();
 }
 
 BankPimResult

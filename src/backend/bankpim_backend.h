@@ -38,7 +38,7 @@ class BankPimBackend : public Backend
 
     MemoryProfile memoryProfile() const override;
 
-    std::uint64_t configFingerprint() const override;
+    std::uint64_t configFingerprint() const override { return fingerprint_; }
 
     const BankLevelPim& model() const { return model_; }
 
@@ -48,6 +48,7 @@ class BankPimBackend : public Backend
 
     BankLevelPim model_;
     BackendCapabilities caps_;
+    std::uint64_t fingerprint_ = 0; ///< hashed once, at construction
 };
 
 } // namespace localut

@@ -23,6 +23,17 @@ HostBackend::HostBackend(std::string name, const RooflineDevice& device,
         DesignPoint::OpLut,    DesignPoint::OpLc, DesignPoint::OpLcRc,
         DesignPoint::LoCaLut,
     };
+    fingerprint_ = FingerprintBuilder()
+                       .add(device_.name)
+                       .add(device_.peakOpsPerSec)
+                       .add(device_.memBytesPerSec)
+                       .add(device_.efficiency)
+                       .add(device_.unpackOpsPerMac)
+                       .add(device_.pcieBytesPerSec)
+                       .add(std::uint64_t{device_.skinnyKThreshold})
+                       .add(device_.skinnyKFactor)
+                       .add(hostOps_.effectiveGops)
+                       .value();
 }
 
 std::shared_ptr<HostBackend>
@@ -172,22 +183,6 @@ HostBackend::memoryProfile() const
     profile.broadcastLatencyUs = hasPcie ? 10.0 : 1.0;
     profile.pjPerBroadcastByte = 20.0;
     return profile;
-}
-
-std::uint64_t
-HostBackend::configFingerprint() const
-{
-    return FingerprintBuilder()
-        .add(device_.name)
-        .add(device_.peakOpsPerSec)
-        .add(device_.memBytesPerSec)
-        .add(device_.efficiency)
-        .add(device_.unpackOpsPerMac)
-        .add(device_.pcieBytesPerSec)
-        .add(std::uint64_t{device_.skinnyKThreshold})
-        .add(device_.skinnyKFactor)
-        .add(hostOps_.effectiveGops)
-        .value();
 }
 
 } // namespace localut

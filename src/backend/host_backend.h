@@ -51,7 +51,7 @@ class HostBackend : public Backend
 
     MemoryProfile memoryProfile() const override;
 
-    std::uint64_t configFingerprint() const override;
+    std::uint64_t configFingerprint() const override { return fingerprint_; }
 
     const RooflineDevice& device() const { return device_; }
 
@@ -59,6 +59,7 @@ class HostBackend : public Backend
     RooflineDevice device_;
     HostComputeParams hostOps_;
     BackendCapabilities caps_;
+    std::uint64_t fingerprint_ = 0; ///< hashed once, at construction
 };
 
 } // namespace localut

@@ -16,6 +16,24 @@ UpmemBackend::UpmemBackend(const PimSystemConfig& config) : engine_(config)
         DesignPoint::OpLut,    DesignPoint::OpLc, DesignPoint::OpLcRc,
         DesignPoint::LoCaLut,
     };
+    const PimSystemConfig& sys = engine_.system();
+    fingerprint_ = FingerprintBuilder()
+                       .add(std::uint64_t{sys.ranks})
+                       .add(std::uint64_t{sys.dpusPerRank})
+                       .add(sys.dpu.clockMhz)
+                       .add(std::uint64_t{sys.dpu.tasklets})
+                       .add(std::uint64_t{sys.dpu.fullIssueTasklets})
+                       .add(sys.dpu.dmaBytesPerCycle)
+                       .add(sys.dpu.dmaSetupCycles)
+                       .add(std::uint64_t{sys.dpu.wramBytes})
+                       .add(std::uint64_t{sys.dpu.mramBytes})
+                       .add(sys.dpu.wramLutFraction)
+                       .add(sys.dpu.mramLutFraction)
+                       .add(sys.link.hostToPimGBs)
+                       .add(sys.link.pimToHostGBs)
+                       .add(sys.link.launchLatencyUs)
+                       .add(sys.host.effectiveGops)
+                       .value();
 }
 
 const BackendCapabilities&
@@ -42,29 +60,6 @@ UpmemBackend::execute(const GemmProblem& problem, const GemmPlan& plan,
                       const ExecOptions& options) const
 {
     return engine_.run(problem, plan, options);
-}
-
-std::uint64_t
-UpmemBackend::configFingerprint() const
-{
-    const PimSystemConfig& sys = engine_.system();
-    return FingerprintBuilder()
-        .add(std::uint64_t{sys.ranks})
-        .add(std::uint64_t{sys.dpusPerRank})
-        .add(sys.dpu.clockMhz)
-        .add(std::uint64_t{sys.dpu.tasklets})
-        .add(std::uint64_t{sys.dpu.fullIssueTasklets})
-        .add(sys.dpu.dmaBytesPerCycle)
-        .add(sys.dpu.dmaSetupCycles)
-        .add(std::uint64_t{sys.dpu.wramBytes})
-        .add(std::uint64_t{sys.dpu.mramBytes})
-        .add(sys.dpu.wramLutFraction)
-        .add(sys.dpu.mramLutFraction)
-        .add(sys.link.hostToPimGBs)
-        .add(sys.link.pimToHostGBs)
-        .add(sys.link.launchLatencyUs)
-        .add(sys.host.effectiveGops)
-        .value();
 }
 
 CollectiveLinkProfile
@@ -100,8 +95,9 @@ UpmemBackend::chargeHostOps(double ops, TimingReport& timing,
     KernelCost cost;
     cost.addHostOps(Phase::HostOther, ops);
     const CostEvaluator eval(engine_.system());
-    accumulate(timing, eval.timing(cost, 1));
-    accumulate(energy, eval.energy(cost, 1));
+    const TimingReport phase = eval.timing(cost, 1);
+    accumulate(timing, phase);
+    accumulate(energy, eval.energy(cost, 1, phase));
 }
 
 } // namespace localut

@@ -39,7 +39,7 @@ class UpmemBackend : public Backend
 
     MemoryProfile memoryProfile() const override;
 
-    std::uint64_t configFingerprint() const override;
+    std::uint64_t configFingerprint() const override { return fingerprint_; }
 
     /** The wrapped engine (for callers migrating from the old API). */
     const GemmEngine& engine() const { return engine_; }
@@ -49,6 +49,7 @@ class UpmemBackend : public Backend
   private:
     GemmEngine engine_;
     BackendCapabilities caps_;
+    std::uint64_t fingerprint_ = 0; ///< hashed once, at construction
 };
 
 } // namespace localut

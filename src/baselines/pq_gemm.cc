@@ -126,7 +126,7 @@ PqGemmEngine::run(const std::vector<float>& w, const std::vector<float>& a,
 
     const CostEvaluator eval(system_);
     result.timing = eval.timing(cost, dpusUsed);
-    result.energy = eval.energy(cost, dpusUsed);
+    result.energy = eval.energy(cost, dpusUsed, result.timing);
 
     if (!computeValues) {
         return result;

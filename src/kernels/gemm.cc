@@ -295,7 +295,8 @@ GemmEngine::run(const GemmProblem& problem, const GemmPlan& plan,
     result.cost = chargeCosts(plan);
     const CostEvaluator eval(config_);
     result.timing = eval.timing(result.cost, plan.dpusUsed());
-    result.energy = eval.energy(result.cost, plan.dpusUsed());
+    result.energy =
+        eval.energy(result.cost, plan.dpusUsed(), result.timing);
 
     if (!options.computeValues) {
         return result;

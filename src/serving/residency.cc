@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -15,16 +15,23 @@ namespace localut {
 
 namespace {
 
-/** Sentinel "no stream is protected" id for makeRoomOnRankLocked (stream
- * ids are engine-assigned and never this value). */
-constexpr std::uint64_t kNoProtectedStream =
-    std::numeric_limits<std::uint64_t>::max();
-
 std::uint64_t
 roundInstances(double instances)
 {
     return static_cast<std::uint64_t>(
         std::llround(std::max(1.0, instances)));
+}
+
+/** Removes @p entry from a rank's resident list (order is irrelevant:
+ * victim keys are unique, so swap-and-pop is safe). */
+template <typename T>
+void
+dropResident(std::vector<T*>& list, const T* entry)
+{
+    const auto it = std::find(list.begin(), list.end(), entry);
+    LOCALUT_ASSERT(it != list.end(), "resident index out of sync");
+    *it = list.back();
+    list.pop_back();
 }
 
 } // namespace
@@ -138,6 +145,7 @@ ResidencyManager::ResidencyManager(BackendPtr backend, unsigned numRanks,
                                       : profile_.lutBytesPerUnit;
     residentBytes_.assign(numRanks, 0);
     kvFootprint_.assign(numRanks, 0);
+    residents_.resize(numRanks);
 }
 
 unsigned
@@ -261,6 +269,7 @@ ResidencyManager::acquireLocked(
         set.admitOrder = ++admissions_;
         for (const auto& [rank, bytes] : set.rankBytes) {
             residentBytes_[rank] += bytes;
+            residents_[rank].sets.push_back(&set);
         }
         ++stats_.tableSets;
     }
@@ -296,8 +305,7 @@ ResidencyManager::makeRoomLocked(const TableSet& incoming, SpillCost& spill)
         }
     }
     for (const auto& [rank, bytes] : incoming.rankBytes) {
-        if (!makeRoomOnRankLocked(rank, bytes, &incoming,
-                                  kNoProtectedStream, spill)) {
+        if (!makeRoomOnRankLocked(rank, bytes, /*keep=*/nullptr, spill)) {
             return false;
         }
     }
@@ -306,66 +314,45 @@ ResidencyManager::makeRoomLocked(const TableSet& incoming, SpillCost& spill)
 
 bool
 ResidencyManager::makeRoomOnRankLocked(unsigned rank, std::uint64_t needed,
-                                       const TableSet* keepSet,
-                                       std::uint64_t keepStream,
-                                       SpillCost& spill)
+                                       const KvEntry* keep, SpillCost& spill)
 {
+    const RankResidents& here = residents_[rank];
     while (residentBytes_[rank] + kvFootprint_[rank] + needed > budget_) {
-        // Victim: lowest score across *both* resource classes occupying
-        // this rank — evicting a LUT set costs its future rebroadcast,
-        // spilling a stream's KV costs its writeback + refill round
-        // trip.  Ties break toward least-recent, then oldest admission,
-        // so the choice is deterministic.
+        // Victim: the lowest (score, lastUse, admitOrder) key across
+        // *both* resource classes resident on this rank — evicting a LUT
+        // set costs its future rebroadcast, spilling a stream's KV costs
+        // its writeback + refill round trip; ties break toward
+        // least-recent, then oldest admission.  admitOrder comes from
+        // one counter for both classes, so no two residents share a key
+        // and the victim does not depend on the order of the scan.
+        using VictimKey = std::tuple<double, std::uint64_t, std::uint64_t>;
+        std::optional<VictimKey> best;
         TableSet* lutVictim = nullptr;
-        for (auto& [key, candidate] : sets_) {
-            if (!candidate.resident || &candidate == keepSet) {
-                continue;
-            }
-            const bool onRank = std::any_of(
-                candidate.rankBytes.begin(), candidate.rankBytes.end(),
-                [rank](const auto& rb) { return rb.first == rank; });
-            if (!onRank) {
-                continue;
-            }
-            if (lutVictim == nullptr ||
-                std::make_tuple(scoreLocked(candidate), candidate.lastUse,
-                                candidate.admitOrder) <
-                    std::make_tuple(scoreLocked(*lutVictim),
-                                    lutVictim->lastUse,
-                                    lutVictim->admitOrder)) {
-                lutVictim = &candidate;
-            }
-        }
         KvEntry* kvVictim = nullptr;
-        for (auto& [stream, candidate] : kvStreams_) {
-            if (!candidate.resident || candidate.rank != rank ||
-                stream == keepStream) {
-                continue;
-            }
-            if (kvVictim == nullptr ||
-                std::make_tuple(scoreKvLocked(candidate), candidate.lastUse,
-                                candidate.admitOrder) <
-                    std::make_tuple(scoreKvLocked(*kvVictim),
-                                    kvVictim->lastUse,
-                                    kvVictim->admitOrder)) {
-                kvVictim = &candidate;
+        for (TableSet* candidate : here.sets) {
+            const VictimKey key(scoreLocked(*candidate), candidate->lastUse,
+                                candidate->admitOrder);
+            if (!best || key < *best) {
+                best = key;
+                lutVictim = candidate;
             }
         }
-        if (lutVictim != nullptr && kvVictim != nullptr) {
-            const bool lutFirst =
-                std::make_tuple(scoreLocked(*lutVictim), lutVictim->lastUse,
-                                lutVictim->admitOrder) <=
-                std::make_tuple(scoreKvLocked(*kvVictim), kvVictim->lastUse,
-                                kvVictim->admitOrder);
-            if (lutFirst) {
-                evictLocked(*lutVictim);
-            } else {
-                spillLocked(*kvVictim, spill);
+        for (KvEntry* candidate : here.streams) {
+            if (candidate == keep) {
+                continue;
             }
+            const VictimKey key(scoreKvLocked(*candidate),
+                                candidate->lastUse, candidate->admitOrder);
+            if (!best || key < *best) {
+                best = key;
+                kvVictim = candidate;
+                lutVictim = nullptr;
+            }
+        }
+        if (kvVictim != nullptr) {
+            spillLocked(*kvVictim, spill);
         } else if (lutVictim != nullptr) {
             evictLocked(*lutVictim);
-        } else if (kvVictim != nullptr) {
-            spillLocked(*kvVictim, spill);
         } else {
             return false; // nothing left to evict on this rank
         }
@@ -381,6 +368,7 @@ ResidencyManager::evictLocked(TableSet& victim)
         LOCALUT_ASSERT(residentBytes_[rank] >= bytes,
                        "resident-byte ledger underflow");
         residentBytes_[rank] -= bytes;
+        dropResident(residents_[rank].sets, &victim);
     }
     victim.resident = false;
     ++stats_.evictions;
@@ -397,6 +385,7 @@ ResidencyManager::spillLocked(KvEntry& victim, SpillCost& spill)
     LOCALUT_ASSERT(kvFootprint_[victim.rank] >= footprint,
                    "KV footprint ledger underflow");
     kvFootprint_[victim.rank] -= footprint;
+    dropResident(residents_[victim.rank].streams, &victim);
     victim.resident = false;
     ++stats_.kvSpills;
     LOCALUT_ASSERT(stats_.kvStreams > 0, "spill with no resident streams");
@@ -449,7 +438,6 @@ ResidencyManager::acquireKv(std::uint64_t stream, unsigned rank,
                             std::uint64_t bytesPerTokenPerLayer,
                             std::uint64_t contextTokens)
 {
-    LOCALUT_REQUIRE(stream != kNoProtectedStream, "reserved stream id");
     LOCALUT_REQUIRE(layers >= 1 && bytesPerTokenPerLayer >= 1 &&
                         contextTokens >= 1,
                     "degenerate KV shape");
@@ -490,6 +478,7 @@ ResidencyManager::acquireKv(std::uint64_t stream, unsigned rank,
         if (entry.resident) {
             const std::uint64_t raw = entry.rawBytes();
             kvFootprint_[rank] -= kvFootprint(raw);
+            dropResident(residents_[rank].streams, &entry);
             --stats_.kvStreams;
             stats_.kvResidentBytes -= raw;
         }
@@ -518,13 +507,14 @@ ResidencyManager::acquireKv(std::uint64_t stream, unsigned rank,
         kvFootprint_[rank] -= kvFootprint(oldRaw);
     }
     SpillCost spill;
-    const bool admitted = makeRoomOnRankLocked(
-        rank, targetFootprint, /*keepSet=*/nullptr, stream, spill);
+    const bool admitted =
+        makeRoomOnRankLocked(rank, targetFootprint, &entry, spill);
     LOCALUT_ASSERT(admitted,
                    "KV admission failed despite fitting the budget");
     kvFootprint_[rank] += targetFootprint;
     if (!wasResident) {
         entry.resident = true;
+        residents_[rank].streams.push_back(&entry);
         if (entry.admitOrder == 0) {
             entry.admitOrder = ++admissions_;
         }
@@ -559,26 +549,21 @@ ResidencyManager::invalidateRank(unsigned rank)
     // Every table set with bytes on the dead rank loses residency whole:
     // a partial set cannot serve a sharded GEMM, and the re-shard that
     // follows the death keys a different set anyway.  everResident is
-    // kept so a later re-acquire counts as a rebroadcast.
-    for (auto& [key, set] : sets_) {
-        if (!set.resident) {
-            continue;
-        }
-        const bool onRank = std::any_of(
-            set.rankBytes.begin(), set.rankBytes.end(),
-            [rank](const auto& rb) { return rb.first == rank; });
-        if (!onRank) {
-            continue;
-        }
-        for (const auto& [r, bytes] : set.rankBytes) {
+    // kept so a later re-acquire counts as a rebroadcast.  Evicting
+    // edits the rank's list, so walk a copy.
+    const std::vector<TableSet*> lost = residents_[rank].sets;
+    for (TableSet* set : lost) {
+        for (const auto& [r, bytes] : set->rankBytes) {
             loss.lutBytesDropped += bytes;
         }
-        evictLocked(set);
+        evictLocked(*set);
         ++loss.lutSetsDropped;
     }
     // KV streams homed on the rank lose their device-resident context
     // and become displaced: the next acquireKv() may re-home them to a
-    // survivor at full-refill cost.
+    // survivor at full-refill cost.  Spilled streams are displaced too,
+    // and no rank lists them, so this walks every stream.
+    residents_[rank].streams.clear();
     for (auto& [stream, entry] : kvStreams_) {
         if (entry.rank != rank) {
             continue;
@@ -614,6 +599,7 @@ ResidencyManager::releaseKv(std::uint64_t stream)
     if (it->second.resident) {
         const std::uint64_t raw = it->second.rawBytes();
         kvFootprint_[it->second.rank] -= kvFootprint(raw);
+        dropResident(residents_[it->second.rank].streams, &it->second);
         --stats_.kvStreams;
         stats_.kvResidentBytes -= raw;
     }
@@ -687,11 +673,15 @@ ResidencyManager::clear()
     // only the residency itself is dropped.  KV streams lose residency
     // too (their contexts survive on the host: the next acquireKv pays
     // a refill).
-    for (auto& [key, set] : sets_) {
-        set.resident = false;
-    }
-    for (auto& [stream, entry] : kvStreams_) {
-        entry.resident = false;
+    for (RankResidents& here : residents_) {
+        for (TableSet* set : here.sets) {
+            set->resident = false;
+        }
+        for (KvEntry* entry : here.streams) {
+            entry->resident = false;
+        }
+        here.sets.clear();
+        here.streams.clear();
     }
     std::fill(residentBytes_.begin(), residentBytes_.end(), 0);
     std::fill(kvFootprint_.begin(), kvFootprint_.end(), 0);

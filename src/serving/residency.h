@@ -28,7 +28,8 @@
  *    pays table transfer once per layer instead of 32x.
  *  - When a rank's budget is full, eviction is cost-model-driven: the
  *    resident set with the lowest (rebroadcast cost x observed reuse)
- *    score goes first.
+ *    score goes first.  The manager indexes each rank's residents, so
+ *    a victim search scans only the rank that needs room.
  *  - Sharded executions compose naturally: each shard's table set
  *    consumes its own rank's budget, and the ShardSpec is part of the
  *    table-set key so re-cut tables never alias.
@@ -410,14 +411,13 @@ class ResidencyManager
     bool makeRoomLocked(const TableSet& incoming, SpillCost& spill);
     /**
      * Frees rank capacity until @p needed more per-unit bytes fit on
-     * @p rank, evicting the cheapest victim across both classes each
-     * round (@p keepSet / @p keepStream are never victims); KV spill
-     * traffic accumulates into @p spill.  False only when nothing
-     * evictable remains.
+     * @p rank, evicting the cheapest of the rank's residents across both
+     * classes each round (@p keep, the stream being grown, is never a
+     * victim); KV spill traffic accumulates into @p spill.  False only
+     * when nothing evictable remains.
      */
     bool makeRoomOnRankLocked(unsigned rank, std::uint64_t needed,
-                              const TableSet* keepSet,
-                              std::uint64_t keepStream, SpillCost& spill);
+                              const KvEntry* keep, SpillCost& spill);
     void evictLocked(TableSet& victim);
     void spillLocked(KvEntry& victim, SpillCost& spill);
     double scoreLocked(const TableSet& set) const;
@@ -438,7 +438,16 @@ class ResidencyManager
     std::unordered_map<std::uint64_t, KvEntry> kvStreams_;
     std::vector<std::uint64_t> residentBytes_; ///< per-rank LUT ledgers
     std::vector<std::uint64_t> kvFootprint_;   ///< per-rank KV ledgers
+    /** What is resident on one rank: the victim candidates of a search
+     * on that rank.  A sharded set is listed on every rank it spans. */
+    struct RankResidents {
+        std::vector<TableSet*> sets; ///< into sets_ (nodes are stable)
+        std::vector<KvEntry*> streams; ///< into kvStreams_
+    };
+    std::vector<RankResidents> residents_; ///< per-rank resident index
     std::uint64_t clock_ = 0;
+    /** Admission counter shared by both classes, so no two residents
+     * share an admitOrder and the victim key is a strict order. */
     std::uint64_t admissions_ = 0;
     ResidencyStats stats_;
 };

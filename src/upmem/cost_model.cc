@@ -235,11 +235,13 @@ CostEvaluator::timing(const KernelCost& cost, unsigned nDpusUsed) const
 }
 
 EnergyReport
-CostEvaluator::energy(const KernelCost& cost, unsigned nDpusUsed) const
+CostEvaluator::energy(const KernelCost& cost, unsigned nDpusUsed,
+                      const TimingReport& timing) const
 {
+    LOCALUT_ASSERT(nDpusUsed >= 1 && nDpusUsed <= config_.totalDpus(),
+                   "nDpusUsed out of range: ", nDpusUsed);
     const UpmemEnergyParams& e = config_.energy;
     EnergyReport report;
-    const TimingReport t = timing(cost, nDpusUsed);
     const double dpus = static_cast<double>(nDpusUsed);
 
     for (unsigned i = 0; i < kNumPhases; ++i) {
@@ -261,7 +263,7 @@ CostEvaluator::energy(const KernelCost& cost, unsigned nDpusUsed) const
         }
     }
     // Static energy over the whole execution for every active DPU.
-    const double staticJ = dpus * e.dpuStaticMw * 1e-3 * t.total;
+    const double staticJ = dpus * e.dpuStaticMw * 1e-3 * timing.total;
     report.joules.add("static", staticJ);
     report.total = report.joules.total();
     return report;

@@ -125,7 +125,13 @@ class CostEvaluator
     {}
 
     TimingReport timing(const KernelCost& cost, unsigned nDpusUsed) const;
-    EnergyReport energy(const KernelCost& cost, unsigned nDpusUsed) const;
+    /**
+     * Joules of @p cost on @p nDpusUsed DPUs.  Static power runs for
+     * @p timing's total, which must be timing(cost, nDpusUsed): every
+     * caller has just evaluated it, so it is not evaluated twice.
+     */
+    EnergyReport energy(const KernelCost& cost, unsigned nDpusUsed,
+                        const TimingReport& timing) const;
 
     /** Seconds a DPU spends on @p instructions at sustained issue. */
     double instrSeconds(double instructions) const;

@@ -16,26 +16,21 @@ UpmemSimBackend::UpmemSimBackend(const PimSystemConfig& config,
     simCaps_.name = "upmem-sim";
     simCaps_.description =
         "UPMEM server model with cycle-level simulated DPU timing";
+    // Salt the UPMEM fingerprint: same system config, different timing
+    // semantics — PlanCache entries must never alias across the two.
+    simFingerprint_ = FingerprintBuilder()
+                          .add(std::string("upmem-sim"))
+                          .add(UpmemBackend::configFingerprint())
+                          .add(std::uint64_t{sim_.dmaPipelineDepth})
+                          .add(std::uint64_t{sim_.dmaAlignBytes})
+                          .add(std::uint64_t{sim_.dmaMaxTransferBytes})
+                          .value();
 }
 
 const BackendCapabilities&
 UpmemSimBackend::capabilities() const
 {
     return simCaps_;
-}
-
-std::uint64_t
-UpmemSimBackend::configFingerprint() const
-{
-    // Salt the UPMEM fingerprint: same system config, different timing
-    // semantics — PlanCache entries must never alias across the two.
-    return FingerprintBuilder()
-        .add(std::string("upmem-sim"))
-        .add(UpmemBackend::configFingerprint())
-        .add(std::uint64_t{sim_.dmaPipelineDepth})
-        .add(std::uint64_t{sim_.dmaAlignBytes})
-        .add(std::uint64_t{sim_.dmaMaxTransferBytes})
-        .value();
 }
 
 std::uint64_t

@@ -35,7 +35,10 @@ class UpmemSimBackend : public UpmemBackend
     GemmResult execute(const GemmProblem& problem, const GemmPlan& plan,
                        const ExecOptions& options) const override;
 
-    std::uint64_t configFingerprint() const override;
+    std::uint64_t configFingerprint() const override
+    {
+        return simFingerprint_;
+    }
 
     /**
      * Simulates the representative-DPU kernel of @p plan (memoized per
@@ -56,6 +59,7 @@ class UpmemSimBackend : public UpmemBackend
 
     upmemsim::SimParams sim_;
     BackendCapabilities simCaps_;
+    std::uint64_t simFingerprint_ = 0; ///< hashed once, at construction
     mutable std::mutex cacheMutex_;
     mutable std::unordered_map<std::uint64_t, upmemsim::SimResult> cache_;
 };

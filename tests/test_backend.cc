@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "backend/backend.h"
 #include "backend/bankpim_backend.h"
@@ -167,6 +172,105 @@ TEST(Backend, PlanAndChargeCostsAreConsistentOnUpmem)
     EXPECT_DOUBLE_EQ(result.cost.totalInstructions(),
                      cost.totalInstructions());
     EXPECT_DOUBLE_EQ(result.cost.totalLinkBytes(), cost.totalLinkBytes());
+}
+
+TEST(BackendFingerprint, BuiltinValuesArePinned)
+{
+    // Compiled workloads and PlanCache keys carry these; hashing once
+    // at construction must give what hashing on every call gave.
+    const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+        {"upmem", 0x07ada2d9e23d8f16ull},
+        {"bankpim", 0x0173b5db9a3daa40ull},
+        {"host-cpu", 0xd02253184719d3c5ull},
+        {"host-gpu", 0x2b82fee5ab2ffdbfull},
+        {"upmem-sim", 0x98f1b6a56b41e9baull},
+    };
+    for (const auto& [name, value] : pinned) {
+        EXPECT_EQ(makeBackend(name)->configFingerprint(), value) << name;
+    }
+}
+
+// ------------------------------------------------------ host-op charges
+
+std::uint64_t
+bits(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+/** The host-op charge through a one-phase KernelCost, with timing
+ * evaluated once for the report and again for the static energy. */
+void
+kernelCostHostCharge(double ops, TimingReport& timing,
+                     EnergyReport& energy)
+{
+    KernelCost cost;
+    cost.addHostOps(Phase::HostOther, ops);
+    const CostEvaluator eval(PimSystemConfig::upmemServer());
+    accumulate(timing, eval.timing(cost, 1));
+    accumulate(energy, eval.energy(cost, 1, eval.timing(cost, 1)));
+}
+
+void
+expectSameItems(const Breakdown& got, const Breakdown& want)
+{
+    ASSERT_EQ(got.items().size(), want.items().size());
+    for (std::size_t i = 0; i < got.items().size(); ++i) {
+        EXPECT_EQ(got.items()[i].first, want.items()[i].first) << i;
+        EXPECT_EQ(bits(got.items()[i].second), bits(want.items()[i].second))
+            << got.items()[i].first;
+    }
+}
+
+TEST(HostOpCharge, UpmemBackendsMatchTheKernelCostPathBitForBit)
+{
+    // A GEMM's reports plus an earlier host charge, as a workload's
+    // GEMM share is before chargeWorkloadHostOps() adds its host ops.
+    const BackendPtr upmem = makeBackend("upmem");
+    const GemmResult gemm = upmem->execute(
+        makeShapeOnlyProblem(768, 768, 8, QuantConfig::preset("W4A4")),
+        DesignPoint::LoCaLut, /*computeValues=*/false);
+    TimingReport filledTiming = gemm.timing;
+    EnergyReport filledEnergy = gemm.energy;
+    kernelCostHostCharge(7.0, filledTiming, filledEnergy);
+
+    for (const char* name : {"upmem", "upmem-sim"}) {
+        const BackendPtr backend = makeBackend(name);
+        for (const double ops : {0.0, 1.0, 4096.5, 3.2e9}) {
+            for (const bool filled : {false, true}) {
+                TimingReport timing, wantTiming;
+                EnergyReport energy, wantEnergy;
+                if (filled) {
+                    timing = wantTiming = filledTiming;
+                    energy = wantEnergy = filledEnergy;
+                }
+                backend->chargeHostOps(ops, timing, energy);
+                kernelCostHostCharge(ops, wantTiming, wantEnergy);
+                SCOPED_TRACE(std::string(name) + " ops " +
+                             std::to_string(ops) +
+                             (filled ? " filled" : " empty"));
+                EXPECT_EQ(bits(timing.dpuSeconds),
+                          bits(wantTiming.dpuSeconds));
+                EXPECT_EQ(bits(timing.hostSeconds),
+                          bits(wantTiming.hostSeconds));
+                EXPECT_EQ(bits(timing.linkSeconds),
+                          bits(wantTiming.linkSeconds));
+                EXPECT_EQ(bits(timing.total), bits(wantTiming.total));
+                expectSameItems(timing.seconds, wantTiming.seconds);
+                EXPECT_EQ(bits(energy.total), bits(wantEnergy.total));
+                expectSameItems(energy.joules, wantEnergy.joules);
+                if (ops == 0 && !filled) {
+                    // No host work: no host.other item, and the static
+                    // term is charged as an explicit zero.
+                    EXPECT_TRUE(timing.seconds.items().empty());
+                    ASSERT_EQ(energy.joules.items().size(), 1u);
+                    EXPECT_EQ(energy.joules.items()[0].first, "static");
+                    EXPECT_EQ(bits(energy.joules.items()[0].second),
+                              bits(0.0));
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -125,8 +125,8 @@ TEST(CostEvaluator, TimingMonotonicInEveryEventKind)
           case 3: more.addLinkBytes(Phase::LinkActIn, 5000); break;
         }
         EXPECT_GT(eval.timing(more, 16).total, t0) << "kind " << kind;
-        EXPECT_GT(eval.energy(more, 16).total,
-                  eval.energy(base, 16).total)
+        EXPECT_GT(eval.energy(more, 16, eval.timing(more, 16)).total,
+                  eval.energy(base, 16, eval.timing(base, 16)).total)
             << "kind " << kind;
     }
 }
@@ -136,8 +136,8 @@ TEST(CostEvaluator, EnergyScalesWithDpuCount)
     const CostEvaluator eval(PimSystemConfig::upmemServer());
     KernelCost cost;
     cost.addInstr(Phase::MacCompute, 1e6);
-    const double e1 = eval.energy(cost, 1).total;
-    const double e64 = eval.energy(cost, 64).total;
+    const double e1 = eval.energy(cost, 1, eval.timing(cost, 1)).total;
+    const double e64 = eval.energy(cost, 64, eval.timing(cost, 64)).total;
     // Per-DPU dynamic + static energy scales ~linearly with DPUs.
     EXPECT_NEAR(e64 / e1, 64.0, 1.0);
 }
@@ -155,7 +155,7 @@ TEST(CostEvaluator, BreakdownSumsToTotal)
     EXPECT_NEAR(t.seconds.total(), t.total, 1e-15);
     EXPECT_NEAR(t.total, t.dpuSeconds + t.hostSeconds + t.linkSeconds,
                 1e-15);
-    const EnergyReport e = eval.energy(cost, 8);
+    const EnergyReport e = eval.energy(cost, 8, t);
     EXPECT_NEAR(e.joules.total(), e.total, 1e-15);
 }
 

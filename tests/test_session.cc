@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "backend/backend.h"
+#include "backend/upmem_backend.h"
 #include "common/logging.h"
 #include "nn/inference.h"
 #include "serving/session.h"
@@ -228,6 +229,21 @@ TEST(InferenceSession, RejectsWorkloadCompiledOnAnotherBackend)
         WorkloadSpec::prefill(TransformerConfig::bertBase(), 2, 16),
         QuantConfig::preset("W1A3"), DesignPoint::LoCaLut);
     EXPECT_THROW(host.run(workload), std::runtime_error);
+}
+
+TEST(InferenceSession, RejectsWorkloadCompiledForAnotherDeviceConfig)
+{
+    // Same backend name, different device: the config fingerprint the
+    // backend stored at construction tells the two apart.
+    PimSystemConfig halved = PimSystemConfig::upmemServer();
+    halved.dpusPerRank /= 2;
+    InferenceSession stock(makeBackend("upmem"));
+    InferenceSession other(std::make_shared<const UpmemBackend>(halved));
+    const auto workload = stock.compile(
+        WorkloadSpec::prefill(TransformerConfig::bertBase(), 2, 16),
+        QuantConfig::preset("W1A3"), DesignPoint::LoCaLut);
+    EXPECT_THROW(other.run(workload), FatalError);
+    EXPECT_GT(stock.run(workload).timing.total, 0.0);
 }
 
 TEST(InferenceSession, WorkerErrorsSurfaceAtWait)
