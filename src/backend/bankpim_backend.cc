@@ -43,6 +43,7 @@ BankPimBackend::plan(const GemmProblem& problem, DesignPoint design,
                      const PlanOverrides& overrides) const
 {
     (void)overrides;
+    requireOperandShapes(problem);
     LOCALUT_REQUIRE(caps_.supports(design),
                     "bank-level PIM models only the SIMD baseline "
                     "(NaivePim) and the LUT redesign (LoCaLut), not ",

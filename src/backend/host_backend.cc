@@ -61,6 +61,7 @@ HostBackend::plan(const GemmProblem& problem, DesignPoint design,
                   const PlanOverrides& overrides) const
 {
     (void)overrides; // a roofline device has no packing/placement choices
+    requireOperandShapes(problem);
     GemmPlan plan(design, problem.config());
     plan.m = problem.m();
     plan.k = problem.k();

@@ -257,6 +257,9 @@ requireOperandShapes(const GemmProblem& problem)
     const QuantizedMatrix& a = problem.a;
     LOCALUT_REQUIRE(w.cols == a.rows, "GEMM shape mismatch: W ", w.rows,
                     "x", w.cols, " A ", a.rows, "x", a.cols);
+    LOCALUT_REQUIRE(w.rows >= 1 && w.cols >= 1 && a.cols >= 1,
+                    "empty GEMM: M=", w.rows, " K=", w.cols, " N=", a.cols,
+                    " (every dimension must be >= 1)");
     LOCALUT_REQUIRE(w.codes.empty() || w.codes.size() == w.rows * w.cols,
                     "weight codes: ", w.codes.size(), " for a ", w.rows,
                     "x", w.cols, " matrix");

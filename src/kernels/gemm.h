@@ -42,10 +42,10 @@ struct GemmProblem {
 
 /**
  * Fatals unless @p problem is well-formed: W's columns equal A's rows,
- * and each operand's codes are either absent (a shape-only problem) or
- * exactly rows x cols of them.  O(1); code values are range-checked
- * where they are consumed (prepareGemm() for weights, the functional
- * entry points for activations).
+ * M, K and N are all at least 1, and each operand's codes are either
+ * absent (a shape-only problem) or exactly rows x cols of them.  O(1);
+ * code values are range-checked where they are consumed (prepareGemm()
+ * for weights, the functional entry points for activations).
  */
 void requireOperandShapes(const GemmProblem& problem);
 

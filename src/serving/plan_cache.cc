@@ -43,7 +43,6 @@ PlanKeyHash::operator()(const PlanKey& key) const
     hashCombine(seed, key.overrides.gM);
     hashCombine(seed, key.overrides.gN);
     hashCombine(seed, key.shard.numRanks);
-    hashCombine(seed, static_cast<std::size_t>(key.shard.strategy));
     hashCombine(seed, key.shard.align);
     hashCombine(seed, std::hash<std::string>{}(key.backend));
     hashCombine(seed, static_cast<std::size_t>(key.fingerprint));

@@ -61,7 +61,6 @@ TableSetKeyHash::operator()(const TableSetKey& key) const
     hashCombine(seed, static_cast<std::size_t>(key.design));
     hashCombine(seed, key.p);
     hashCombine(seed, key.shard.numRanks);
-    hashCombine(seed, static_cast<std::size_t>(key.shard.strategy));
     hashCombine(seed, key.shard.align);
     hashCombine(seed, static_cast<std::size_t>(key.instances));
     hashCombine(seed, key.homeRank);
@@ -393,7 +392,7 @@ ResidencyManager::spillLocked(KvEntry& victim, SpillCost& spill)
     LOCALUT_ASSERT(stats_.kvResidentBytes >= raw,
                    "KV resident-byte counter underflow");
     stats_.kvResidentBytes -= raw;
-    const double seconds = kvTransferSeconds(static_cast<double>(raw));
+    const double seconds = broadcastSeconds(raw);
     const double joules =
         profile_.pjPerBroadcastByte * static_cast<double>(raw) * 1e-12;
     spill.bytes += static_cast<double>(raw);
@@ -409,7 +408,7 @@ ResidencyManager::scoreKvLocked(const KvEntry& entry) const
     // Spilling costs the PIM -> host writeback now plus the host -> PIM
     // refill the stream's next decode step must pay — a round trip of
     // the whole context.
-    return 2.0 * kvTransferSeconds(static_cast<double>(entry.rawBytes()));
+    return 2.0 * broadcastSeconds(entry.rawBytes());
 }
 
 std::uint64_t
@@ -420,16 +419,6 @@ ResidencyManager::kvFootprint(std::uint64_t rawBytes) const
     // divides by the unit count.
     const std::uint64_t units = std::max(1u, profile_.unitsPerRank);
     return (rawBytes + units - 1) / units;
-}
-
-double
-ResidencyManager::kvTransferSeconds(double rawBytes) const
-{
-    if (rawBytes <= 0) {
-        return 0.0;
-    }
-    return profile_.broadcastLatencyUs * 1e-6 +
-           rawBytes / (profile_.broadcastGBs * 1e9);
 }
 
 KvCharge
@@ -529,7 +518,7 @@ ResidencyManager::acquireKv(std::uint64_t stream, unsigned rank,
     KvCharge charge;
     charge.refill = !wasResident && oldRaw > 0;
     charge.appendBytes = static_cast<double>(moveRaw);
-    charge.appendSeconds = kvTransferSeconds(charge.appendBytes);
+    charge.appendSeconds = broadcastSeconds(moveRaw);
     charge.spillBytes = spill.bytes;
     charge.spillSeconds = spill.seconds;
     charge.joules =

@@ -316,10 +316,11 @@ class ResidencyManager
     bool isResident(const TableSetKey& key) const;
 
     /**
-     * The modeled host -> PIM broadcast seconds of moving @p bytes of
-     * tables: one launch plus the bytes over the rank-parallel
-     * broadcast link.  Every miss is charged exactly this, and the
-     * scheduler's cold-start projection calls it per candidate rank.
+     * The modeled seconds of moving @p bytes between host and PIM: one
+     * launch plus the bytes over the rank-parallel broadcast link (0
+     * for no bytes).  Every table miss is charged exactly this, as is
+     * every KV append, spill and refill, and the scheduler's cold-start
+     * projection calls it per candidate rank.
      */
     double broadcastSeconds(std::uint64_t bytes) const;
 
@@ -426,8 +427,6 @@ class ResidencyManager
     double scoreKvLocked(const KvEntry& entry) const;
     /** Per-unit footprint of @p rawBytes interleaved across a rank. */
     std::uint64_t kvFootprint(std::uint64_t rawBytes) const;
-    /** Modeled seconds of moving @p rawBytes of KV over the host link. */
-    double kvTransferSeconds(double rawBytes) const;
 
     BackendPtr backend_;
     MemoryProfile profile_;

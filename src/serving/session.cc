@@ -326,7 +326,7 @@ InferenceSession::settle(Request& request, bool gang)
 {
     FaultInjector* const inj = options_.faultInjector;
     const FaultPolicy& policy = options_.faultPolicy;
-    ShardSpec spec{options_.numRanks, ShardStrategy::ColumnParallel, 1};
+    ShardSpec spec{options_.numRanks, 1};
     std::vector<unsigned> survivors;
     bool reshard = false;
     if (gang && inj != nullptr) {
@@ -348,12 +348,11 @@ InferenceSession::settle(Request& request, bool gang)
             inj->noteFailover();
             // Re-shard over the survivor set: the survivor-count cut is
             // memoized like any other, the shards are remapped onto the
-            // live ranks below, and the column/row reductions are exact
-            // at any cut, so results stay bit-identical to healthy runs.
+            // live ranks below, and the all-gather is exact at any cut,
+            // so results stay bit-identical to healthy runs.
             // One survivor leaves nothing to cut: serve the request
             // whole on it (bit-exact by the numRanks = 1 equivalence).
-            spec = ShardSpec{static_cast<unsigned>(survivors.size()),
-                             ShardStrategy::ColumnParallel, 1};
+            spec = ShardSpec{static_cast<unsigned>(survivors.size()), 1};
             if (survivors.size() == 1) {
                 request.homeRank = survivors.front();
                 gang = false;
@@ -459,8 +458,7 @@ InferenceSession::compileWith(const WorkloadSpec& spec,
             // Tensor-parallel column cut across every rank, aligned to
             // the GEMM's row grouping — attention heads for QKV
             // (head-parallel), 1 elsewhere.
-            const ShardSpec shard{numRanks, ShardStrategy::ColumnParallel,
-                                  gemm.rowAlign};
+            const ShardSpec shard{numRanks, gemm.rowAlign};
             workload.shardedNodes.push_back(
                 {gemm, cache_.shardPlanFor(*backend_, problem, design,
                                            shard, overrides)});
@@ -613,7 +611,7 @@ InferenceSession::runGang(Request& request)
         runShard(request, static_cast<unsigned>(i));
     };
     runTileBatch(request.shardPlan.shards.size(), shard);
-    request.result = reduceShardResults(*backend_, request.shardPlan,
+    request.result = reduceShardResults(request.shardPlan,
                                         std::move(request.shardResults));
     request.residency.apply(request.result.timing, request.result.energy,
                             &request.result.cost);

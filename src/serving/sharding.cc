@@ -10,66 +10,32 @@
 
 namespace localut {
 
-const char*
-shardStrategyName(ShardStrategy strategy)
-{
-    switch (strategy) {
-      case ShardStrategy::ColumnParallel: return "column-parallel";
-      case ShardStrategy::RowParallel:    return "row-parallel";
-    }
-    LOCALUT_PANIC("invalid shard strategy");
-}
-
 namespace {
 
 /** Output elements are int32 (integer configs) or fp32: 4 bytes both. */
 constexpr double kOutBytes = 4.0;
 
 /**
- * Charges the RowParallel host partial-sum reduce of @p plan.  The one
- * derivation shared by planning (ShardPlan::hostReduceSeconds),
- * reduceShardResults() (which folds it into the result), and
- * priceShardedWorkloadGemms() (which classifies the same seconds into
- * the report's host share).
- */
-void
-chargeHostReduce(const Backend& backend, const ShardPlan& plan,
-                 TimingReport& timing, EnergyReport& energy)
-{
-    backend.chargeHostOps(plan.hostReduceOps, timing, energy);
-}
-
-/**
- * Charges the reduction collective of @p plan (> 1 shard only): every
+ * Charges the all-gather collective of @p plan (> 1 shard only): every
  * rank drains its slice out of its banks while the host link moves the
- * aggregate (collectiveHopCost), and RowParallel adds shards - 1
- * partials per output element on the host.  Golden-pinned against the
- * closed form in test_golden_costs.
+ * aggregate (collectiveHopCost).  Golden-pinned against the closed form
+ * in test_golden_costs.
  */
 void
 chargeCollective(const Backend& backend, ShardPlan& plan)
 {
-    const std::size_t shards = plan.shards.size();
-    if (shards <= 1) {
+    if (plan.shards.size() <= 1) {
         return;
     }
     const CollectiveLinkProfile prof = backend.collectiveProfile();
-    const double outElems =
-        static_cast<double>(plan.m) * static_cast<double>(plan.n);
-    const bool rowPar = plan.spec.strategy == ShardStrategy::RowParallel;
 
     double perRankBytes = 0; // the largest single rank's contribution
     double totalBytes = 0;   // moved rank -> host, summed over ranks
     for (const GemmShard& shard : plan.shards) {
-        const double bytes =
-            rowPar ? outElems * kOutBytes
-                   : static_cast<double>(shard.extent()) *
-                         static_cast<double>(plan.n) * kOutBytes;
+        const double bytes = static_cast<double>(shard.extent()) *
+                             static_cast<double>(plan.n) * kOutBytes;
         perRankBytes = std::max(perRankBytes, bytes);
         totalBytes += bytes;
-    }
-    if (rowPar) {
-        plan.hostReduceOps = static_cast<double>(shards - 1) * outElems;
     }
 
     // Ranks drain concurrently and the host link serializes the
@@ -81,12 +47,6 @@ chargeCollective(const Backend& backend, ShardPlan& plan)
     plan.collectiveBytes = totalBytes;
     plan.collectiveSeconds = cost.seconds;
     plan.collectiveJoules = cost.joules;
-    if (plan.hostReduceOps > 0) {
-        TimingReport reduceTiming;
-        EnergyReport reduceEnergy;
-        chargeHostReduce(backend, plan, reduceTiming, reduceEnergy);
-        plan.hostReduceSeconds = reduceTiming.total;
-    }
 }
 
 } // namespace
@@ -97,6 +57,7 @@ makeShardPlan(const Backend& backend, const GemmProblem& problem,
               const PlanOverrides& overrides, PlanCache* cache)
 {
     LOCALUT_REQUIRE(spec.numRanks >= 1, "a shard plan needs >= 1 rank");
+    requireOperandShapes(problem);
     ShardPlan plan;
     plan.spec = spec;
     plan.design = design;
@@ -105,30 +66,17 @@ makeShardPlan(const Backend& backend, const GemmProblem& problem,
     plan.k = problem.k();
     plan.n = problem.n();
 
-    const bool rowPar = spec.strategy == ShardStrategy::RowParallel;
-    const bool isInt = plan.config.weightCodec.isInteger() &&
-                       plan.config.actCodec.isInteger();
-    LOCALUT_REQUIRE(!rowPar || !spec.sharded() || isInt,
-                    "row-parallel sharding reduces partial sums, which is "
-                    "bit-exact only for integer configs (got ",
-                    plan.config.name(), ")");
-
-    // Cut the shard axis into numRanks contiguous, alignment-respecting
-    // slices (ceil split: the tail shard may be shorter or absent when
-    // the axis is small).
-    const std::size_t axis = rowPar ? plan.k : plan.m;
+    // Cut M into numRanks contiguous, alignment-respecting slices (ceil
+    // split: the tail shard may be shorter or absent when M is small).
     const std::size_t align = std::max<std::size_t>(1, spec.align);
-    const std::size_t groups = ceilDiv(axis, align);
+    const std::size_t groups = ceilDiv(plan.m, align);
     const std::size_t step =
         ceilDiv(groups, static_cast<std::size_t>(spec.numRanks)) * align;
-    for (unsigned r = 0; static_cast<std::size_t>(r) * step < axis; ++r) {
+    for (unsigned r = 0; static_cast<std::size_t>(r) * step < plan.m; ++r) {
         const std::size_t begin = static_cast<std::size_t>(r) * step;
-        const std::size_t end = std::min(axis, begin + step);
+        const std::size_t end = std::min(plan.m, begin + step);
         const GemmProblem slice =
-            rowPar ? makeShapeOnlyProblem(plan.m, end - begin, plan.n,
-                                          plan.config)
-                   : makeShapeOnlyProblem(end - begin, plan.k, plan.n,
-                                          plan.config);
+            makeShapeOnlyProblem(end - begin, plan.k, plan.n, plan.config);
         GemmPlan subPlan =
             cache ? cache->shardSubPlanFor(backend, slice, design,
                                            overrides)
@@ -136,8 +84,8 @@ makeShardPlan(const Backend& backend, const GemmProblem& problem,
         plan.shards.push_back({r, begin, end, std::move(subPlan)});
     }
     LOCALUT_ASSERT(!plan.shards.empty() &&
-                       plan.shards.back().end == axis,
-                   "shard partition does not cover the axis");
+                       plan.shards.back().end == plan.m,
+                   "shard partition does not cover M");
     chargeCollective(backend, plan);
     return plan;
 }
@@ -154,57 +102,25 @@ shardProblem(const GemmProblem& problem, const ShardPlan& plan,
     const GemmShard& shard = plan.shards[shardIndex];
     const std::size_t lo = shard.begin, hi = shard.end;
 
+    // W rows [lo, hi) (row-major: contiguous); all of A.
     GemmProblem sub;
-    if (plan.spec.strategy == ShardStrategy::ColumnParallel) {
-        // W rows [lo, hi) (row-major: contiguous); all of A.
-        sub.w.rows = hi - lo;
-        sub.w.cols = problem.w.cols;
-        sub.w.codec = problem.w.codec;
-        sub.w.scale = problem.w.scale;
-        if (!problem.w.codes.empty()) {
-            sub.w.codes.assign(
-                problem.w.codes.begin() +
-                    static_cast<std::ptrdiff_t>(lo * problem.w.cols),
-                problem.w.codes.begin() +
-                    static_cast<std::ptrdiff_t>(hi * problem.w.cols));
-        }
-        sub.a = problem.a;
-    } else {
-        // W columns [lo, hi) (strided rows); A rows [lo, hi) (contiguous).
-        sub.w.rows = problem.w.rows;
-        sub.w.cols = hi - lo;
-        sub.w.codec = problem.w.codec;
-        sub.w.scale = problem.w.scale;
-        if (!problem.w.codes.empty()) {
-            sub.w.codes.reserve(sub.w.rows * sub.w.cols);
-            for (std::size_t r = 0; r < problem.w.rows; ++r) {
-                const auto row = problem.w.codes.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     r * problem.w.cols);
-                sub.w.codes.insert(
-                    sub.w.codes.end(),
-                    row + static_cast<std::ptrdiff_t>(lo),
-                    row + static_cast<std::ptrdiff_t>(hi));
-            }
-        }
-        sub.a.rows = hi - lo;
-        sub.a.cols = problem.a.cols;
-        sub.a.codec = problem.a.codec;
-        sub.a.scale = problem.a.scale;
-        if (!problem.a.codes.empty()) {
-            sub.a.codes.assign(
-                problem.a.codes.begin() +
-                    static_cast<std::ptrdiff_t>(lo * problem.a.cols),
-                problem.a.codes.begin() +
-                    static_cast<std::ptrdiff_t>(hi * problem.a.cols));
-        }
+    sub.w.rows = hi - lo;
+    sub.w.cols = problem.w.cols;
+    sub.w.codec = problem.w.codec;
+    sub.w.scale = problem.w.scale;
+    if (!problem.w.codes.empty()) {
+        sub.w.codes.assign(
+            problem.w.codes.begin() +
+                static_cast<std::ptrdiff_t>(lo * problem.w.cols),
+            problem.w.codes.begin() +
+                static_cast<std::ptrdiff_t>(hi * problem.w.cols));
     }
+    sub.a = problem.a;
     return sub;
 }
 
 GemmResult
-reduceShardResults(const Backend& backend, const ShardPlan& plan,
-                   std::vector<GemmResult> parts)
+reduceShardResults(const ShardPlan& plan, std::vector<GemmResult> parts)
 {
     LOCALUT_REQUIRE(parts.size() == plan.shards.size(),
                     "need one result per shard");
@@ -228,9 +144,7 @@ reduceShardResults(const Backend& backend, const ShardPlan& plan,
     const bool hasInt = !parts[critical].outInt.empty();
     const bool hasFloat = !parts[critical].outFloat.empty();
     if (parts.size() == 1) {
-        // A single shard covers the whole output under either strategy
-        // (this is also the one RowParallel case that is legal for
-        // float configs: nothing needs summing).
+        // A single shard covers the whole output.
         out.outInt = std::move(parts[0].outInt);
         out.outFloat = std::move(parts[0].outFloat);
     } else if (hasInt || hasFloat) {
@@ -241,27 +155,15 @@ reduceShardResults(const Backend& backend, const ShardPlan& plan,
             out.outFloat.assign(elems, 0.0f);
         }
         for (std::size_t i = 0; i < parts.size(); ++i) {
-            const GemmShard& shard = plan.shards[i];
-            if (plan.spec.strategy == ShardStrategy::ColumnParallel) {
-                const std::size_t offset = shard.begin * plan.n;
-                if (hasInt) {
-                    std::copy(parts[i].outInt.begin(),
-                              parts[i].outInt.end(),
-                              out.outInt.begin() +
-                                  static_cast<std::ptrdiff_t>(offset));
-                } else {
-                    std::copy(parts[i].outFloat.begin(),
-                              parts[i].outFloat.end(),
-                              out.outFloat.begin() +
-                                  static_cast<std::ptrdiff_t>(offset));
-                }
+            const std::ptrdiff_t offset =
+                static_cast<std::ptrdiff_t>(plan.shards[i].begin * plan.n);
+            if (hasInt) {
+                std::copy(parts[i].outInt.begin(), parts[i].outInt.end(),
+                          out.outInt.begin() + offset);
             } else {
-                LOCALUT_ASSERT(hasInt, "row-parallel reduce is int-only");
-                LOCALUT_ASSERT(parts[i].outInt.size() == elems,
-                               "row-parallel partial has wrong shape");
-                for (std::size_t e = 0; e < elems; ++e) {
-                    out.outInt[e] += parts[i].outInt[e];
-                }
+                std::copy(parts[i].outFloat.begin(),
+                          parts[i].outFloat.end(),
+                          out.outFloat.begin() + offset);
             }
         }
     }
@@ -274,14 +176,6 @@ reduceShardResults(const Backend& backend, const ShardPlan& plan,
         out.energy.total += plan.collectiveJoules;
         out.energy.joules.add("link.collective", plan.collectiveJoules);
         out.cost.addLinkBytes(Phase::LinkOut, plan.collectiveBytes);
-    }
-    if (plan.hostReduceOps > 0) {
-        TimingReport reduceTiming;
-        EnergyReport reduceEnergy;
-        chargeHostReduce(backend, plan, reduceTiming, reduceEnergy);
-        accumulate(out.timing, reduceTiming);
-        accumulate(out.energy, reduceEnergy);
-        out.cost.addHostOps(Phase::HostOther, plan.hostReduceOps);
     }
     return out;
 }
@@ -314,7 +208,7 @@ executeSharded(const Backend& backend, const GemmProblem& problem,
         parts.push_back(backend.execute(slice, plan.shards[i].plan,
                                         shardOptions));
     }
-    return reduceShardResults(backend, plan, std::move(parts));
+    return reduceShardResults(plan, std::move(parts));
 }
 
 InferenceReport
@@ -330,21 +224,10 @@ priceShardedWorkloadGemms(const Backend& backend,
                                             /*computeValues=*/false);
         accumulate(report.timing, r.timing, node.gemm.count);
         accumulate(report.energy, r.energy, node.gemm.count);
-        // The node's end-to-end time contains the collective and (for
-        // RowParallel) the host partial-sum reduce; classify those into
-        // their own report shares so gemm + host + collective == total.
-        double reduceSeconds = 0;
-        if (node.plan.hostReduceOps > 0) {
-            TimingReport reduceTiming;
-            EnergyReport reduceEnergy;
-            chargeHostReduce(backend, node.plan, reduceTiming,
-                             reduceEnergy);
-            reduceSeconds = reduceTiming.total;
-        }
+        // The node's end-to-end time contains the collective; classify it
+        // into its own report share so gemm + host + collective == total.
         report.gemmSeconds +=
-            (r.timing.total - node.plan.collectiveSeconds - reduceSeconds) *
-            node.gemm.count;
-        report.hostOpSeconds += reduceSeconds * node.gemm.count;
+            (r.timing.total - node.plan.collectiveSeconds) * node.gemm.count;
         report.collectiveSeconds +=
             node.plan.collectiveSeconds * node.gemm.count;
     }

@@ -5,28 +5,22 @@
  * @file
  * The sharded execution layer: a ShardPlan partitions one GemmProblem
  * across N logical PIM ranks, so the shards execute concurrently (each on
- * its own rank of the device model) and a deterministic reduction
- * assembles the result:
+ * its own rank of the device model) and a deterministic all-gather
+ * assembles the result.
  *
- *  - ColumnParallel splits the output dimension M (the Megatron-style
- *    column tensor-parallel cut for FFN/QKV weights).  Shard boundaries
- *    respect an alignment, so aligning QKV shards to the attention head
- *    size makes the same cut head-parallel for attention.  The reduction
- *    is an all-gather: ranks contribute disjoint output slices, so the
- *    assembled result is bit-exact against the unsharded execution by
- *    construction.
- *  - RowParallel splits the reduction dimension K; every rank produces a
- *    full MxN partial-sum matrix and the host reduces them in rank order.
- *    Integer partial sums are associative, so this is also bit-exact —
- *    and therefore RowParallel is restricted to integer configurations
- *    (floating-point accumulation order would diverge).
+ * The cut splits the output dimension M (the Megatron-style column
+ * tensor-parallel cut for FFN/QKV weights).  Shard boundaries respect an
+ * alignment, so aligning QKV shards to the attention head size makes the
+ * same cut head-parallel for attention.  Ranks contribute disjoint output
+ * slices, so the assembled result is bit-exact against the unsharded
+ * execution by construction, for integer and floating-point configs
+ * alike.
  *
- * The collective hop (all-gather or reduce) is charged explicitly: each
- * rank drains its slice out of its DRAM banks (dram/timing's
- * collectiveDrainCost) and the host link moves the aggregated bytes; the
- * slower of the two paces the transfer, on top of one bulk-launch
- * latency.  Backends expose their own numbers via
- * Backend::collectiveProfile().
+ * The all-gather hop is charged explicitly: each rank drains its slice
+ * out of its DRAM banks (dram/timing's collectiveDrainCost) and the host
+ * link moves the aggregated bytes; the slower of the two paces the
+ * transfer, on top of one bulk-launch latency.  Backends expose their
+ * own numbers via Backend::collectiveProfile().
  */
 
 #include <cstddef>
@@ -40,19 +34,9 @@ namespace localut {
 
 class PlanCache;
 
-/** How a GEMM is cut across ranks. */
-enum class ShardStrategy {
-    ColumnParallel, ///< split M (output rows); reduction is an all-gather
-    RowParallel,    ///< split K (depth); reduction sums int32 partials
-};
-
-/** Strategy name for reports ("column-parallel" / "row-parallel"). */
-const char* shardStrategyName(ShardStrategy strategy);
-
 /** Everything that determines a sharded cut (part of the PlanKey). */
 struct ShardSpec {
     unsigned numRanks = 1; ///< logical PIM ranks (1 = unsharded)
-    ShardStrategy strategy = ShardStrategy::ColumnParallel;
     /**
      * Shard boundaries land on multiples of this (e.g. the attention
      * head size for QKV projections — head-parallel attention).
@@ -60,25 +44,21 @@ struct ShardSpec {
     std::size_t align = 1;
 
     bool operator==(const ShardSpec&) const = default; ///< field-wise
-
-    /** True when this spec actually cuts the GEMM (> 1 rank). */
-    bool sharded() const { return numRanks > 1; }
 };
 
 /** One rank's slice of a sharded GEMM, bound to its execution plan. */
 struct GemmShard {
     unsigned rank = 0; ///< logical rank this slice executes on
-    /** Row range (ColumnParallel) or depth range (RowParallel). */
-    std::size_t begin = 0, end = 0;
+    std::size_t begin = 0, end = 0; ///< output-row range [begin, end)
     GemmPlan plan; ///< the slice's execution plan
 
-    /** Slice length along the shard axis. */
+    /** Number of output rows in the slice. */
     std::size_t extent() const { return end - begin; }
 };
 
 /**
  * A GemmProblem partitioned across ranks: per-shard plans plus the
- * explicit cost of the reduction collective.  Build via makeShardPlan()
+ * explicit cost of the all-gather collective.  Build via makeShardPlan()
  * (or memoized through PlanCache::shardPlanFor()).
  */
 struct ShardPlan {
@@ -89,12 +69,10 @@ struct ShardPlan {
     std::size_t m = 0, k = 0, n = 0; ///< the whole GEMM's shape
     std::vector<GemmShard> shards; ///< never empty; 1 entry = unsharded
 
-    // Reduction collective (all zero when a single shard covers the GEMM).
+    // All-gather collective (all zero when a single shard covers the GEMM).
     double collectiveBytes = 0;   ///< bytes drained rank -> host
     double collectiveSeconds = 0; ///< modeled rank -> host hop
     double collectiveJoules = 0;  ///< drain + link transfer energy
-    double hostReduceOps = 0;     ///< RowParallel host partial-sum adds
-    double hostReduceSeconds = 0; ///< modeled time of those adds
 };
 
 /**
@@ -102,7 +80,7 @@ struct ShardPlan {
  * plans every shard (through @p cache when given, so repeated shapes
  * reuse sub-plans).  Degenerate dimensions produce fewer shards than
  * ranks; numRanks = 1 reduces to the unsharded plan with zero collective
- * cost.
+ * cost.  Fatals on a malformed or empty problem (requireOperandShapes()).
  */
 ShardPlan makeShardPlan(const Backend& backend, const GemmProblem& problem,
                         DesignPoint design, const ShardSpec& spec,
@@ -110,22 +88,20 @@ ShardPlan makeShardPlan(const Backend& backend, const GemmProblem& problem,
                         PlanCache* cache = nullptr);
 
 /**
- * The sub-problem shard @p shardIndex executes: the W/A slice described
- * by the shard's range (codes are sliced when the problem carries them;
- * shape-only problems stay shape-only).
+ * The sub-problem shard @p shardIndex executes: W rows [begin, end) and
+ * all of A (codes are sliced when the problem carries them; shape-only
+ * problems stay shape-only).
  */
 GemmProblem shardProblem(const GemmProblem& problem, const ShardPlan& plan,
                          unsigned shardIndex);
 
 /**
  * Deterministic reduction of per-shard results (one per shard, in shard
- * order): values are assembled in shard-index order (concatenation for
- * ColumnParallel, int32 partial-sum addition for RowParallel), timing
- * takes the critical (slowest) shard — shards run concurrently on
- * distinct ranks — plus the collective, and energy/event costs sum
- * across ranks.
+ * order): values are concatenated in shard-index order, timing takes the
+ * critical (slowest) shard — shards run concurrently on distinct ranks —
+ * plus the collective, and energy/event costs sum across ranks.
  */
-GemmResult reduceShardResults(const Backend& backend, const ShardPlan& plan,
+GemmResult reduceShardResults(const ShardPlan& plan,
                               std::vector<GemmResult> parts);
 
 /**
@@ -162,8 +138,8 @@ struct ShardedGemm {
  * Sharded counterpart of priceWorkloadGemms(): prices every node's
  * shards (timing-only: workload nodes are shape-only) in node order into
  * an empty report, with no host ops, splitting each node's time into its
- * GEMM, collective and RowParallel host-reduce shares.
- * chargeWorkloadHostOps() completes the report.
+ * GEMM and collective shares.  chargeWorkloadHostOps() completes the
+ * report.
  */
 InferenceReport
 priceShardedWorkloadGemms(const Backend& backend,

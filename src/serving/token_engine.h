@@ -163,8 +163,9 @@ struct TokenEngineOptions {
      * baseline the conversation-trace bench compares against.
      */
     bool continuousBatching = true;
-    /** Concurrent decode streams one rank may hold (also the largest
-     * batch tier); must be >= 1. */
+    /** Concurrent decode streams one rank may hold; must be >= 1.  The
+     * largest decode batch tier is this rounded up to a power of two
+     * (6 streams step at tier 8). */
     unsigned maxStreamsPerRank = 8;
     /** KV-cache quantization (bits per stored K/V value). */
     unsigned kvBitsPerValue = 16;
@@ -220,8 +221,9 @@ class TokenEngine
     struct Stream;
     struct RankState;
 
-    /** Largest power-of-two batch tier <= maxStreamsPerRank covering
-     * @p active streams (padding up, so every stream steps). */
+    /** Smallest power of two >= @p active, uncapped: the batch tier
+     * @p active decode streams pad up to (so every stream steps), and
+     * the length tier a prompt of @p active tokens pads up to. */
     unsigned tierFor(unsigned active) const;
     const InferenceSession::CompiledWorkload& decodeGraph(unsigned tier);
     const InferenceSession::CompiledWorkload&

@@ -138,50 +138,35 @@ TEST(GoldenCosts, SingleNodeCollectiveMatchesFlatClosedForm)
     const GemmProblem problem = makeShapeOnlyProblem(768, 768, 32, cfg);
     const CollectiveLinkProfile prof = backend->collectiveProfile();
 
-    for (const ShardStrategy strategy :
-         {ShardStrategy::ColumnParallel, ShardStrategy::RowParallel}) {
-        for (const unsigned ranks : {2u, 4u}) {
-            SCOPED_TRACE(std::string(shardStrategyName(strategy)) +
-                         " ranks=" + std::to_string(ranks));
-            ShardSpec spec;
-            spec.numRanks = ranks;
-            spec.strategy = strategy;
-            const ShardPlan plan = makeShardPlan(
-                *backend, problem, DesignPoint::LoCaLut, spec);
+    for (const unsigned ranks : {2u, 4u}) {
+        SCOPED_TRACE("ranks=" + std::to_string(ranks));
+        ShardSpec spec;
+        spec.numRanks = ranks;
+        const ShardPlan plan = makeShardPlan(
+            *backend, problem, DesignPoint::LoCaLut, spec);
 
-            // The flat model: per-shard drained bytes are the output
-            // slice (ColumnParallel) or a full MxN partial (RowParallel).
-            const double outElems = 768.0 * 32.0;
-            double perRank = 0, total = 0;
-            for (const GemmShard& shard : plan.shards) {
-                const double bytes =
-                    strategy == ShardStrategy::RowParallel
-                        ? outElems * 4.0
-                        : static_cast<double>(shard.extent()) * 32.0 * 4.0;
-                perRank = std::max(perRank, bytes);
-                total += bytes;
-            }
-            const CollectiveCost drainPace = collectiveDrainCost(
-                prof.dram, prof.dramEnergy, prof.banksPerRank, perRank);
-            const CollectiveCost drainAll = collectiveDrainCost(
-                prof.dram, prof.dramEnergy, prof.banksPerRank, total);
-            const double seconds =
-                prof.link.launchLatencyUs * 1e-6 +
-                std::max(drainPace.seconds,
-                         total / (prof.link.pimToHostGBs * 1e9));
-            const double joules =
-                drainAll.joules + prof.pjPerLinkByte * total * 1e-12;
-
-            EXPECT_DOUBLE_EQ(plan.collectiveBytes, total);
-            EXPECT_DOUBLE_EQ(plan.collectiveSeconds, seconds);
-            EXPECT_DOUBLE_EQ(plan.collectiveJoules, joules);
-            if (strategy == ShardStrategy::RowParallel) {
-                // Flat reduce: shards-1 partial-sum adds over the output.
-                EXPECT_DOUBLE_EQ(
-                    plan.hostReduceOps,
-                    static_cast<double>(plan.shards.size() - 1) * outElems);
-            }
+        // The flat model: per-shard drained bytes are the output slice.
+        double perRank = 0, total = 0;
+        for (const GemmShard& shard : plan.shards) {
+            const double bytes =
+                static_cast<double>(shard.extent()) * 32.0 * 4.0;
+            perRank = std::max(perRank, bytes);
+            total += bytes;
         }
+        const CollectiveCost drainPace = collectiveDrainCost(
+            prof.dram, prof.dramEnergy, prof.banksPerRank, perRank);
+        const CollectiveCost drainAll = collectiveDrainCost(
+            prof.dram, prof.dramEnergy, prof.banksPerRank, total);
+        const double seconds =
+            prof.link.launchLatencyUs * 1e-6 +
+            std::max(drainPace.seconds,
+                     total / (prof.link.pimToHostGBs * 1e9));
+        const double joules =
+            drainAll.joules + prof.pjPerLinkByte * total * 1e-12;
+
+        EXPECT_DOUBLE_EQ(plan.collectiveBytes, total);
+        EXPECT_DOUBLE_EQ(plan.collectiveSeconds, seconds);
+        EXPECT_DOUBLE_EQ(plan.collectiveJoules, joules);
     }
 }
 

@@ -4,8 +4,7 @@
  * parity invariant: ~200 randomized GemmProblem shapes x quantization
  * configs execute on the upmem, bankpim, host-cpu, and upmem-sim
  * backends (upmem-sim changes DPU timing only, never numerics), sharded
- * (num_ranks in {2, 4, 8, 16}, both strategies) and
- * unsharded, asserting
+ * (num_ranks in {2, 4, 8, 16}) and unsharded, asserting
  *
  *  - bit-exact functional outputs everywhere (the reference is
  *    referenceGemmInt on the raw codes), and
@@ -41,7 +40,6 @@ struct FuzzCase {
                        ValueCodec::signedBinary()};
     std::string backend;
     unsigned ranks;
-    ShardStrategy strategy;
     std::uint64_t seed;
 
     std::string
@@ -49,8 +47,7 @@ struct FuzzCase {
     {
         return "m=" + std::to_string(m) + " k=" + std::to_string(k) +
                " n=" + std::to_string(n) + " " + config.name() + " " +
-               backend + " ranks=" + std::to_string(ranks) + " " +
-               shardStrategyName(strategy);
+               backend + " ranks=" + std::to_string(ranks);
     }
 };
 
@@ -73,11 +70,9 @@ drawCases(std::size_t count)
         c.ranks = rankChoices[rng.nextBounded(3)];
         // Half the cases double the cut (up to 16 ranks).
         c.ranks *= 1 + rng.nextBounded(2);
-        // Row-parallel on a minority of the integer cases; k >= 2 keeps
-        // the cut non-degenerate.
-        c.strategy = rng.nextBounded(4) == 0
-                         ? ShardStrategy::RowParallel
-                         : ShardStrategy::ColumnParallel;
+        // An unused draw, kept so the stream does not shift: each case
+        // index still names the same shape, config, backend and ranks.
+        (void)rng.nextBounded(4);
         c.seed = 1000 + i;
         cases.push_back(c);
     }
@@ -109,7 +104,6 @@ TEST(ParityFuzz, ShardedMatchesUnshardedAcrossBackends)
         // wider cut never reorders any element's accumulation).
         ShardSpec spec;
         spec.numRanks = c.ranks;
-        spec.strategy = c.strategy;
         const ShardPlan plan = cache.shardPlanFor(
             *backend, problem, DesignPoint::LoCaLut, spec);
         const GemmResult sharded = executeSharded(*backend, problem, plan);

@@ -203,19 +203,17 @@ TEST(PlanCache, ShardConfigIsPartOfTheKey)
     four.numRanks = 4;
     ShardSpec fourAligned = four;
     fourAligned.align = 64;
-    ShardSpec fourRow = four;
-    fourRow.strategy = ShardStrategy::RowParallel;
 
     cache.shardPlanFor(*backend, problem, DesignPoint::LoCaLut, two);
     cache.shardPlanFor(*backend, problem, DesignPoint::LoCaLut, four);
     cache.shardPlanFor(*backend, problem, DesignPoint::LoCaLut,
                        fourAligned);
-    cache.shardPlanFor(*backend, problem, DesignPoint::LoCaLut, fourRow);
     const auto cold = cache.stats();
 
     // Re-lookups of each distinct shard config hit.
     cache.shardPlanFor(*backend, problem, DesignPoint::LoCaLut, two);
-    cache.shardPlanFor(*backend, problem, DesignPoint::LoCaLut, fourRow);
+    cache.shardPlanFor(*backend, problem, DesignPoint::LoCaLut,
+                       fourAligned);
     EXPECT_EQ(cache.stats().misses, cold.misses);
     EXPECT_EQ(cache.stats().hits, cold.hits + 2);
 }

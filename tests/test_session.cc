@@ -20,6 +20,7 @@
 #include "common/logging.h"
 #include "nn/inference.h"
 #include "serving/session.h"
+#include "serving/sharding.h"
 
 namespace localut {
 namespace {
@@ -336,6 +337,16 @@ malformedProbes(const GemmProblem& good)
             {"weight code at cardinality", hotWeight}};
 }
 
+/** Shape-only problems with one of M, K, N zero. */
+std::vector<GemmProblem>
+emptyProbes()
+{
+    const QuantConfig cfg = QuantConfig::preset("W4A4");
+    return {makeShapeOnlyProblem(0, 64, 8, cfg),
+            makeShapeOnlyProblem(64, 0, 8, cfg),
+            makeShapeOnlyProblem(64, 64, 0, cfg)};
+}
+
 TEST(MalformedInput, EveryBackendRejectsItAsUserError)
 {
     const GemmProblem good = wellFormedProbe();
@@ -352,6 +363,19 @@ TEST(MalformedInput, EveryBackendRejectsItAsUserError)
         EXPECT_EQ(backend->execute(good, plan, /*computeValues=*/true).outInt,
                   ref)
             << name;
+        // An empty GEMM is rejected at plan time, before any partition
+        // divides by its zero dimension, whole or cut across ranks.
+        for (const GemmProblem& empty : emptyProbes()) {
+            EXPECT_THROW(backend->plan(empty, DesignPoint::LoCaLut),
+                         FatalError)
+                << name << ": " << empty.m() << "x" << empty.k() << "x"
+                << empty.n();
+            EXPECT_THROW(makeShardPlan(*backend, empty, DesignPoint::LoCaLut,
+                                       ShardSpec{4, 1}),
+                         FatalError)
+                << name << ": " << empty.m() << "x" << empty.k() << "x"
+                << empty.n() << " on 4 ranks";
+        }
     }
 }
 
@@ -363,13 +387,20 @@ TEST(MalformedInput, SessionRejectsItAtSubmitOrWait)
     const GemmProblem good = wellFormedProbe();
     const auto probes = malformedProbes(good);
 
-    // Short codes never reach a shard slice: submit() rejects them,
-    // sharded (rank -1) or pinned.
+    // Short codes and empty shapes never reach a shard slice or a
+    // planner: submit() rejects them, sharded (rank -1) or pinned.
     for (const int rank : {-1, 2}) {
         EXPECT_THROW(session.submit(probes[0].second, DesignPoint::LoCaLut,
                                     true, {}, SubmitOptions{rank}),
                      FatalError)
             << rank;
+        for (const GemmProblem& empty : emptyProbes()) {
+            EXPECT_THROW(session.submit(empty, DesignPoint::LoCaLut, false,
+                                        {}, SubmitOptions{rank}),
+                         FatalError)
+                << empty.m() << "x" << empty.k() << "x" << empty.n()
+                << ", rank " << rank;
+        }
     }
     // Out-of-range codes are found by the functional pass; the error
     // surfaces at wait().

@@ -2,12 +2,12 @@
  * @file
  * Sharded execution layer tests: ShardPlan partitioning (coverage,
  * alignment / head-parallel boundaries, degenerate axes), bit-exact
- * parity of sharded vs unsharded execution for both strategies, the
- * collective cost model (non-negative, monotone, absent at one rank),
- * the sharded InferenceSession path (shards run as one tile batch,
- * deterministic reduction and error), and the acceptance criterion of
- * sharding: the fig10 OPT decode workload is faster sharded across 4
- * ranks than unsharded.
+ * parity of sharded vs unsharded execution for integer and float
+ * configs, the collective cost model (non-negative, monotone, absent at
+ * one rank), the sharded InferenceSession path (shards run as one tile
+ * batch, deterministic reduction and error), and the acceptance
+ * criterion of sharding: the fig10 OPT decode workload is faster
+ * sharded across 4 ranks than unsharded.
  */
 
 #include <gtest/gtest.h>
@@ -112,50 +112,63 @@ TEST(ShardPlan, ColumnParallelIsBitExactOnEveryBackend)
     }
 }
 
-TEST(ShardPlan, RowParallelReducesBitExactly)
+/** Both cuts the layer offers, the plain column cut and the
+ * head-parallel one (boundaries on a 24-row head size, so the slices
+ * differ from the plain cut at every rank count), reproduce the
+ * unsharded output. */
+TEST(ShardPlan, BothStrategiesStayBitExactAcrossRankCounts)
 {
-    const BackendPtr backend = makeBackend("upmem");
-    const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmProblem problem = makeRandomProblem(32, 96, 8, cfg, 13);
+    const QuantConfig cfg = QuantConfig::preset("W2A2");
+    const GemmProblem problem = makeRandomProblem(64, 64, 8, cfg, 91);
     const auto reference = referenceGemmInt(problem.w, problem.a);
 
-    ShardSpec spec;
-    spec.numRanks = 4;
-    spec.strategy = ShardStrategy::RowParallel;
-    const ShardPlan plan =
-        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, spec);
-    ASSERT_EQ(plan.shards.size(), 4u);
-    EXPECT_EQ(plan.shards.back().end, 96u); // K axis, not M
-    EXPECT_GT(plan.hostReduceOps, 0.0);
-    EXPECT_GT(plan.hostReduceSeconds, 0.0);
-
-    const GemmResult result = executeSharded(*backend, problem, plan);
-    EXPECT_EQ(result.outInt, reference);
+    const BackendPtr backend = makeBackend("upmem");
+    for (const std::size_t align : {std::size_t{1}, std::size_t{24}}) {
+        for (const unsigned ranks : {2u, 4u, 8u}) {
+            ShardSpec spec;
+            spec.numRanks = ranks;
+            spec.align = align;
+            const ShardPlan plan = makeShardPlan(
+                *backend, problem, DesignPoint::LoCaLut, spec);
+            for (const GemmShard& shard : plan.shards)
+                EXPECT_EQ(shard.begin % align, 0u)
+                    << "align=" << align << " ranks=" << ranks;
+            const GemmResult result =
+                executeSharded(*backend, problem, plan);
+            EXPECT_EQ(result.outInt, reference)
+                << "align=" << align << " ranks=" << ranks;
+        }
+    }
 }
 
-TEST(ShardPlan, RowParallelRejectsFloatConfigs)
+/** The all-gather concatenates fp32 slices too: a float config cut
+ * across ranks, sequentially and as a session gang, reproduces the
+ * unsharded values exactly. */
+TEST(ShardPlan, FloatConfigsGatherBitExactly)
 {
     const BackendPtr backend = makeBackend("upmem");
     const QuantConfig cfg = QuantConfig::fpPreset(1, 8);
-    const GemmProblem problem = makeShapeOnlyProblem(32, 64, 8, cfg);
-    ShardSpec spec;
-    spec.numRanks = 2;
-    spec.strategy = ShardStrategy::RowParallel;
-    EXPECT_THROW(
-        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, spec),
-        std::runtime_error);
+    const GemmProblem problem =
+        makeRandomProblem(40, 32, 4, cfg, /*seed=*/17);
+    const auto reference = referenceGemmFloat(problem.w, problem.a);
 
-    // A single rank needs no summation, so the float restriction does
-    // not apply and the functional pass must survive the reduce.
-    ShardSpec single = spec;
-    single.numRanks = 1;
-    const GemmProblem withValues =
-        makeRandomProblem(16, 32, 4, cfg, /*seed=*/17);
-    const ShardPlan plan = makeShardPlan(*backend, withValues,
-                                         DesignPoint::LoCaLut, single);
-    const GemmResult result = executeSharded(*backend, withValues, plan);
-    EXPECT_EQ(result.outFloat,
-              referenceGemmFloat(withValues.w, withValues.a));
+    for (const unsigned ranks : {1u, 2u, 4u}) {
+        ShardSpec spec;
+        spec.numRanks = ranks;
+        const ShardPlan plan =
+            makeShardPlan(*backend, problem, DesignPoint::LoCaLut, spec);
+        ASSERT_EQ(plan.shards.size(), ranks);
+        EXPECT_EQ(executeSharded(*backend, problem, plan).outFloat,
+                  reference)
+            << "executeSharded ranks=" << ranks;
+
+        SessionOptions options;
+        options.numRanks = ranks;
+        InferenceSession session(backend, options);
+        const GemmResult viaGang = session.wait(session.submit(
+            problem, DesignPoint::LoCaLut, /*computeValues=*/true));
+        EXPECT_EQ(viaGang.outFloat, reference) << "gang ranks=" << ranks;
+    }
 }
 
 TEST(ShardPlan, CollectiveCostIsMonotoneInRanks)
@@ -176,46 +189,6 @@ TEST(ShardPlan, CollectiveCostIsMonotoneInRanks)
         EXPECT_GE(plan.collectiveJoules, 0.0) << ranks;
         prevSeconds = plan.collectiveSeconds;
         prevBytes = plan.collectiveBytes;
-    }
-}
-
-TEST(ShardPlan, RowParallelMovesMoreBytesThanColumnParallel)
-{
-    const BackendPtr backend = makeBackend("upmem");
-    const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmProblem problem = makeShapeOnlyProblem(256, 256, 16, cfg);
-    ShardSpec col;
-    col.numRanks = 4;
-    ShardSpec row = col;
-    row.strategy = ShardStrategy::RowParallel;
-    const ShardPlan colPlan =
-        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, col);
-    const ShardPlan rowPlan =
-        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, row);
-    // Row-parallel gathers one full MxN partial per rank.
-    EXPECT_DOUBLE_EQ(rowPlan.collectiveBytes, 4.0 * colPlan.collectiveBytes);
-}
-
-TEST(ShardPlan, BothStrategiesStayBitExactAcrossRankCounts)
-{
-    const QuantConfig cfg = QuantConfig::preset("W2A2");
-    const GemmProblem problem = makeRandomProblem(64, 64, 8, cfg, 91);
-    const auto reference = referenceGemmInt(problem.w, problem.a);
-
-    const BackendPtr backend = makeBackend("upmem");
-    for (const ShardStrategy strategy :
-         {ShardStrategy::ColumnParallel, ShardStrategy::RowParallel}) {
-        for (const unsigned ranks : {2u, 4u, 8u}) {
-            ShardSpec spec;
-            spec.numRanks = ranks;
-            spec.strategy = strategy;
-            const ShardPlan plan = makeShardPlan(
-                *backend, problem, DesignPoint::LoCaLut, spec);
-            const GemmResult result =
-                executeSharded(*backend, problem, plan);
-            EXPECT_EQ(result.outInt, reference)
-                << shardStrategyName(strategy) << " ranks=" << ranks;
-        }
     }
 }
 
