@@ -67,23 +67,6 @@ TableSetKeyHash::operator()(const TableSetKey& key) const
     return seed;
 }
 
-TableSetKey
-tableSetKeyFor(const GemmPlan& plan, const std::string& scope,
-               double instances, unsigned homeRank)
-{
-    TableSetKey key;
-    key.scope = scope;
-    key.m = plan.m;
-    key.k = plan.k;
-    key.n = plan.n;
-    key.config = plan.config;
-    key.design = plan.design;
-    key.p = std::max(1u, plan.p);
-    key.instances = roundInstances(instances);
-    key.homeRank = homeRank;
-    return key;
-}
-
 std::uint64_t
 tableSetBytes(const GemmPlan& plan)
 {
@@ -103,6 +86,55 @@ tableSetBytes(const GemmPlan& plan)
         return localutBytes(shape);
     }
     LOCALUT_PANIC("invalid design point");
+}
+
+ResolvedTableSet
+resolveTableSet(const GemmPlan& plan, const std::string& scope,
+                double instances)
+{
+    ResolvedTableSet set;
+    set.key = {.scope = scope, .m = plan.m, .k = plan.k, .n = plan.n,
+               .config = plan.config, .design = plan.design,
+               .p = std::max(1u, plan.p), .shard = {},
+               .instances = roundInstances(instances)};
+    const std::uint64_t bytes =
+        satMulU64(tableSetBytes(plan), set.key.instances);
+    set.bytes = lutBytesSaturated(bytes) ? 0 : bytes;
+    return set;
+}
+
+ResolvedTableSet
+resolveTableSet(const ShardPlan& plan, const std::string& scope,
+                double instances, unsigned numRanks)
+{
+    LOCALUT_REQUIRE(numRanks >= 1, "a cut needs at least one rank");
+    ResolvedTableSet set;
+    if (plan.shards.empty()) {
+        return set;
+    }
+    set.key = {.scope = scope, .m = plan.m, .k = plan.k, .n = plan.n,
+               .config = plan.config, .design = plan.design,
+               .p = std::max(1u, plan.shards.front().plan.p),
+               .shard = plan.spec, .instances = roundInstances(instances)};
+    // Coalesce per rank: the wrapped shares of a cut with more shards
+    // than ranks must be budget-checked as one aggregate.
+    std::vector<std::uint64_t> perRank(numRanks, 0);
+    for (const GemmShard& shard : plan.shards) {
+        const std::uint64_t bytes =
+            satMulU64(tableSetBytes(shard.plan), set.key.instances);
+        if (lutBytesSaturated(bytes)) {
+            return set; // unrepresentably large: places nothing
+        }
+        const unsigned rank = shard.rank % numRanks;
+        perRank[rank] = satAddU64(perRank[rank], bytes);
+    }
+    for (unsigned rank = 0; rank < numRanks; ++rank) {
+        if (perRank[rank] > 0) {
+            set.shardBytes.emplace_back(rank, perRank[rank]);
+            set.bytes = satAddU64(set.bytes, perRank[rank]);
+        }
+    }
+    return set;
 }
 
 void
@@ -154,97 +186,28 @@ ResidencyManager::numRanks() const
 }
 
 ResidencyCharge
-ResidencyManager::acquire(const GemmPlan& plan, const std::string& scope,
-                          double instances, unsigned homeRank)
+ResidencyManager::acquire(const ResolvedTableSet& resolved,
+                          unsigned homeRank)
 {
-    const std::uint64_t perCopy = tableSetBytes(plan);
-    if (perCopy == 0) {
-        return {}; // nothing to place; nothing charged
-    }
     LOCALUT_REQUIRE(homeRank < numRanks(), "table-set home rank ",
                     homeRank, " outside the ", numRanks(), "-rank grid");
-    TableSetKey key = tableSetKeyFor(plan, scope, instances, homeRank);
-    const std::uint64_t bytes = satMulU64(perCopy, key.instances);
-    if (lutBytesSaturated(bytes)) {
-        // The real byte count overflowed 64 bits: such a plan is not
-        // physically executable, and charging the sentinel as a size
-        // would report a nonsense multi-year broadcast.  Leave it
-        // untracked (the capacity.h contract: saturated counts must
-        // never enter budget arithmetic).
-        return {};
+    if (resolved.empty()) {
+        return {}; // nothing to place; nothing charged
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    SpillCost spill;
-    return acquireLocked(std::move(key), {{homeRank, bytes}}, spill);
-}
-
-ResidencyCharge
-ResidencyManager::acquire(const ShardPlan& plan, const std::string& scope,
-                          double instances)
-{
-    if (plan.shards.empty()) {
-        return {};
-    }
-    TableSetKey key;
-    key.scope = scope;
-    key.m = plan.m;
-    key.k = plan.k;
-    key.n = plan.n;
-    key.config = plan.config;
-    key.design = plan.design;
-    key.p = std::max(1u, plan.shards.front().plan.p);
-    key.shard = plan.spec;
-    const std::uint64_t inst = roundInstances(instances);
-    key.instances = inst;
-    // Coalesce per rank: when the plan carries more shards than this
-    // manager has ranks, the wrapped entries must be budget-checked as
-    // one aggregate — per-entry checks would admit a rank over budget.
-    std::vector<std::uint64_t> perRank(numRanks(), 0);
-    double total = 0;
-    for (const GemmShard& shard : plan.shards) {
-        const std::uint64_t bytes =
-            satMulU64(tableSetBytes(shard.plan), inst);
-        if (lutBytesSaturated(bytes)) {
-            return {}; // unrepresentably large: untracked (see above)
-        }
-        const unsigned rank = shard.rank % numRanks();
-        perRank[rank] = satAddU64(perRank[rank], bytes);
-        total += static_cast<double>(bytes);
-    }
-    if (total == 0) {
-        return {}; // design without host-built tables
-    }
-    std::vector<std::pair<unsigned, std::uint64_t>> rankBytes;
-    rankBytes.reserve(perRank.size());
-    for (unsigned rank = 0; rank < perRank.size(); ++rank) {
-        if (perRank[rank] > 0) {
-            rankBytes.emplace_back(rank, perRank[rank]);
-        }
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    SpillCost spill;
-    return acquireLocked(std::move(key), std::move(rankBytes), spill);
-}
-
-ResidencyCharge
-ResidencyManager::acquireLocked(
-    TableSetKey key,
-    std::vector<std::pair<unsigned, std::uint64_t>> rankBytes,
-    SpillCost& spill)
-{
     ++clock_;
-    auto [it, inserted] = sets_.try_emplace(std::move(key));
+    auto [it, inserted] = sets_.try_emplace(resolved.keyOn(homeRank));
     TableSet& set = it->second;
     if (inserted) {
-        set.rankBytes = std::move(rankBytes);
+        if (resolved.sharded()) {
+            set.rankBytes = resolved.shardBytes;
+        } else {
+            set.rankBytes = {{homeRank, resolved.bytes}};
+        }
         // One broadcast moves every rank's share over the rank-parallel
         // broadcast link.
-        std::uint64_t bytes = 0;
-        for (const auto& [rank, rankShare] : set.rankBytes) {
-            bytes = satAddU64(bytes, rankShare);
-        }
-        set.broadcastBytes = static_cast<double>(bytes);
-        set.broadcastSeconds = broadcastSeconds(bytes);
+        set.broadcastBytes = static_cast<double>(resolved.bytes);
+        set.broadcastSeconds = broadcastSeconds(resolved.bytes);
         set.broadcastJoules =
             profile_.pjPerBroadcastByte * set.broadcastBytes * 1e-12;
     }
@@ -262,6 +225,7 @@ ResidencyManager::acquireLocked(
     if (set.everResident) {
         ++stats_.rebroadcasts;
     }
+    SpillCost spill;
     if (makeRoomLocked(set, spill)) {
         set.resident = true;
         set.everResident = true;
@@ -610,6 +574,18 @@ ResidencyManager::isResident(const TableSetKey& key) const
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = sets_.find(key);
     return it != sets_.end() && it->second.resident;
+}
+
+double
+ResidencyManager::coldBroadcastSeconds(const ResolvedTableSet& set,
+                                       unsigned homeRank) const
+{
+    LOCALUT_REQUIRE(homeRank < numRanks(), "table-set home rank ",
+                    homeRank, " outside the ", numRanks(), "-rank grid");
+    if (set.empty() || isResident(set.keyOn(homeRank))) {
+        return 0.0;
+    }
+    return broadcastSeconds(set.bytes);
 }
 
 double

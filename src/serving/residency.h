@@ -125,15 +125,43 @@ struct TableSetKeyHash {
 std::uint64_t tableSetBytes(const GemmPlan& plan);
 
 /**
- * The residency identity an unsharded acquire() of @p plan would use
- * (scoped by @p scope, aggregating @p instances per-layer copies, homed
- * on @p homeRank).  Exposed so serving layers — the SLO scheduler's
- * cold-start-aware placement — can reason about table-set identity
- * without mutating the manager.
+ * A plan's table set, resolved once (at compile or submit) from the plan
+ * alone, so acquiring it is a lookup: its identity and its per-unit
+ * bytes (x instances).  Empty when the design builds no host tables or
+ * the size saturated (capacity.h keeps saturated counts out of budgets).
  */
-TableSetKey tableSetKeyFor(const GemmPlan& plan,
-                           const std::string& scope = "",
-                           double instances = 1.0, unsigned homeRank = 0);
+struct ResolvedTableSet {
+    TableSetKey key; ///< identity, homeRank 0 (keyOn() places it)
+    std::uint64_t bytes = 0; ///< broadcast bytes; 0 = nothing to place
+    /** A cut's bytes on each rank it spans; empty for an unsharded set,
+     * which places all of `bytes` on its home rank. */
+    std::vector<std::pair<unsigned, std::uint64_t>> shardBytes;
+
+    bool empty() const { return bytes == 0; } ///< places nothing
+    bool sharded() const { return !shardBytes.empty(); } ///< spans a cut
+
+    /** Identity when acquired from @p homeRank: an unsharded set has
+     * one replica per rank; a cut is the same set from any home. */
+    TableSetKey keyOn(unsigned homeRank) const
+    {
+        TableSetKey placed = key;
+        placed.homeRank = sharded() ? 0 : homeRank;
+        return placed;
+    }
+};
+
+/** The table set of the whole-GEMM @p plan, scoped by @p scope and
+ * aggregating @p instances per-layer copies. */
+ResolvedTableSet resolveTableSet(const GemmPlan& plan,
+                                 const std::string& scope = "",
+                                 double instances = 1.0);
+
+/** The table set of the cut @p plan: each shard's tables land on its
+ * rank, taken modulo @p numRanks (a cut with more shards than ranks
+ * wraps, and its wrapped shares are budgeted as one per rank). */
+ResolvedTableSet resolveTableSet(const ShardPlan& plan,
+                                 const std::string& scope, double instances,
+                                 unsigned numRanks);
 
 /** The cost acquire() charged for one table-set access. */
 struct ResidencyCharge {
@@ -260,24 +288,16 @@ class ResidencyManager
     unsigned numRanks() const;
 
     /**
-     * Ensures the table set of @p plan (scoped by @p scope; @p instances
-     * per-layer copies, e.g. one per transformer layer the owning
-     * workload node aggregates) is resident on rank @p homeRank —
-     * rank 0 by default; the scheduler passes its placement rank so
-     * data-parallel replicas consume their own rank's budget — charging
-     * a broadcast when it is not.  @p homeRank must be below numRanks().
+     * Ensures @p set is resident, charging a broadcast when it is not.
+     * An unsharded set is homed on @p homeRank — the scheduler passes
+     * its placement rank so data-parallel replicas consume their own
+     * rank's budget; a sharded set consumes each of its ranks' budgets,
+     * and its broadcast moves every rank's tables (scatter over the
+     * rank-parallel broadcast link, one launch).  @p homeRank must be
+     * below numRanks(), even for a set that places nothing.
      */
-    ResidencyCharge acquire(const GemmPlan& plan,
-                            const std::string& scope = "",
-                            double instances = 1.0,
+    ResidencyCharge acquire(const ResolvedTableSet& set,
                             unsigned homeRank = 0);
-
-    /** Sharded counterpart: each shard's table set consumes its own
-     * rank's budget; the broadcast moves every rank's tables (scatter
-     * over the rank-parallel broadcast link, one launch). */
-    ResidencyCharge acquire(const ShardPlan& plan,
-                            const std::string& scope = "",
-                            double instances = 1.0);
 
     /**
      * Ensures @p stream's KV-cache — @p layers layers of
@@ -309,18 +329,24 @@ class ResidencyManager
 
     /**
      * True when @p key's table set is currently MRAM-resident.  Const
-     * and side-effect free: no use is counted, nothing is charged — the
-     * query the scheduler's cold-start-aware placement runs per
-     * candidate rank.
+     * and side-effect free: no use is counted, nothing is charged.
      */
     bool isResident(const TableSetKey& key) const;
+
+    /**
+     * The broadcast seconds acquire(@p set, @p homeRank) would charge
+     * if it ran now: 0 when the set places nothing or is resident
+     * there.  Const and side-effect free — the query the scheduler's
+     * cold-start-aware placement runs per candidate rank.
+     */
+    double coldBroadcastSeconds(const ResolvedTableSet& set,
+                                unsigned homeRank) const;
 
     /**
      * The modeled seconds of moving @p bytes between host and PIM: one
      * launch plus the bytes over the rank-parallel broadcast link (0
      * for no bytes).  Every table miss is charged exactly this, as is
-     * every KV append, spill and refill, and the scheduler's cold-start
-     * projection calls it per candidate rank.
+     * every KV append, spill and refill.
      */
     double broadcastSeconds(std::uint64_t bytes) const;
 
@@ -404,11 +430,6 @@ class ResidencyManager
         double joules = 0;  ///< modeled writeback Joules
     };
 
-    ResidencyCharge acquireLocked(TableSetKey key,
-                                  std::vector<std::pair<unsigned,
-                                                        std::uint64_t>>
-                                      rankBytes,
-                                  SpillCost& spill);
     bool makeRoomLocked(const TableSet& incoming, SpillCost& spill);
     /**
      * Frees rank capacity until @p needed more per-unit bytes fit on

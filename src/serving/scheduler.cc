@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/saturate.h"
-#include "lut/capacity.h"
 
 namespace localut {
 
@@ -240,47 +238,29 @@ RequestScheduler::sequenceLocked(double limit)
     pending_ = std::move(open);
 }
 
-void
-RequestScheduler::projectColdStartLocked(
-    const GemmPlan& plan, const std::string& scope, double instances,
-    ServiceProjection& projection) const
-{
-    const ResidencyManager* residency = session_.residency();
-    for (unsigned rank = 0; rank < numRanks_; ++rank) {
-        const TableSetKey key = tableSetKeyFor(plan, scope, instances, rank);
-        const std::uint64_t bytes =
-            satMulU64(tableSetBytes(plan), key.instances);
-        if (bytes == 0 || lutBytesSaturated(bytes) ||
-            residency->isResident(key)) {
-            continue; // warm (or untracked) on this rank
-        }
-        projection.rankBroadcastSeconds[rank] +=
-            residency->broadcastSeconds(bytes);
-    }
-}
-
 RequestScheduler::ServiceProjection
 RequestScheduler::projectServiceLocked(const ServingRequest& request)
 {
     ServiceProjection projection;
-    const bool trackCold = session_.residency() != nullptr;
+    const ResidencyManager* residency = session_.residency();
+    // What each rank would pay now to broadcast @p sets.
+    auto projectCold = [&](const std::vector<ResolvedTableSet>& sets) {
+        projection.rankBroadcastSeconds.assign(numRanks_, 0.0);
+        for (const ResolvedTableSet& set : sets) {
+            for (unsigned rank = 0; rank < numRanks_; ++rank) {
+                projection.rankBroadcastSeconds[rank] +=
+                    residency->coldBroadcastSeconds(set, rank);
+            }
+        }
+    };
 
     if (request.isWorkload) {
         const auto& workload = request.workload;
         const WorkloadCostProjection cost = session_.projectCost(workload);
         projection.steadySeconds = cost.totalSeconds();
         projection.collectiveSeconds = cost.collectiveSeconds;
-        if (trackCold && !workload.sharded()) {
-            const double steps =
-                workload.spec.phase == WorkloadPhase::Decode
-                    ? std::max(1u, workload.spec.steps)
-                    : 1.0;
-            projection.rankBroadcastSeconds.assign(numRanks_, 0.0);
-            for (const auto& node : workload.nodes) {
-                projectColdStartLocked(node.plan, node.gemm.role,
-                                       node.gemm.count / steps,
-                                       projection);
-            }
+        if (residency != nullptr && !workload.sharded()) {
+            projectCold(workload.tableSets);
         }
         return projection;
     }
@@ -303,9 +283,8 @@ RequestScheduler::projectServiceLocked(const ServingRequest& request)
                 .timing.total;
         gemmServiceMemo_.emplace(key, projection.steadySeconds);
     }
-    if (trackCold) {
-        projection.rankBroadcastSeconds.assign(numRanks_, 0.0);
-        projectColdStartLocked(plan, "", 1.0, projection);
+    if (residency != nullptr) {
+        projectCold({resolveTableSet(plan)});
     }
     return projection;
 }
@@ -313,6 +292,12 @@ RequestScheduler::projectServiceLocked(const ServingRequest& request)
 AdmissionDecision
 RequestScheduler::submit(ServingRequest request)
 {
+    // A NaN time fails every comparison, so it would pass the deadline
+    // shed and the arrival clamp below and poison the virtual schedule.
+    LOCALUT_REQUIRE(!std::isnan(request.deadlineSeconds),
+                    "deadline budget is NaN");
+    LOCALUT_REQUIRE(!std::isnan(request.arrivalSeconds),
+                    "arrival time is NaN");
     std::lock_guard<std::mutex> lock(mutex_);
     const double arrival = request.arrivalSeconds < 0
                                ? clock_

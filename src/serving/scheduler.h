@@ -215,7 +215,7 @@ class RequestScheduler
      * execution).  An admitted GEMM is submitted and this returns
      * immediately; an admitted workload (modeled cost only) runs before
      * this returns, and one the session rejects — compiled for another
-     * backend, say — throws here.
+     * backend, say — throws here.  A NaN deadline or arrival fatals.
      */
     AdmissionDecision submit(ServingRequest request);
 
@@ -291,13 +291,9 @@ class RequestScheduler
                    std::vector<double>& freeAt, double limit) const;
     /** Runs the real sequencer up to @p limit, recording samples. */
     void sequenceLocked(double limit);
+    /** Steady service of @p request plus, per rank, the broadcast the
+     * residency manager would charge its table sets there now. */
     ServiceProjection projectServiceLocked(const ServingRequest& request);
-    /** Adds one plan's table-set broadcast to @p projection's per-rank
-     * seconds (skipping ranks where it is resident, and untracked sets). */
-    void projectColdStartLocked(const GemmPlan& plan,
-                                const std::string& scope,
-                                double instances,
-                                ServiceProjection& projection) const;
     void recordStartLocked(const Entry& entry, double start,
                            double completion);
     /** Pushes the injector's counters + capacity gauge to telemetry. */

@@ -287,20 +287,21 @@ InferenceSession::enqueue(std::unique_ptr<Request> request,
     bool gang = submitOptions.rank < 0 && totalRanks() > 1;
     try {
         gang = settle(*raw, gang);
-        if (gang) {
-            if (residency_ != nullptr) {
-                // Each shard's table set consumes its own rank's budget.
-                raw->residency = residency_->acquire(raw->shardPlan);
-            }
-        } else {
+        if (!gang) {
             // Plans are memoized; identical shapes across requests hit
             // the cache.
             raw->plan = cache_.planFor(*backend_, raw->problem, raw->design,
                                        raw->overrides);
-            if (residency_ != nullptr) {
-                raw->residency =
-                    residency_->acquire(raw->plan, "", 1.0, raw->homeRank);
-            }
+        }
+        if (residency_ != nullptr) {
+            // A cut's shards name absolute ranks (a survivor re-shard
+            // remaps them), so its set spans the session's ranks; each
+            // shard's tables consume their own rank's budget.
+            raw->residency = residency_->acquire(
+                gang ? resolveTableSet(raw->shardPlan, "", 1.0,
+                                       totalRanks())
+                     : resolveTableSet(raw->plan),
+                raw->homeRank);
         }
     } catch (...) {
         raw->error = std::current_exception();
@@ -451,6 +452,11 @@ InferenceSession::compileWith(const WorkloadSpec& spec,
     workload.numRanks = numRanks;
     workload.backendName = backend_->name();
     workload.backendFingerprint = backend_->configFingerprint();
+    // count aggregates layers (and decode steps); a table set holds one
+    // copy per layer, so its instances are count / steps.
+    const double steps = spec.phase == WorkloadPhase::Decode
+                             ? std::max(1u, spec.steps)
+                             : 1.0;
     for (const WorkloadGemm& gemm : workloadGemms(spec)) {
         const GemmProblem problem =
             makeShapeOnlyProblem(gemm.m, gemm.k, gemm.n, quant);
@@ -462,10 +468,15 @@ InferenceSession::compileWith(const WorkloadSpec& spec,
             workload.shardedNodes.push_back(
                 {gemm, cache_.shardPlanFor(*backend_, problem, design,
                                            shard, overrides)});
+            workload.tableSets.push_back(
+                resolveTableSet(workload.shardedNodes.back().plan,
+                                gemm.role, gemm.count / steps, numRanks));
         } else {
             workload.nodes.push_back(
                 {gemm,
                  cache_.planFor(*backend_, problem, design, overrides)});
+            workload.tableSets.push_back(resolveTableSet(
+                workload.nodes.back().plan, gemm.role, gemm.count / steps));
         }
     }
     workload.hostOps = workloadHostOps(spec);
@@ -540,28 +551,16 @@ InferenceSession::runAt(const CompiledWorkload& workload,
     if (residency_ == nullptr) {
         return report;
     }
-    // Thread every GEMM node through the residency manager: each
-    // distinct (layer, shape, design) table set broadcasts host -> PIM
-    // on first touch and is free while it stays MRAM-resident, so a
+    // Thread every node's table set through the residency manager: each
+    // distinct (layer, shape, design) set broadcasts host -> PIM on
+    // first touch and is free while it stays MRAM-resident, so a
     // repeated decode request pays table transfer once per layer
-    // instead of once per step.
-    const double steps = workload.spec.phase == WorkloadPhase::Decode
-                             ? std::max(1u, workload.spec.steps)
-                             : 1.0;
-    auto chargeNode = [&](const ResidencyCharge& charge) {
+    // instead of once per step.  Unsharded sets home on the request's
+    // placement rank; sharded sets span their cut's ranks.
+    for (const ResolvedTableSet& set : workload.tableSets) {
+        const ResidencyCharge charge = residency_->acquire(set, homeRank);
         charge.apply(report.timing, report.energy);
         report.lutBroadcastSeconds += charge.seconds;
-    };
-    // count aggregates layers (and decode steps); the per-layer table
-    // instances are count / steps.  Unsharded sets home on the
-    // request's placement rank; sharded sets span their cut's ranks.
-    for (const PlanNode& node : workload.nodes) {
-        chargeNode(residency_->acquire(node.plan, node.gemm.role,
-                                       node.gemm.count / steps, homeRank));
-    }
-    for (const ShardedGemm& node : workload.shardedNodes) {
-        chargeNode(residency_->acquire(node.plan, node.gemm.role,
-                                       node.gemm.count / steps));
     }
     return report;
 }

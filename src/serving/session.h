@@ -169,6 +169,9 @@ class InferenceSession
         /** Sharded plan graph; populated instead of `nodes` when the
          * session compiles with numRanks > 1. */
         std::vector<ShardedGemm> shardedNodes;
+        /** Each node's LUT table set, resolved at compile in node
+         * order; run() acquires them under the request's home rank. */
+        std::vector<ResolvedTableSet> tableSets;
         unsigned numRanks = 1;       ///< ranks the cut was for
         /** Non-GEMM host work (scalar ops); run() and projectCost()
          * charge it on every call, so a copy may change it. */
@@ -261,8 +264,9 @@ class InferenceSession
     /**
      * Compiles one workload phase into a plan graph: every distinct GEMM
      * shape is planned once (through the cache) and bound to its repeat
-     * count, the nodes are priced once into the workload's gemmShare,
-     * and the non-GEMM host work is pre-aggregated.  run() and
+     * count, the nodes are priced once into the workload's gemmShare
+     * and their LUT table sets resolved into tableSets, and the
+     * non-GEMM host work is pre-aggregated.  run() and
      * projectCost() read that share, so they price no GEMM again.
      */
     CompiledWorkload compile(const WorkloadSpec& spec,

@@ -92,6 +92,15 @@ TokenEngine::submit(const TokenRequest& request)
 {
     LOCALUT_REQUIRE(request.promptLen >= 1, "empty prompt");
     LOCALUT_REQUIRE(request.decodeSteps >= 1, "no tokens to decode");
+    // A NaN time fails every comparison: it would slip past the
+    // monotone-arrival clamp (for every later submit too) and read as
+    // an unbounded or never-met deadline.
+    LOCALUT_REQUIRE(!std::isnan(request.arrivalSeconds),
+                    "arrival time is NaN");
+    LOCALUT_REQUIRE(!std::isnan(request.ttftDeadlineSeconds),
+                    "TTFT deadline is NaN");
+    LOCALUT_REQUIRE(!std::isnan(request.tokenDeadlineSeconds),
+                    "per-token deadline is NaN");
     std::lock_guard<std::mutex> lock(mutex_);
     TokenRequest req = request;
     if (req.arrivalSeconds < lastArrival_) {

@@ -203,7 +203,8 @@ class TokenEngine
     const TokenEngineOptions& options() const { return options_; }
 
     /** Enqueues one conversation stream; returns its stream id.
-     * Arrivals must be monotone in submit order. */
+     * Arrivals must be monotone in submit order.  An empty prompt, no
+     * decode steps, or a NaN arrival or deadline fatals. */
     std::uint64_t submit(const TokenRequest& request);
 
     /**

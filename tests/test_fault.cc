@@ -199,10 +199,10 @@ TEST(ResidencyFault, InvalidateRankDropsSetsAndDisplacesKv)
 
     const GemmPlan plan = faultTestPlan();
     const ResidencyCharge first =
-        manager.acquire(plan, "layer0", 1.0, /*homeRank=*/1);
+        manager.acquire(resolveTableSet(plan, "layer0"), /*homeRank=*/1);
     EXPECT_FALSE(first.hit);
     EXPECT_GT(first.seconds, 0.0);
-    EXPECT_TRUE(manager.acquire(plan, "layer0", 1.0, 1).hit);
+    EXPECT_TRUE(manager.acquire(resolveTableSet(plan, "layer0"), 1).hit);
     const KvCharge kv = manager.acquireKv(/*stream=*/9, /*rank=*/1,
                                           /*layers=*/2,
                                           /*bytesPerTokenPerLayer=*/256,
@@ -219,7 +219,8 @@ TEST(ResidencyFault, InvalidateRankDropsSetsAndDisplacesKv)
     EXPECT_EQ(manager.kvBytes(1), 0u);
 
     // Next touch is a rebroadcast, not a hit.
-    const ResidencyCharge again = manager.acquire(plan, "layer0", 1.0, 1);
+    const ResidencyCharge again =
+        manager.acquire(resolveTableSet(plan, "layer0"), 1);
     EXPECT_FALSE(again.hit);
     const ResidencyStats stats = manager.stats();
     EXPECT_EQ(stats.rankInvalidations, 1u);

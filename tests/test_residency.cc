@@ -70,25 +70,27 @@ TEST(ResidencyManager, FillEvictRebroadcast)
 
     const GemmPlan plan = fabricatedPlan(cfg, 2);
     // Fill: A and B broadcast on first touch and then stay resident.
-    EXPECT_FALSE(manager.acquire(plan, "a").hit);
-    EXPECT_FALSE(manager.acquire(plan, "b").hit);
-    EXPECT_TRUE(manager.acquire(plan, "a").hit);
-    EXPECT_TRUE(manager.acquire(plan, "b").hit);
+    EXPECT_FALSE(manager.acquire(resolveTableSet(plan, "a")).hit);
+    EXPECT_FALSE(manager.acquire(resolveTableSet(plan, "b")).hit);
+    EXPECT_TRUE(manager.acquire(resolveTableSet(plan, "a")).hit);
+    EXPECT_TRUE(manager.acquire(resolveTableSet(plan, "b")).hit);
     EXPECT_EQ(manager.residentBytes(0), 2 * setBytes);
 
     // C does not fit; the lowest (rebroadcast cost x observed reuse)
     // resident set goes.  A and B share a rebroadcast cost, and A has
     // more observed uses, so B is the victim.
-    EXPECT_TRUE(manager.acquire(plan, "a").hit);
-    const ResidencyCharge cCharge = manager.acquire(plan, "c");
+    EXPECT_TRUE(manager.acquire(resolveTableSet(plan, "a")).hit);
+    const ResidencyCharge cCharge =
+        manager.acquire(resolveTableSet(plan, "c"));
     EXPECT_FALSE(cCharge.hit);
     EXPECT_GT(cCharge.seconds, 0.0);
     EXPECT_EQ(manager.residentBytes(0), 2 * setBytes);
     EXPECT_EQ(manager.stats().evictions, 1u);
 
     // B (the victim) re-broadcasts at the same charge; A survived.
-    EXPECT_TRUE(manager.acquire(plan, "a").hit);
-    const ResidencyCharge bAgain = manager.acquire(plan, "b");
+    EXPECT_TRUE(manager.acquire(resolveTableSet(plan, "a")).hit);
+    const ResidencyCharge bAgain =
+        manager.acquire(resolveTableSet(plan, "b"));
     EXPECT_FALSE(bAgain.hit);
     EXPECT_DOUBLE_EQ(bAgain.seconds, cCharge.seconds);
     EXPECT_EQ(manager.stats().rebroadcasts, 1u);
@@ -108,19 +110,21 @@ TEST(ResidencyManager, OversizedSetStreamsWithoutEvictingTheWorld)
     const std::uint64_t setBytes = tableSetBytes(fabricatedPlan(cfg, 2));
     ResidencyManager manager(backend, 1, 2 * setBytes);
 
-    EXPECT_FALSE(manager.acquire(fabricatedPlan(cfg, 2), "small").hit);
+    const ResolvedTableSet small =
+        resolveTableSet(fabricatedPlan(cfg, 2), "small");
+    EXPECT_FALSE(manager.acquire(small).hit);
     // 100 layer instances of the same tables exceed the whole budget:
     // the set can never be resident, so every acquire pays the
     // broadcast — and the small resident set is left alone.
     for (int i = 0; i < 2; ++i) {
-        const ResidencyCharge charge = manager.acquire(
-            fabricatedPlan(cfg, 2), "huge", /*instances=*/100);
+        const ResidencyCharge charge = manager.acquire(resolveTableSet(
+            fabricatedPlan(cfg, 2), "huge", /*instances=*/100));
         EXPECT_FALSE(charge.hit);
         EXPECT_DOUBLE_EQ(charge.bytes,
                          100.0 * static_cast<double>(setBytes));
     }
     EXPECT_EQ(manager.stats().evictions, 0u);
-    EXPECT_TRUE(manager.acquire(fabricatedPlan(cfg, 2), "small").hit);
+    EXPECT_TRUE(manager.acquire(small).hit);
 }
 
 TEST(ResidencyManager, BudgetDefaultsToTheBackendMemoryProfile)
@@ -144,7 +148,8 @@ TEST(ResidencyManager, ShardedTableSetsConsumePerRankBudgets)
     ASSERT_EQ(plan.shards.size(), 4u);
 
     ResidencyManager manager(backend, 4, 0);
-    const ResidencyCharge charge = manager.acquire(plan);
+    const ResolvedTableSet set = resolveTableSet(plan, "", 1.0, 4);
+    const ResidencyCharge charge = manager.acquire(set);
     EXPECT_FALSE(charge.hit);
     double total = 0;
     for (unsigned r = 0; r < 4; ++r) {
@@ -153,14 +158,46 @@ TEST(ResidencyManager, ShardedTableSetsConsumePerRankBudgets)
         total += static_cast<double>(manager.residentBytes(r));
     }
     EXPECT_DOUBLE_EQ(charge.bytes, total);
-    EXPECT_TRUE(manager.acquire(plan).hit);
+    EXPECT_TRUE(manager.acquire(set).hit);
 
     // A different shard cut of the same GEMM keys separately.
     ShardSpec two;
     two.numRanks = 2;
     const ShardPlan otherPlan =
         makeShardPlan(*backend, problem, DesignPoint::LoCaLut, two);
-    EXPECT_FALSE(manager.acquire(otherPlan).hit);
+    EXPECT_FALSE(
+        manager.acquire(resolveTableSet(otherPlan, "", 1.0, 4)).hit);
+}
+
+TEST(ResidencyManager, TableFreeAndSaturatedSetsPlaceNothing)
+{
+    // The resolver owns the rule for sets that place nothing: a design
+    // without host-built tables, and a size past 64 bits (no such plan
+    // is executable).  Acquiring one charges and counts nothing, and
+    // the scheduler's query projects no broadcast for it.
+    const BackendPtr backend = makeBackend("upmem");
+    const QuantConfig cfg = QuantConfig::preset("W4A4");
+    GemmPlan saturated = fabricatedPlan(cfg, 8);
+    saturated.design = DesignPoint::OpLut;
+    ASSERT_TRUE(lutBytesSaturated(tableSetBytes(saturated)));
+    GemmPlan naive = fabricatedPlan(cfg, 2);
+    naive.design = DesignPoint::NaivePim;
+    ShardSpec spec;
+    spec.numRanks = 2;
+    const ShardPlan naiveCut =
+        makeShardPlan(*backend, makeShapeOnlyProblem(256, 256, 16, cfg),
+                      DesignPoint::NaivePim, spec);
+
+    ResidencyManager manager(backend, 2, 0);
+    for (const ResolvedTableSet& set :
+         {resolveTableSet(saturated), resolveTableSet(naive),
+          resolveTableSet(naiveCut, "", 1.0, 2)}) {
+        EXPECT_TRUE(set.empty());
+        EXPECT_TRUE(manager.acquire(set, 1).hit);
+        EXPECT_EQ(manager.coldBroadcastSeconds(set, 1), 0.0);
+    }
+    EXPECT_EQ(manager.stats().hits + manager.stats().misses, 0u);
+    EXPECT_EQ(manager.residentBytes(1), 0u);
 }
 
 TEST(ResidencyManager, InstanceCountIsPartOfTheIdentity)
@@ -174,15 +211,17 @@ TEST(ResidencyManager, InstanceCountIsPartOfTheIdentity)
     const double setBytes =
         static_cast<double>(tableSetBytes(plan));
 
-    const ResidencyCharge twelve = manager.acquire(plan, "qkv", 12);
+    const ResidencyCharge twelve =
+        manager.acquire(resolveTableSet(plan, "qkv", 12));
     EXPECT_FALSE(twelve.hit);
     EXPECT_DOUBLE_EQ(twelve.bytes, 12.0 * setBytes);
     // A 24-layer sibling must NOT hit the 12-layer set for free.
-    const ResidencyCharge twentyFour = manager.acquire(plan, "qkv", 24);
+    const ResidencyCharge twentyFour =
+        manager.acquire(resolveTableSet(plan, "qkv", 24));
     EXPECT_FALSE(twentyFour.hit);
     EXPECT_DOUBLE_EQ(twentyFour.bytes, 24.0 * setBytes);
-    EXPECT_TRUE(manager.acquire(plan, "qkv", 12).hit);
-    EXPECT_TRUE(manager.acquire(plan, "qkv", 24).hit);
+    EXPECT_TRUE(manager.acquire(resolveTableSet(plan, "qkv", 12)).hit);
+    EXPECT_TRUE(manager.acquire(resolveTableSet(plan, "qkv", 24)).hit);
 }
 
 TEST(ResidencyManager, WrappedShardRanksAreBudgetCheckedAsAnAggregate)
@@ -201,16 +240,18 @@ TEST(ResidencyManager, WrappedShardRanksAreBudgetCheckedAsAnAggregate)
     const std::uint64_t sliceBytes = tableSetBytes(plan.shards[0].plan);
 
     // Budget fits two slices; all four wrap onto rank 0.
+    const ResolvedTableSet set = resolveTableSet(plan, "", 1.0, 1);
+    ASSERT_EQ(set.shardBytes.size(), 1u);
     ResidencyManager manager(backend, 1, 2 * sliceBytes);
-    EXPECT_FALSE(manager.acquire(plan).hit);
-    EXPECT_FALSE(manager.acquire(plan).hit); // never admitted: oversized
+    EXPECT_FALSE(manager.acquire(set).hit);
+    EXPECT_FALSE(manager.acquire(set).hit); // never admitted: oversized
     EXPECT_LE(manager.residentBytes(0), manager.budgetBytesPerUnit());
     EXPECT_EQ(manager.stats().tableSets, 0u);
 
     // With room for all four aggregated slices it is admitted whole.
     ResidencyManager roomy(backend, 1, 4 * sliceBytes);
-    EXPECT_FALSE(roomy.acquire(plan).hit);
-    EXPECT_TRUE(roomy.acquire(plan).hit);
+    EXPECT_FALSE(roomy.acquire(set).hit);
+    EXPECT_TRUE(roomy.acquire(set).hit);
     EXPECT_EQ(roomy.residentBytes(0), 4 * sliceBytes);
 }
 
@@ -221,12 +262,12 @@ TEST(ResidencyManager, ClearDropsResidencyButKeepsRebroadcastHistory)
     ResidencyManager manager(backend, 1, 0);
     const GemmPlan plan = fabricatedPlan(cfg, 2);
 
-    EXPECT_FALSE(manager.acquire(plan, "a").hit);
+    EXPECT_FALSE(manager.acquire(resolveTableSet(plan, "a")).hit);
     manager.clear();
     EXPECT_EQ(manager.residentBytes(0), 0u);
     EXPECT_EQ(manager.stats().tableSets, 0u);
     // The post-reset miss is a re-broadcast of a known set.
-    EXPECT_FALSE(manager.acquire(plan, "a").hit);
+    EXPECT_FALSE(manager.acquire(resolveTableSet(plan, "a")).hit);
     EXPECT_EQ(manager.stats().rebroadcasts, 1u);
 }
 
@@ -379,7 +420,7 @@ TEST(ResidencySession, SubmitAcquiresTablesBeforeWait)
     const GemmProblem problem = makeRandomProblem(
         768, 768, 8, QuantConfig::preset("W4A4"), 21);
     const GemmPlan plan = session.plan(problem, DesignPoint::LoCaLut);
-    const TableSetKey key = tableSetKeyFor(plan, "", 1.0, 0);
+    const TableSetKey key = resolveTableSet(plan).keyOn(0);
     ASSERT_FALSE(session.residency()->isResident(key));
 
     const auto id = session.submit(problem, DesignPoint::LoCaLut);
@@ -393,7 +434,8 @@ TEST(ResidencyManager, PerRankHomePlacementAndConstQueries)
 {
     // Data-parallel replicas: the same plan acquired on two home ranks
     // occupies two distinct table sets, each against its own rank's
-    // ledger; isResident() answers without charging or counting a use.
+    // ledger; isResident() and coldBroadcastSeconds() answer without
+    // charging or counting a use.
     const BackendPtr backend = makeBackend("upmem");
     const GemmProblem problem = makeShapeOnlyProblem(
         768, 768, 8, QuantConfig::preset("W4A4"));
@@ -402,28 +444,34 @@ TEST(ResidencyManager, PerRankHomePlacementAndConstQueries)
 
     ResidencyManager manager(backend, /*numRanks=*/2,
                              /*budgetBytesPerUnit=*/0);
-    const TableSetKey rank0 = tableSetKeyFor(plan, "", 1.0, 0);
-    const TableSetKey rank1 = tableSetKeyFor(plan, "", 1.0, 1);
+    const ResolvedTableSet set = resolveTableSet(plan);
+    const TableSetKey rank0 = set.keyOn(0);
+    const TableSetKey rank1 = set.keyOn(1);
     EXPECT_FALSE(manager.isResident(rank0));
+    const double cold = manager.broadcastSeconds(tableSetBytes(plan));
+    EXPECT_DOUBLE_EQ(manager.coldBroadcastSeconds(set, 0), cold);
 
-    const ResidencyCharge first = manager.acquire(plan, "", 1.0, 0);
+    const ResidencyCharge first = manager.acquire(set, 0);
     EXPECT_FALSE(first.hit);
-    EXPECT_DOUBLE_EQ(first.seconds, manager.broadcastSeconds(
-                                        tableSetBytes(plan)));
+    EXPECT_DOUBLE_EQ(first.seconds, cold);
     EXPECT_TRUE(manager.isResident(rank0));
     EXPECT_FALSE(manager.isResident(rank1));
+    EXPECT_EQ(manager.coldBroadcastSeconds(set, 0), 0.0);
+    EXPECT_DOUBLE_EQ(manager.coldBroadcastSeconds(set, 1), cold);
     EXPECT_EQ(manager.residentBytes(0), tableSetBytes(plan));
     EXPECT_EQ(manager.residentBytes(1), 0u);
 
     // Same plan, other rank: a distinct set, a second broadcast.
-    const ResidencyCharge second = manager.acquire(plan, "", 1.0, 1);
+    const ResidencyCharge second = manager.acquire(set, 1);
     EXPECT_FALSE(second.hit);
+    EXPECT_DOUBLE_EQ(second.seconds, cold);
     EXPECT_TRUE(manager.isResident(rank1));
     EXPECT_EQ(manager.residentBytes(1), tableSetBytes(plan));
 
     // Warm on both home ranks now.
-    EXPECT_TRUE(manager.acquire(plan, "", 1.0, 0).hit);
-    EXPECT_TRUE(manager.acquire(plan, "", 1.0, 1).hit);
+    EXPECT_TRUE(manager.acquire(set, 0).hit);
+    EXPECT_TRUE(manager.acquire(set, 1).hit);
+    EXPECT_EQ(manager.coldBroadcastSeconds(set, 1), 0.0);
     EXPECT_EQ(manager.stats().hits, 2u);
     EXPECT_EQ(manager.stats().misses, 2u);
 }
@@ -568,14 +616,14 @@ TEST(ResidencyKv, CrossClassEvictionPicksTheCheaperClass)
     ASSERT_GT(S, 0u);
     ResidencyManager manager(backend, 1, 4 * S);
 
-    EXPECT_FALSE(manager.acquire(plan, "a").hit);
+    EXPECT_FALSE(manager.acquire(resolveTableSet(plan, "a")).hit);
     EXPECT_FALSE(manager.acquireKv(1, 0, 1, S, 2).shed);
     EXPECT_EQ(manager.residentBytes(0), 3 * S);
 
     const KvCharge incoming = manager.acquireKv(2, 0, 1, S, 2);
     EXPECT_FALSE(incoming.shed);
     EXPECT_DOUBLE_EQ(incoming.spillBytes, 0.0); // the LUT class paid
-    EXPECT_FALSE(manager.isResident(tableSetKeyFor(plan, "a", 1.0, 0)));
+    EXPECT_FALSE(manager.isResident(resolveTableSet(plan, "a").keyOn(0)));
     EXPECT_TRUE(manager.kvResident({1, 0}));
     EXPECT_TRUE(manager.kvResident({2, 0}));
     EXPECT_EQ(manager.stats().evictions, 1u);
@@ -598,9 +646,9 @@ TEST(ResidencyKv, HotLutSetDeflectsEvictionOntoKvAndSpilledStreamRefills)
     const std::uint64_t S = tableSetBytes(plan);
     ResidencyManager manager(backend, 1, 4 * S);
 
-    EXPECT_FALSE(manager.acquire(plan, "a").hit);
+    EXPECT_FALSE(manager.acquire(resolveTableSet(plan, "a")).hit);
     for (int i = 0; i < 4; ++i) {
-        EXPECT_TRUE(manager.acquire(plan, "a").hit);
+        EXPECT_TRUE(manager.acquire(resolveTableSet(plan, "a")).hit);
     }
     EXPECT_FALSE(manager.acquireKv(1, 0, 1, S, 2).shed);
 
@@ -611,7 +659,7 @@ TEST(ResidencyKv, HotLutSetDeflectsEvictionOntoKvAndSpilledStreamRefills)
     EXPECT_DOUBLE_EQ(second.spillBytes, 2.0 * static_cast<double>(S));
     EXPECT_DOUBLE_EQ(second.spillSeconds,
                      manager.broadcastSeconds(2 * S));
-    EXPECT_TRUE(manager.isResident(tableSetKeyFor(plan, "a", 1.0, 0)));
+    EXPECT_TRUE(manager.isResident(resolveTableSet(plan, "a").keyOn(0)));
     EXPECT_FALSE(manager.kvResident({1, 0}));
     EXPECT_EQ(manager.stats().kvSpills, 1u);
     EXPECT_EQ(manager.stats().evictions, 0u);
@@ -668,7 +716,7 @@ TEST(ResidencyKv, LutAcquirerPaysForTheKvItSpills)
     ResidencyManager manager(backend, 1, 2 * S);
 
     EXPECT_FALSE(manager.acquireKv(1, 0, 1, S, 2).shed); // fills 2S
-    const ResidencyCharge lut = manager.acquire(plan, "a");
+    const ResidencyCharge lut = manager.acquire(resolveTableSet(plan, "a"));
     EXPECT_FALSE(lut.hit);
     EXPECT_DOUBLE_EQ(lut.kvSpillBytes, 2.0 * static_cast<double>(S));
     EXPECT_DOUBLE_EQ(lut.kvSpillSeconds, manager.broadcastSeconds(2 * S));

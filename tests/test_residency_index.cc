@@ -47,13 +47,6 @@ namespace {
 
 constexpr std::uint64_t kNoStream = std::numeric_limits<std::uint64_t>::max();
 
-std::uint64_t
-roundInstances(double instances)
-{
-    return static_cast<std::uint64_t>(
-        std::llround(std::max(1.0, instances)));
-}
-
 /**
  * The residency manager with a linear-scan victim search: the oracle the
  * per-rank index must match.  Single-threaded; costs and counters follow
@@ -70,64 +63,19 @@ class LinearScanResidency
     {}
 
     ResidencyCharge
-    acquire(const GemmPlan& plan, const std::string& scope,
-            double instances, unsigned homeRank)
+    acquire(const ResolvedTableSet& resolved, unsigned homeRank)
     {
-        const std::uint64_t perCopy = tableSetBytes(plan);
-        if (perCopy == 0) {
+        if (resolved.empty()) {
             return {};
         }
-        TableSetKey key = tableSetKeyFor(plan, scope, instances, homeRank);
-        const std::uint64_t bytes = satMulU64(perCopy, key.instances);
-        if (lutBytesSaturated(bytes)) {
-            return {};
+        std::vector<std::pair<unsigned, std::uint64_t>> rankBytes =
+            resolved.shardBytes;
+        if (!resolved.sharded()) {
+            rankBytes = {{homeRank, resolved.bytes}};
         }
         SpillCost spill;
-        return acquireSet(std::move(key), {{homeRank, bytes}}, spill);
-    }
-
-    ResidencyCharge
-    acquire(const ShardPlan& plan, const std::string& scope,
-            double instances)
-    {
-        if (plan.shards.empty()) {
-            return {};
-        }
-        TableSetKey key;
-        key.scope = scope;
-        key.m = plan.m;
-        key.k = plan.k;
-        key.n = plan.n;
-        key.config = plan.config;
-        key.design = plan.design;
-        key.p = std::max(1u, plan.shards.front().plan.p);
-        key.shard = plan.spec;
-        const std::uint64_t inst = roundInstances(instances);
-        key.instances = inst;
-        std::vector<std::uint64_t> perRank(lut_.size(), 0);
-        double total = 0;
-        for (const GemmShard& shard : plan.shards) {
-            const std::uint64_t bytes =
-                satMulU64(tableSetBytes(shard.plan), inst);
-            if (lutBytesSaturated(bytes)) {
-                return {};
-            }
-            const unsigned rank =
-                shard.rank % static_cast<unsigned>(lut_.size());
-            perRank[rank] = satAddU64(perRank[rank], bytes);
-            total += static_cast<double>(bytes);
-        }
-        if (total == 0) {
-            return {};
-        }
-        std::vector<std::pair<unsigned, std::uint64_t>> rankBytes;
-        for (unsigned rank = 0; rank < perRank.size(); ++rank) {
-            if (perRank[rank] > 0) {
-                rankBytes.emplace_back(rank, perRank[rank]);
-            }
-        }
-        SpillCost spill;
-        return acquireSet(std::move(key), std::move(rankBytes), spill);
+        return acquireSet(resolved.keyOn(homeRank), std::move(rankBytes),
+                          spill);
     }
 
     KvCharge
@@ -589,24 +537,6 @@ shardedPlans(const Backend& backend)
     return plans;
 }
 
-/** The key acquire(ShardPlan, scope, instances) files the set under. */
-TableSetKey
-shardedKey(const ShardPlan& plan, const std::string& scope,
-           double instances)
-{
-    TableSetKey key;
-    key.scope = scope;
-    key.m = plan.m;
-    key.k = plan.k;
-    key.n = plan.n;
-    key.config = plan.config;
-    key.design = plan.design;
-    key.p = std::max(1u, plan.shards.front().plan.p);
-    key.shard = plan.spec;
-    key.instances = roundInstances(instances);
-    return key;
-}
-
 const std::vector<std::string> kScopes = {"qkv", "out", "ffn_up",
                                           "ffn_down"};
 
@@ -708,17 +638,20 @@ replayTrace(const std::string& backendName, unsigned numRanks,
             const unsigned home =
                 static_cast<unsigned>(rng.nextBounded(numRanks));
             what = "acquire " + scope;
-            expectSameCharge(manager.acquire(plan, scope, instances, home),
-                             oracle.acquire(plan, scope, instances, home));
-            remember(tableSetKeyFor(plan, scope, instances, home));
+            const ResolvedTableSet set =
+                resolveTableSet(plan, scope, instances);
+            expectSameCharge(manager.acquire(set, home),
+                             oracle.acquire(set, home));
+            remember(set.keyOn(home));
         } else if (pick < 48) {
             const ShardPlan& plan = shards[rng.nextBounded(shards.size())];
             const std::string& scope = kScopes[rng.nextBounded(4)];
             const double instances = 1.0 + rng.nextBounded(2);
             what = "sharded acquire " + scope;
-            expectSameCharge(manager.acquire(plan, scope, instances),
-                             oracle.acquire(plan, scope, instances));
-            remember(shardedKey(plan, scope, instances));
+            const ResolvedTableSet set =
+                resolveTableSet(plan, scope, instances, numRanks);
+            expectSameCharge(manager.acquire(set), oracle.acquire(set, 0));
+            remember(set.keyOn(0));
         } else if (pick < 89) {
             const std::uint64_t id = 1 + rng.nextBounded(kStreamIds);
             auto [it, fresh] = streams.try_emplace(id);
@@ -859,12 +792,13 @@ TEST(ResidencyStress, ConcurrentTrafficWithRankLossKeepsTheBooks)
                     const GemmPlan& plan =
                         plans[rng.nextBounded(plans.size())];
                     manager.acquire(
-                        plan, kScopes[rng.nextBounded(4)], 1.0,
+                        resolveTableSet(plan, kScopes[rng.nextBounded(4)]),
                         static_cast<unsigned>(rng.nextBounded(kRanks)));
                     acquires.fetch_add(1, std::memory_order_relaxed);
                 } else if (pick < 50) {
-                    manager.acquire(shards[rng.nextBounded(shards.size())],
-                                    kScopes[rng.nextBounded(4)], 1.0);
+                    manager.acquire(resolveTableSet(
+                        shards[rng.nextBounded(shards.size())],
+                        kScopes[rng.nextBounded(4)], 1.0, kRanks));
                     acquires.fetch_add(1, std::memory_order_relaxed);
                 } else {
                     const unsigned j = static_cast<unsigned>(
@@ -909,7 +843,7 @@ TEST(ResidencyStress, ConcurrentTrafficWithRankLossKeepsTheBooks)
         for (const std::string& scope : kScopes) {
             for (unsigned home = 0; home < kRanks; ++home) {
                 if (manager.isResident(
-                        tableSetKeyFor(plan, scope, 1.0, home))) {
+                        resolveTableSet(plan, scope).keyOn(home))) {
                     ++sets;
                     lut[home] += tableSetBytes(plan);
                 }
@@ -918,7 +852,8 @@ TEST(ResidencyStress, ConcurrentTrafficWithRankLossKeepsTheBooks)
     }
     for (const ShardPlan& plan : shards) {
         for (const std::string& scope : kScopes) {
-            if (manager.isResident(shardedKey(plan, scope, 1.0))) {
+            if (manager.isResident(
+                    resolveTableSet(plan, scope, 1.0, kRanks).keyOn(0))) {
                 ++sets;
                 for (const GemmShard& shard : plan.shards) {
                     lut[shard.rank % kRanks] += tableSetBytes(shard.plan);

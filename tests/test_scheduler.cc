@@ -400,6 +400,46 @@ TEST(Scheduler, ColdStartProjectionMatchesChargeBeforeAnyWait)
     }
 }
 
+TEST(Scheduler, WorkloadColdStartProjectionMatchesChargeOnEveryRank)
+{
+    // Four decode steps arrive together on four idle ranks and each
+    // lands cold on its own rank: the broadcast projected there (the
+    // residency manager's answer for that rank) is the one its run is
+    // charged.
+    SessionOptions sessionOptions;
+    sessionOptions.numRanks = 4;
+    sessionOptions.residencyPolicy = ResidencyPolicy::CostAware;
+    InferenceSession session(makeBackend("upmem"), sessionOptions);
+    RequestScheduler scheduler(session);
+    const auto workload = session.compileUnsharded(
+        WorkloadSpec::decodeStep(TransformerConfig::opt125m(), 8, 64),
+        QuantConfig::preset("W4A4"), DesignPoint::LoCaLut);
+    const double steady = session.projectCost(workload).totalSeconds();
+
+    std::vector<AdmissionDecision> decisions;
+    std::vector<bool> used(4, false);
+    for (int i = 0; i < 4; ++i) {
+        ServingRequest request = ServingRequest::workloadRequest(
+            workload, DeadlineClass::Batch);
+        request.arrivalSeconds = 0.0;
+        decisions.push_back(scheduler.submit(std::move(request)));
+        const AdmissionDecision& d = decisions.back();
+        ASSERT_TRUE(d.admitted());
+        ASSERT_LT(d.rank, 4u);
+        EXPECT_FALSE(used[d.rank]) << "request " << i;
+        used[d.rank] = true;
+    }
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+        const ServingResult r = scheduler.wait(decisions[i].id);
+        const double charged = r.report.lutBroadcastSeconds;
+        EXPECT_GT(charged, 0.0) << "request " << i;
+        EXPECT_EQ(r.report.rank, decisions[i].rank) << "request " << i;
+        EXPECT_NEAR(decisions[i].projectedServiceSeconds - steady, charged,
+                    1e-12 * charged)
+            << "request " << i;
+    }
+}
+
 TEST(Scheduler, SelfEvictingWorkloadIsSequencedByItsCharge)
 {
     // A workload runs at admission and is sequenced by the broadcast it

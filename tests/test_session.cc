@@ -2,7 +2,8 @@
  * @file
  * InferenceSession tests: asynchronous submit/wait matches the
  * synchronous engine bit-for-bit, compiled workloads match the
- * TransformerRunner, decode steps reuse cached plans, errors raised
+ * TransformerRunner and carry table sets that run the same on any
+ * session, decode steps reuse cached plans, errors raised
  * inside worker threads surface at wait(), and malformed GEMM input (or
  * a rank outside the grid) is rejected as a FatalError at the backend,
  * session, fault-injector and residency entry points.
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -173,6 +175,80 @@ TEST(InferenceSession, CompiledWorkloadMatchesTransformerRunner)
     EXPECT_EQ(projected.gemmSeconds, freshCut.gemmSeconds);
     EXPECT_EQ(projected.hostOpSeconds, freshCut.hostOpSeconds);
     EXPECT_EQ(projected.collectiveSeconds, freshCut.collectiveSeconds);
+}
+
+/** Every counter of two residency snapshots is the same. */
+void
+expectSameStats(const ResidencyStats& a, const ResidencyStats& b)
+{
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.rebroadcasts, b.rebroadcasts);
+    EXPECT_EQ(a.tableSets, b.tableSets);
+    EXPECT_EQ(a.broadcastBytes, b.broadcastBytes);
+    EXPECT_EQ(a.broadcastSeconds, b.broadcastSeconds);
+    EXPECT_EQ(a.kvStreams, b.kvStreams);
+    EXPECT_EQ(a.kvSpills, b.kvSpills);
+    EXPECT_EQ(a.kvRefills, b.kvRefills);
+    EXPECT_EQ(a.kvSheds, b.kvSheds);
+    EXPECT_EQ(a.kvResidentBytes, b.kvResidentBytes);
+    EXPECT_EQ(a.kvMovedBytes, b.kvMovedBytes);
+    EXPECT_EQ(a.kvMovedSeconds, b.kvMovedSeconds);
+    EXPECT_EQ(a.rankInvalidations, b.rankInvalidations);
+    EXPECT_EQ(a.kvDisplaced, b.kvDisplaced);
+}
+
+TEST(InferenceSession, CompiledTableSetsCarryNoSessionState)
+{
+    // A workload's table sets are resolved at compile from its plans
+    // alone, so a workload compiled on a session without residency runs
+    // on a fresh session exactly as that session's own compile does:
+    // same charges, same counters, same evictions under a tight budget.
+    const BackendPtr backend = makeBackend("upmem");
+    const WorkloadSpec spec =
+        WorkloadSpec::decode(TransformerConfig::opt125m(), 8, 64, 4);
+    const QuantConfig cfg = QuantConfig::preset("W4A4");
+    for (const bool sharded : {false, true}) {
+        SessionOptions plain;
+        plain.numRanks = sharded ? 2 : 1;
+        InferenceSession elsewhere(backend, plain);
+        const auto foreign =
+            sharded ? elsewhere.compile(spec, cfg, DesignPoint::LoCaLut)
+                    : elsewhere.compileUnsharded(spec, cfg,
+                                                 DesignPoint::LoCaLut);
+        ASSERT_EQ(foreign.sharded(), sharded);
+        std::uint64_t largest = 0;
+        for (const ResolvedTableSet& set : foreign.tableSets) {
+            largest = std::max(largest, set.bytes);
+        }
+        ASSERT_GT(largest, 0u);
+        // Room for the largest set only: every run evicts.
+        for (const std::uint64_t budget : {std::uint64_t{0}, largest}) {
+            SessionOptions options;
+            options.numRanks = 2;
+            options.residencyPolicy = ResidencyPolicy::CostAware;
+            options.mramBudgetBytes = budget;
+            InferenceSession host(backend, options);
+            InferenceSession own(backend, options);
+            const auto native =
+                sharded ? own.compile(spec, cfg, DesignPoint::LoCaLut)
+                        : own.compileUnsharded(spec, cfg,
+                                               DesignPoint::LoCaLut);
+            const SubmitOptions submit{sharded ? -1 : 1};
+            for (int i = 0; i < 3; ++i) {
+                const InferenceReport got = host.run(foreign, submit);
+                const InferenceReport want = own.run(native, submit);
+                expectSameReport(got, want);
+                EXPECT_EQ(got.rank, want.rank);
+                expectSameStats(host.residencyStats(), own.residencyStats());
+            }
+            EXPECT_GT(host.residencyStats().misses, 0u);
+            if (budget != 0 && !sharded) {
+                EXPECT_GT(host.residencyStats().evictions, 0u);
+            }
+        }
+    }
 }
 
 TEST(InferenceSession, RejectsWorkloadItNeverCompiled)
@@ -461,8 +537,18 @@ TEST(MalformedInput, RankOutsideTheGridIsRejected)
         makeShapeOnlyProblem(256, 256, 8, QuantConfig::preset("W4A4")),
         DesignPoint::LoCaLut);
     ASSERT_GT(tableSetBytes(plan), 0u);
-    EXPECT_THROW(residency.acquire(plan, "x", 1.0, /*homeRank=*/3),
+    EXPECT_THROW(residency.acquire(resolveTableSet(plan, "x"), /*homeRank=*/3),
                  FatalError);
+    // A design without host-built tables places nothing, but its home
+    // rank is checked all the same.
+    const GemmPlan naive = backend->plan(
+        makeShapeOnlyProblem(256, 256, 8, QuantConfig::preset("W4A4")),
+        DesignPoint::NaivePim);
+    ASSERT_EQ(tableSetBytes(naive), 0u);
+    EXPECT_THROW(residency.acquire(resolveTableSet(naive, "x"),
+                                   /*homeRank=*/2),
+                 FatalError);
+    EXPECT_TRUE(residency.acquire(resolveTableSet(naive, "x"), 1).hit);
     EXPECT_THROW(residency.acquireKv(/*stream=*/7, /*rank=*/5,
                                      /*layers=*/1,
                                      /*bytesPerTokenPerLayer=*/64,
@@ -473,7 +559,7 @@ TEST(MalformedInput, RankOutsideTheGridIsRejected)
     EXPECT_EQ(residency.stats().misses, 0u);
 
     // In-range ranks still serve.
-    EXPECT_FALSE(residency.acquire(plan, "x", 1.0, 1).hit);
+    EXPECT_FALSE(residency.acquire(resolveTableSet(plan, "x"), 1).hit);
     EXPECT_FALSE(residency.acquireKv(7, 1, 1, 64, 16).shed);
     EXPECT_GT(residency.residentBytes(1), 0u);
 }

@@ -5,8 +5,9 @@
  * LUT rebroadcast while KV bytes grow monotonically, MRAM pressure
  * degrades from LUT eviction to KV shed, per-token SLO shedding, a
  * deadline-met goodput win for continuous batching under overload,
- * thread-safety of engines sharing one session, and decode steps that
- * price no GEMM after their graph is compiled.
+ * thread-safety of engines sharing one session, decode steps that
+ * price no GEMM after their graph is compiled, and NaN times rejected
+ * at the engine's and the scheduler's submit().
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "backend/backend.h"
+#include "common/logging.h"
 #include "serving/token_engine.h"
 
 namespace localut {
@@ -438,6 +440,60 @@ TEST(TokenEngine, AbsoluteDeadlineScheduleAnchorsAtTtftBound)
     EXPECT_EQ(results[0].tokensMet, 3u);
     EXPECT_EQ(streamStatusName(results[0].status),
               std::string("completed"));
+}
+
+TEST(MalformedInput, NanServingTimesAreRejected)
+{
+    // NaN fails every comparison, so a NaN time would pass each shed and
+    // clamp check as a deadline or arrival nobody can reason about: both
+    // serving front doors fatal on it and keep their state.
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    InferenceSession session("host-cpu", SessionOptions{});
+
+    RequestScheduler scheduler(session);
+    const GemmProblem problem =
+        makeShapeOnlyProblem(64, 64, 4, QuantConfig::preset("W4A4"));
+    ServingRequest nanDeadline = ServingRequest::gemm(
+        problem, DesignPoint::LoCaLut, DeadlineClass::Interactive, kNan,
+        /*computeValues=*/false);
+    EXPECT_THROW(scheduler.submit(nanDeadline), FatalError);
+    ServingRequest nanArrival = ServingRequest::gemm(
+        problem, DesignPoint::LoCaLut, DeadlineClass::Interactive, kInf,
+        /*computeValues=*/false);
+    nanArrival.arrivalSeconds = kNan;
+    EXPECT_THROW(scheduler.submit(nanArrival), FatalError);
+    EXPECT_EQ(scheduler.clockSeconds(), 0.0);
+    EXPECT_EQ(scheduler.telemetry().snapshot().totalSubmitted(), 0u);
+    // A non-positive budget keeps its documented shed.
+    const AdmissionDecision past = scheduler.submit(ServingRequest::gemm(
+        problem, DesignPoint::LoCaLut, DeadlineClass::Interactive, 0.0,
+        /*computeValues=*/false));
+    EXPECT_EQ(past.outcome, AdmissionOutcome::ShedDeadline);
+
+    TokenEngine engine(session, smallEngineOptions());
+    TokenRequest request;
+    request.promptLen = 4;
+    request.decodeSteps = 2;
+    request.arrivalSeconds = 5.0;
+    engine.submit(request);
+    for (double TokenRequest::*field :
+         {&TokenRequest::arrivalSeconds, &TokenRequest::ttftDeadlineSeconds,
+          &TokenRequest::tokenDeadlineSeconds}) {
+        TokenRequest bad = request;
+        bad.*field = kNan;
+        EXPECT_THROW(engine.submit(bad), FatalError);
+    }
+    // The rejected NaN arrival left the monotone-arrival clamp intact,
+    // and a TTFT bound already past keeps its Slo shed.
+    TokenRequest early = request;
+    early.arrivalSeconds = 1.0;
+    early.ttftDeadlineSeconds = -1.0;
+    engine.submit(early);
+    const std::vector<StreamResult> results = engine.run();
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].status, StreamStatus::Completed);
+    EXPECT_EQ(results[1].arrivalSeconds, 5.0);
+    EXPECT_EQ(results[1].status, StreamStatus::ShedDeadline);
 }
 
 } // namespace
